@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load fuzz fuzz-smoke opt-smoke systest store-smoke load-smoke gate check examples clean
+.PHONY: all build test bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load fuzz fuzz-smoke opt-smoke e2e-smoke systest store-smoke load-smoke gate check examples clean
 
 all: build
 
@@ -62,6 +62,12 @@ opt-smoke: build
 	dune exec bin/gklock_cli.exe -- opt s1238 --check -o /tmp/s1238_opt.bench
 	dune exec bin/gklock_cli.exe -- opt s5378 --check -o /tmp/s5378_opt.bench
 
+# The end-to-end benchmark's short pass over every workload: gk_sat's
+# verdict and key checks, dip_loop's exact 63-DIP check and the live
+# oracle service's reply check, in about 10 seconds.
+e2e-smoke:
+	dune build @bench/e2e/smoke
+
 # End-to-end system tests: the full scenario catalogue (CLI round
 # trips, campaign run/interrupt/resume, daemon parity, quota and
 # shutdown gating, gate self-check) against the real binaries.  The
@@ -97,9 +103,9 @@ gate: build
 	  --fresh-load /tmp/BENCH_load_fresh.json $(GATE_FLAGS)
 
 # Everything a PR must keep green: full build (libs, CLI, examples,
-# benches), the test suite, a fuzz smoke, the system-test catalogue
-# and the perf regression gate.
-check: build test fuzz-smoke opt-smoke systest store-smoke gate
+# benches), the test suite, a fuzz smoke, the end-to-end benchmark
+# smoke, the system-test catalogue and the perf regression gate.
+check: build test fuzz-smoke opt-smoke e2e-smoke systest store-smoke gate
 
 examples:
 	dune exec examples/quickstart.exe

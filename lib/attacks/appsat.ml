@@ -56,34 +56,30 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
   in
   let vars1 = Tseitin.encode solver locked ~shared:(shared k1 ~with_x:true) in
   let vars2 = Tseitin.encode solver locked ~shared:(shared k2 ~with_x:true) in
-  let diffs =
-    List.map
-      (fun (_, d) ->
-        let o = Solver.new_var solver in
-        let ol = Lit.pos o and x = Lit.pos vars1.(d) and y = Lit.pos vars2.(d) in
-        ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-        ignore (Solver.add_clause solver [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-        ol)
-      (Netlist.outputs locked)
-  in
-  ignore (Solver.add_clause solver diffs);
+  Tseitin.miter solver
+    (List.map (fun (_, d) -> (vars1.(d), vars2.(d))) (Netlist.outputs locked));
   (* candidate solver: constraints only *)
   let cand = Solver.create () in
   let kc = Hashtbl.create 16 in
   List.iter (fun k -> Hashtbl.replace kc k (Solver.new_var cand)) key_inputs;
+  let x_pis = Array.of_list x_pis in
+  let outputs = Array.of_list (Netlist.outputs locked) in
   let add_io_constraint dip outs =
+    (* the DIP's X values (read in [x_names] order) and the oracle's
+       outputs, as arrays aligned with [x_pis] and [outputs] *)
+    let x_vals = Array.of_list (List.map snd dip) in
+    let out_tbl = Hashtbl.create (Array.length outputs) in
+    List.iter
+      (fun (po, v) -> if not (Hashtbl.mem out_tbl po) then Hashtbl.add out_tbl po v)
+      outs;
+    let out_vals = Array.map (fun (po, _) -> Hashtbl.find out_tbl po) outputs in
     let pin s vars =
-      List.iter
-        (fun pi ->
-          let name = (Netlist.node locked pi).Netlist.name in
-          ignore (Solver.add_clause s [ Lit.make vars.(pi) (List.assoc name dip) ]))
+      Array.iteri
+        (fun i pi -> ignore (Solver.add_clause s [ Lit.make vars.(pi) x_vals.(i) ]))
         x_pis;
-      List.iter
-        (fun (po, d) ->
-          ignore (Solver.add_clause s [ Lit.make vars.(d) (List.assoc po outs) ]))
-        (Netlist.outputs locked)
+      Array.iteri
+        (fun i (_, d) -> ignore (Solver.add_clause s [ Lit.make vars.(d) out_vals.(i) ]))
+        outputs
     in
     (* both key copies of the miter, and the candidate store *)
     pin solver (Tseitin.encode solver locked ~shared:(shared k1 ~with_x:false));

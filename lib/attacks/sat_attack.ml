@@ -65,40 +65,37 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
   let encode_copy key_tbl = Tseitin.encode solver locked ~shared:(shared_map key_tbl ()) in
   let vars1 = encode_copy k1_vars in
   let vars2 = encode_copy k2_vars in
-  (* Miter output: OR over per-output XORs. *)
-  let diffs =
-    List.map
-      (fun (_, d) ->
-        let o = Solver.new_var solver in
-        let ol = Lit.pos o
-        and x = Lit.pos vars1.(d)
-        and y = Lit.pos vars2.(d) in
-        ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-        ignore (Solver.add_clause solver [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-        ol)
-      (Netlist.outputs locked)
-  in
-  ignore (Solver.add_clause solver diffs);
-  (* Add one I/O constraint copy (circuit at DIP X with key K forced to output Y) for a key vector. *)
-  let add_constraint key_tbl dip outs =
-    let vars =
-      Tseitin.encode solver locked
-        ~shared:(shared_map key_tbl ~fix_x:() ())
-    in
+  Tseitin.miter solver
+    (List.map (fun (_, d) -> (vars1.(d), vars2.(d))) (Netlist.outputs locked));
+  let outputs = Array.of_list (Netlist.outputs locked) in
+  let x_pis = Array.of_list x_pis in
+  (* A DIP's X values and the oracle's outputs as arrays aligned with
+     [x_pis] (the order the DIP is read in) and [outputs]. *)
+  let io_pins dip outs =
+    let out_vals = Hashtbl.create (Array.length outputs) in
     List.iter
-      (fun pi ->
-        let name = (Netlist.node locked pi).Netlist.name in
-        let v = List.assoc name dip in
-        ignore (Solver.add_clause solver [ Lit.make vars.(pi) v ]))
+      (fun (po, v) -> if not (Hashtbl.mem out_vals po) then Hashtbl.add out_vals po v)
+      outs;
+    ( Array.of_list (List.map snd dip),
+      Array.map (fun (po, _) -> Hashtbl.find out_vals po) outputs )
+  in
+  (* Pin one circuit copy ([vars]) to a DIP's X values and outputs, each
+     array aligned with [x_pis] / [outputs]. *)
+  let pin s vars (x_vals, out_vals) =
+    Array.iteri
+      (fun i pi -> ignore (Solver.add_clause s [ Lit.make vars.(pi) x_vals.(i) ]))
       x_pis;
-    List.iter
-      (fun (po, d) ->
-        let v = List.assoc po outs in
-        ignore (Solver.add_clause solver [ Lit.make vars.(d) v ]))
-      (Netlist.outputs locked)
+    Array.iteri
+      (fun i (_, d) -> ignore (Solver.add_clause s [ Lit.make vars.(d) out_vals.(i) ]))
+      outputs
   in
+  (* Add one I/O constraint copy (circuit at DIP X with key K forced to
+     output Y) for a key vector. *)
+  let add_constraint key_tbl pins =
+    let vars = Tseitin.encode solver locked ~shared:(shared_map key_tbl ~fix_x:() ()) in
+    pin solver vars pins
+  in
+  (* (DIP, its pin arrays), latest first *)
   let dips = ref [] in
   let extract_key () =
     (* The K1 vector of a model of all accumulated constraints.  Build a
@@ -106,24 +103,13 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
     let s2 = Solver.create () in
     let k_vars = Hashtbl.create 16 in
     List.iter (fun k -> Hashtbl.replace k_vars k (Solver.new_var s2)) key_inputs;
+    let shared id =
+      let nd = Netlist.node locked id in
+      if nd.Netlist.kind = Netlist.Input then Hashtbl.find_opt k_vars nd.Netlist.name
+      else None
+    in
     List.iter
-      (fun (dip, outs) ->
-        let shared id =
-          let nd = Netlist.node locked id in
-          if nd.Netlist.kind = Netlist.Input then
-            Hashtbl.find_opt k_vars nd.Netlist.name
-          else None
-        in
-        let vars = Tseitin.encode s2 locked ~shared in
-        List.iter
-          (fun pi ->
-            let name = (Netlist.node locked pi).Netlist.name in
-            ignore (Solver.add_clause s2 [ Lit.make vars.(pi) (List.assoc name dip) ]))
-          x_pis;
-        List.iter
-          (fun (po, d) ->
-            ignore (Solver.add_clause s2 [ Lit.make vars.(d) (List.assoc po outs) ]))
-          (Netlist.outputs locked))
+      (fun (_, pins) -> pin s2 (Tseitin.encode s2 locked ~shared) pins)
       (List.rev !dips);
     match Solver.solve s2 with
     | Solver.Sat ->
@@ -173,10 +159,10 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
            (fun n -> (n, Solver.value solver (Hashtbl.find x_vars n)))
            x_names
        in
-       let outs = Oracle.query oracle dip in
-       dips := (dip, outs) :: !dips;
-       add_constraint k1_vars dip outs;
-       add_constraint k2_vars dip outs);
+       let pins = io_pins dip (Oracle.query oracle dip) in
+       dips := (dip, pins) :: !dips;
+       add_constraint k1_vars pins;
+       add_constraint k2_vars pins);
       loop (iter + 1)
   in
   (* On mid-iteration exhaustion the iteration was already charged

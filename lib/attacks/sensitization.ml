@@ -53,23 +53,8 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
     List.iter
       (fun sample ->
         let v0 = copy sample false and v1 = copy sample true in
-        let diffs =
-          List.map
-            (fun (_, d) ->
-              let o = Solver.new_var solver in
-              let ol = Lit.pos o
-              and x = Lit.pos v0.(d)
-              and y = Lit.pos v1.(d) in
-              ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-              ignore
-                (Solver.add_clause solver
-                   [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-              ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-              ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-              ol)
-            (Netlist.outputs locked)
-        in
-        ignore (Solver.add_clause solver diffs))
+        Tseitin.miter solver
+          (List.map (fun (_, d) -> (v0.(d), v1.(d))) (Netlist.outputs locked)))
       samples;
     match Solver.solve solver with
     | Solver.Unsat -> None

@@ -37,24 +37,15 @@ let check ?(fixed_a = []) ?(fixed_b = []) a b =
   in
   List.iter (pin a vars_a) fixed_a;
   List.iter (pin b vars_b) fixed_b;
-  (* diff_o <-> po_a xor po_b, for each output; assert OR of diffs. *)
-  let diffs =
-    List.map
-      (fun (po, da) ->
-        let db = List.assoc po (Netlist.outputs b) in
-        let d = Solver.new_var solver in
-        let o = Lit.pos d
-        and x = Lit.pos vars_a.(da)
-        and y = Lit.pos vars_b.(db) in
-        ignore (Solver.add_clause solver [ Lit.negate o; x; y ]);
-        ignore
-          (Solver.add_clause solver [ Lit.negate o; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ o; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ o; x; Lit.negate y ]);
-        Lit.pos d)
-      (Netlist.outputs a)
-  in
-  ignore (Solver.add_clause solver diffs);
+  (* some output differs: the two drivers of each PO name, in a's order *)
+  let drivers_b = Hashtbl.create 64 in
+  List.iter
+    (fun (po, d) -> if not (Hashtbl.mem drivers_b po) then Hashtbl.add drivers_b po d)
+    (Netlist.outputs b);
+  Tseitin.miter solver
+    (List.map
+       (fun (po, da) -> (vars_a.(da), vars_b.(Hashtbl.find drivers_b po)))
+       (Netlist.outputs a));
   match Solver.solve solver with
   | Solver.Unsat -> Equivalent
   | Solver.Sat ->

@@ -1,6 +1,8 @@
 type result = Sat | Unsat
 
-type clause = { mutable lits : Lit.t array }
+(* Literal arithmetic is spelled out locally ([l lsr 1] is the variable,
+   [l lxor 1] the negation; see {!Lit}) so the hot loops make no
+   cross-module calls. *)
 
 (* Variable order: binary max-heap on activity with position tracking. *)
 module Heap = struct
@@ -64,8 +66,9 @@ module Heap = struct
 
   let decrease h v = if mem h v then sift_up h h.pos.(v)
 
+  (* The most active variable, or -1 when the heap is empty. *)
   let pop h =
-    if h.len = 0 then None
+    if h.len = 0 then -1
     else begin
       let top = h.data.(0) in
       h.len <- h.len - 1;
@@ -75,83 +78,102 @@ module Heap = struct
         h.pos.(h.data.(0)) <- 0;
         sift_down h 0
       end;
-      Some top
+      top
     end
 end
 
 type t = {
   mutable nvars : int;
-  clauses : clause Vec.t;
-  mutable watches : int Vec.t array;  (* per literal: indices into clauses *)
-  mutable assigns : int array;        (* per var: -1 undef, 0 false, 1 true *)
+  mutable clauses : int array array;  (* clause ref -> its literals *)
+  mutable n_clauses : int;
+  mutable watches : int array array;  (* per literal: clauses to visit when it turns true *)
+  mutable n_watches : int array;      (* per literal: used length of [watches] *)
+  mutable vals : int array;           (* per literal: -1 undef, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : int array;         (* clause index or -1 *)
+  mutable reason : int array;         (* per var: clause ref or -1 *)
   mutable polarity : bool array;      (* saved phases *)
   activity : float array ref;
   mutable var_inc : float;
   order : Heap.t;
-  trail : Lit.t Vec.t;
-  trail_lim : int Vec.t;
+  mutable trail : int array;          (* assigned literals in order; one slot per var *)
+  mutable trail_len : int;
+  mutable trail_lim : int array;      (* trail length at the start of each level *)
+  mutable n_levels : int;
   mutable qhead : int;
   mutable unsat : bool;
-  units : Lit.t Vec.t;                (* level-0 facts added via add_clause *)
+  mutable units : int array;          (* level-0 facts added via add_clause or learnt *)
+  mutable n_units : int;
   mutable n_conflicts : int;
   mutable n_propagations : int;
   mutable model : bool array;
   mutable have_model : bool;
   mutable seen : bool array;          (* scratch for analyze *)
+  mutable learnt : int array;         (* scratch for analyze: lower-level literals *)
 }
 
 let create () =
   let activity = ref [||] in
   {
     nvars = 0;
-    clauses = Vec.create ();
+    clauses = [||];
+    n_clauses = 0;
     watches = [||];
-    assigns = [||];
+    n_watches = [||];
+    vals = [||];
     level = [||];
     reason = [||];
     polarity = [||];
     activity;
     var_inc = 1.0;
     order = Heap.create activity;
-    trail = Vec.create ();
-    trail_lim = Vec.create ();
+    trail = [||];
+    trail_len = 0;
+    trail_lim = [||];
+    n_levels = 0;
     qhead = 0;
     unsat = false;
-    units = Vec.create ();
+    units = [||];
+    n_units = 0;
     n_conflicts = 0;
     n_propagations = 0;
     model = [||];
     have_model = false;
     seen = [||];
+    learnt = [||];
   }
 
+(* [push a n x] stores [x] at [a.(n)], doubling [a] when full; returns the
+   (possibly new) array.  The caller bumps its length. *)
+let push a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let a' = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 a' 0 n;
+      a'
+    end
+  in
+  a.(n) <- x;
+  a
+
 let grow_arrays s =
-  let cap = Array.length s.assigns in
+  let cap = Array.length s.level in
   if s.nvars > cap then begin
     let cap' = max s.nvars (max 16 (2 * cap)) in
-    let grow_int a def =
-      let a' = Array.make cap' def in
-      Array.blit a 0 a' 0 cap;
+    let grow a n def =
+      let a' = Array.make n def in
+      Array.blit a 0 a' 0 (Array.length a);
       a'
     in
-    s.assigns <- grow_int s.assigns (-1);
-    s.level <- grow_int s.level 0;
-    s.reason <- grow_int s.reason (-1);
-    let pol' = Array.make cap' false in
-    Array.blit s.polarity 0 pol' 0 cap;
-    s.polarity <- pol';
-    let act' = Array.make cap' 0.0 in
-    Array.blit !(s.activity) 0 act' 0 cap;
-    s.activity := act';
-    let seen' = Array.make cap' false in
-    Array.blit s.seen 0 seen' 0 cap;
-    s.seen <- seen';
-    let w' = Array.init (2 * cap') (fun i ->
-        if i < 2 * cap then s.watches.(i) else Vec.create ())
-    in
-    s.watches <- w'
+    s.vals <- grow s.vals (2 * cap') (-1);
+    s.level <- grow s.level cap' 0;
+    s.reason <- grow s.reason cap' (-1);
+    s.polarity <- grow s.polarity cap' false;
+    s.activity := grow !(s.activity) cap' 0.0;
+    s.seen <- grow s.seen cap' false;
+    s.trail <- grow s.trail cap' 0;
+    s.watches <- grow s.watches (2 * cap') [||];
+    s.n_watches <- grow s.n_watches (2 * cap') 0
   end
 
 let new_var s =
@@ -163,22 +185,22 @@ let new_var s =
   v
 
 let num_vars s = s.nvars
-let num_clauses s = Vec.length s.clauses
-
-let lit_value s l =
-  let v = s.assigns.(Lit.var l) in
-  if v < 0 then -1 else v lxor (l land 1)
-
-let decision_level s = Vec.length s.trail_lim
+let num_clauses s = s.n_clauses
 
 let enqueue s l reason =
   (* Precondition: l is unassigned. *)
-  let v = Lit.var l in
-  s.assigns.(v) <- (if Lit.is_pos l then 1 else 0);
-  s.level.(v) <- decision_level s;
+  let v = l lsr 1 in
+  s.vals.(l) <- 1;
+  s.vals.(l lxor 1) <- 0;
+  s.level.(v) <- s.n_levels;
   s.reason.(v) <- reason;
-  s.polarity.(v) <- Lit.is_pos l;
-  Vec.push s.trail l
+  s.polarity.(v) <- l land 1 = 0;
+  s.trail.(s.trail_len) <- l;
+  s.trail_len <- s.trail_len + 1
+
+let new_level s =
+  s.trail_lim <- push s.trail_lim s.n_levels s.trail_len;
+  s.n_levels <- s.n_levels + 1
 
 let var_bump s v =
   let a = !(s.activity) in
@@ -193,209 +215,228 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-(* Attach a clause (index ci) by watching its first two literals. *)
-let attach s ci =
-  let c = Vec.get s.clauses ci in
-  Vec.push s.watches.(Lit.negate c.lits.(0)) ci;
-  Vec.push s.watches.(Lit.negate c.lits.(1)) ci
+let watch s l cr =
+  let n = s.n_watches.(l) in
+  s.watches.(l) <- push s.watches.(l) n cr;
+  s.n_watches.(l) <- n + 1
 
-exception Conflict of int
+(* Store a clause (two or more literals) and watch its first two. *)
+let attach s lits =
+  let cr = s.n_clauses in
+  if cr = Array.length s.clauses then begin
+    let a = Array.make (max 1024 (2 * cr)) [||] in
+    Array.blit s.clauses 0 a 0 cr;
+    s.clauses <- a
+  end;
+  s.clauses.(cr) <- lits;
+  s.n_clauses <- cr + 1;
+  watch s (lits.(0) lxor 1) cr;
+  watch s (lits.(1) lxor 1) cr;
+  cr
 
+(* Unit propagation over the two watched literals.  Each watch list is
+   compacted in place (read index [i], write index [j]), keeping the
+   visit order; returns the conflicting clause ref, or -1.  The unchecked
+   accesses on the fast path are in range by construction: [qhead <
+   trail_len], [i < n_watches.(p)], every watched ref is below
+   [n_clauses], every stored clause has at least two literals, and every
+   literal is below [2 * nvars]. *)
 let propagate s =
-  try
-    while s.qhead < Vec.length s.trail do
-      let p = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.n_propagations <- s.n_propagations + 1;
-      (* p became true; visit clauses watching ~p *)
-      let ws = s.watches.(p) in
-      let n = Vec.length ws in
-      let keep = ref [] in
-      let i = ref 0 in
-      (try
-         while !i < n do
-           let ci = Vec.get ws !i in
-           incr i;
-           let c = Vec.get s.clauses ci in
-           let lits = c.lits in
-           (* Ensure the false literal (~p ... i.e. the one equal to
-              negate p) is at position 1. *)
-           let false_lit = Lit.negate p in
-           if lits.(0) = false_lit then begin
-             lits.(0) <- lits.(1);
-             lits.(1) <- false_lit
-           end;
-           if lit_value s lits.(0) = 1 then keep := ci :: !keep
-           else begin
-             (* Look for a new watch. *)
-             let len = Array.length lits in
-             let found = ref false in
-             let k = ref 2 in
-             while (not !found) && !k < len do
-               if lit_value s lits.(!k) <> 0 then begin
-                 lits.(1) <- lits.(!k);
-                 lits.(!k) <- false_lit;
-                 Vec.push s.watches.(Lit.negate lits.(1)) ci;
-                 found := true
-               end;
-               incr k
-             done;
-             if not !found then begin
-               keep := ci :: !keep;
-               match lit_value s lits.(0) with
-               | 0 ->
-                 (* Conflict: restore remaining watches before raising. *)
-                 while !i < n do
-                   keep := Vec.get ws !i :: !keep;
-                   incr i
-                 done;
-                 raise (Conflict ci)
-               | -1 -> enqueue s lits.(0) ci
-               | _ -> ()
-             end
-           end
-         done
-       with Conflict _ as e ->
-         Vec.clear ws;
-         List.iter (Vec.push ws) (List.rev !keep);
-         raise e);
-      Vec.clear ws;
-      List.iter (Vec.push ws) (List.rev !keep)
+  let confl = ref (-1) in
+  let vals = s.vals in
+  while !confl < 0 && s.qhead < s.trail_len do
+    let p = Array.unsafe_get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.n_propagations <- s.n_propagations + 1;
+    (* p became true; visit the clauses watching ~p *)
+    let false_lit = p lxor 1 in
+    let ws = s.watches.(p) in
+    let n = s.n_watches.(p) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let cr = Array.unsafe_get ws !i in
+      incr i;
+      let lits = Array.unsafe_get s.clauses cr in
+      (* Keep the false literal at position 1. *)
+      if Array.unsafe_get lits 0 = false_lit then begin
+        Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
+        Array.unsafe_set lits 1 false_lit
+      end;
+      let first = Array.unsafe_get lits 0 in
+      if Array.unsafe_get vals first = 1 then begin
+        Array.unsafe_set ws !j cr;
+        incr j
+      end
+      else begin
+        (* Look for a new watch: the first literal that is not false. *)
+        let len = Array.length lits in
+        let k = ref 2 in
+        while !k < len && Array.unsafe_get vals (Array.unsafe_get lits !k) = 0 do
+          incr k
+        done;
+        if !k < len then begin
+          let l = lits.(!k) in
+          lits.(1) <- l;
+          lits.(!k) <- false_lit;
+          watch s (l lxor 1) cr
+        end
+        else begin
+          ws.(!j) <- cr;
+          incr j;
+          if vals.(first) = 0 then begin
+            confl := cr;
+            (* Conflict: keep the unvisited watches. *)
+            while !i < n do
+              ws.(!j) <- ws.(!i);
+              incr i;
+              incr j
+            done
+          end
+          else enqueue s first cr
+        end
+      end
     done;
-    None
-  with Conflict ci -> Some ci
+    s.n_watches.(p) <- !j
+  done;
+  !confl
 
 let backtrack s lvl =
-  if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.length s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = Lit.var l in
-      s.assigns.(v) <- -1;
+  if s.n_levels > lvl then begin
+    let bound = s.trail_lim.(lvl) in
+    for i = s.trail_len - 1 downto bound do
+      let l = s.trail.(i) in
+      let v = l lsr 1 in
+      s.vals.(l) <- -1;
+      s.vals.(l lxor 1) <- -1;
       s.reason.(v) <- -1;
       Heap.insert s.order v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
-    s.qhead <- Vec.length s.trail
+    s.trail_len <- bound;
+    s.n_levels <- lvl;
+    s.qhead <- bound
   end
 
 (* First-UIP conflict analysis.  Returns the learnt clause (asserting
-   literal first) and the backjump level. *)
+   literal first, then the lower-level literals latest-found first, with
+   one of the backjump level moved to position 1) and the backjump
+   level. *)
 let analyze s confl =
-  let learnt = ref [] in
+  let n_learnt = ref 0 in
   let counter = ref 0 in
   let p = ref (-1) in
-  let ci = ref confl in
-  let trail_idx = ref (Vec.length s.trail - 1) in
+  let cr = ref confl in
+  let trail_idx = ref (s.trail_len - 1) in
   let continue = ref true in
   while !continue do
-    let c = Vec.get s.clauses !ci in
-    Array.iter
-      (fun q ->
-        if !p >= 0 && q = !p then ()
-        else begin
-          let v = Lit.var q in
-          if (not s.seen.(v)) && s.level.(v) > 0 then begin
-            s.seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= decision_level s then incr counter
-            else learnt := q :: !learnt
+    let lits = s.clauses.(!cr) in
+    for k = 0 to Array.length lits - 1 do
+      let q = lits.(k) in
+      if q <> !p then begin
+        let v = q lsr 1 in
+        if (not s.seen.(v)) && s.level.(v) > 0 then begin
+          s.seen.(v) <- true;
+          var_bump s v;
+          if s.level.(v) >= s.n_levels then incr counter
+          else begin
+            s.learnt <- push s.learnt !n_learnt q;
+            incr n_learnt
           end
-        end)
-      c.lits;
+        end
+      end
+    done;
     (* Walk the trail back to the next marked literal. *)
-    let rec next_marked i =
-      let l = Vec.get s.trail i in
-      if s.seen.(Lit.var l) then (i, l) else next_marked (i - 1)
-    in
-    let i, l = next_marked !trail_idx in
-    trail_idx := i - 1;
-    s.seen.(Lit.var l) <- false;
+    while not s.seen.(s.trail.(!trail_idx) lsr 1) do
+      decr trail_idx
+    done;
+    let l = s.trail.(!trail_idx) in
+    decr trail_idx;
+    s.seen.(l lsr 1) <- false;
     decr counter;
     if !counter = 0 then begin
-      p := Lit.negate l;
+      p := l lxor 1;
       continue := false
     end
     else begin
       p := l;
-      ci := s.reason.(Lit.var l)
+      cr := s.reason.(l lsr 1)
     end
   done;
-  let lits = !p :: !learnt in
-  List.iter (fun l -> s.seen.(Lit.var l) <- false) !learnt;
-  (* Backjump to the second-highest decision level in the clause. *)
-  let rest = !learnt in
-  let bj =
-    List.fold_left (fun acc l -> max acc s.level.(Lit.var l)) 0 rest
-  in
+  let n = !n_learnt in
+  let arr = Array.make (n + 1) !p in
+  let bj = ref 0 in
+  for k = 0 to n - 1 do
+    let l = s.learnt.(k) in
+    let v = l lsr 1 in
+    s.seen.(v) <- false;
+    arr.(n - k) <- l;
+    if s.level.(v) > !bj then bj := s.level.(v)
+  done;
   (* Put a literal of the backjump level second, so watches are sound. *)
-  let arr = Array.of_list lits in
-  if Array.length arr > 1 then begin
+  if n > 0 then begin
     let best = ref 1 in
-    for k = 2 to Array.length arr - 1 do
-      if s.level.(Lit.var arr.(k)) > s.level.(Lit.var arr.(!best)) then best := k
+    for k = 2 to n do
+      if s.level.(arr.(k) lsr 1) > s.level.(arr.(!best) lsr 1) then best := k
     done;
     let tmp = arr.(1) in
     arr.(1) <- arr.(!best);
     arr.(!best) <- tmp
   end;
-  (arr, bj)
+  (arr, !bj)
+
+let add_unit s l =
+  s.units <- push s.units s.n_units l;
+  s.n_units <- s.n_units + 1
 
 let record_learnt s arr =
   if Array.length arr = 1 then begin
-    Vec.push s.units arr.(0);
+    add_unit s arr.(0);
     enqueue s arr.(0) (-1)
   end
   else begin
-    let ci = Vec.length s.clauses in
-    Vec.push s.clauses { lits = arr };
-    attach s ci;
-    enqueue s arr.(0) ci
+    let cr = attach s arr in
+    enqueue s arr.(0) cr
   end
+
+(* [l] is true or false at level 0 (after [backtrack s 0] every
+   assignment is). *)
+let fixed s l v = s.vals.(l) = v && s.level.(l lsr 1) = 0
 
 let add_clause s lits =
   if s.unsat then false
   else begin
-    (* Deduplicate; drop tautologies. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
+    (* Deduplicate; drop tautologies.  Sorted, a literal's complement
+       ([2v] / [2v+1]) is its neighbour. *)
+    let lits = List.sort_uniq Int.compare lits in
+    let rec tautology = function
+      | a :: (b :: _ as rest) -> (a land 1 = 0 && b = a + 1) || tautology rest
+      | _ -> false
     in
-    if tautology then true
+    if tautology lits then true
     else begin
       List.iter
         (fun l ->
-          if Lit.var l >= s.nvars then
+          if l < 0 || l lsr 1 >= s.nvars then
             invalid_arg "Solver.add_clause: unknown variable")
         lits;
       backtrack s 0;
       (* Remove literals already false at level 0; satisfied clause is a
          no-op. *)
-      let satisfied =
-        List.exists (fun l -> lit_value s l = 1 && s.level.(Lit.var l) = 0) lits
-      in
-      if satisfied then true
+      if List.exists (fun l -> fixed s l 1) lits then true
       else begin
-        let lits =
-          List.filter
-            (fun l -> not (lit_value s l = 0 && s.level.(Lit.var l) = 0))
-            lits
-        in
-        match lits with
+        match List.filter (fun l -> not (fixed s l 0)) lits with
         | [] ->
           s.unsat <- true;
           false
         | [ l ] ->
-          Vec.push s.units l;
-          if lit_value s l = 0 then begin
+          add_unit s l;
+          if s.vals.(l) = 0 then begin
             s.unsat <- true;
             false
           end
           else begin
-            if lit_value s l = -1 then begin
+            if s.vals.(l) = -1 then begin
               enqueue s l (-1);
-              if propagate s <> None then begin
+              if propagate s >= 0 then begin
                 s.unsat <- true;
                 false
               end
@@ -404,9 +445,7 @@ let add_clause s lits =
             else true
           end
         | lits ->
-          let ci = Vec.length s.clauses in
-          Vec.push s.clauses { lits = Array.of_list lits };
-          attach s ci;
+          ignore (attach s (Array.of_list lits));
           true
       end
     end
@@ -419,21 +458,23 @@ let rec luby i =
   let k = size 1 in
   if k = i + 1 then (k + 1) / 2 else luby (i - (k / 2))
 
+(* Branch on the most active unassigned variable, with its saved phase;
+   false when every variable is assigned. *)
 let decide s =
   let rec pick () =
-    match Heap.pop s.order with
-    | None -> None
-    | Some v -> if s.assigns.(v) < 0 then Some v else pick ()
+    let v = Heap.pop s.order in
+    if v < 0 || s.vals.(2 * v) < 0 then v else pick ()
   in
-  match pick () with
-  | None -> None
-  | Some v ->
-    Vec.push s.trail_lim (Vec.length s.trail);
-    enqueue s (Lit.make v s.polarity.(v)) (-1);
-    Some v
+  let v = pick () in
+  if v < 0 then false
+  else begin
+    new_level s;
+    enqueue s ((2 * v) + if s.polarity.(v) then 0 else 1) (-1);
+    true
+  end
 
 let save_model s =
-  s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+  s.model <- Array.init s.nvars (fun v -> s.vals.(2 * v) = 1);
   s.have_model <- true
 
 let solve ?(assumptions = []) s =
@@ -445,69 +486,68 @@ let solve ?(assumptions = []) s =
     (* Re-assert recorded facts: learnt units may have been retracted by
        backtracking below the level they were asserted at. *)
     let unit_conflict = ref false in
-    Vec.iter
-      (fun l ->
-        if not !unit_conflict then
-          match lit_value s l with
-          | 0 -> unit_conflict := true
-          | -1 -> enqueue s l (-1)
-          | _ -> ())
-      s.units;
+    for k = 0 to s.n_units - 1 do
+      if not !unit_conflict then begin
+        let l = s.units.(k) in
+        match s.vals.(l) with
+        | 0 -> unit_conflict := true
+        | -1 -> enqueue s l (-1)
+        | _ -> ()
+      end
+    done;
     if !unit_conflict then begin
       s.unsat <- true;
       Unsat
     end
-    else if propagate s <> None then begin
+    else if propagate s >= 0 then begin
       s.unsat <- true;
       Unsat
     end
     else begin
       let assumptions = Array.of_list assumptions in
+      let n_assumptions = Array.length assumptions in
       let restart_count = ref 0 in
       let conflict_budget = ref (100 * luby !restart_count) in
       let rec loop () =
-        match propagate s with
-        | Some confl ->
+        let confl = propagate s in
+        if confl >= 0 then begin
           s.n_conflicts <- s.n_conflicts + 1;
           decr conflict_budget;
-          if decision_level s <= Array.length assumptions then Unsat
+          if s.n_levels <= n_assumptions then Unsat
           else begin
             let learnt, bj = analyze s confl in
-            let bj = max bj (min (decision_level s - 1) (Array.length assumptions)) in
+            let bj = max bj (min (s.n_levels - 1) n_assumptions) in
             backtrack s bj;
             record_learnt s learnt;
             var_decay s;
             loop ()
           end
-        | None ->
-          if !conflict_budget <= 0 && decision_level s > Array.length assumptions
-          then begin
-            incr restart_count;
-            conflict_budget := 100 * luby !restart_count;
-            backtrack s (Array.length assumptions);
+        end
+        else if !conflict_budget <= 0 && s.n_levels > n_assumptions then begin
+          incr restart_count;
+          conflict_budget := 100 * luby !restart_count;
+          backtrack s n_assumptions;
+          loop ()
+        end
+        else if s.n_levels < n_assumptions then begin
+          (* Apply the next assumption. *)
+          let a = assumptions.(s.n_levels) in
+          match s.vals.(a) with
+          | 1 ->
+            (* Already true: open an empty decision level for it. *)
+            new_level s;
             loop ()
-          end
-          else if decision_level s < Array.length assumptions then begin
-            (* Apply the next assumption. *)
-            let a = assumptions.(decision_level s) in
-            match lit_value s a with
-            | 1 ->
-              (* Already true: open an empty decision level for it. *)
-              Vec.push s.trail_lim (Vec.length s.trail);
-              loop ()
-            | 0 -> Unsat
-            | _ ->
-              Vec.push s.trail_lim (Vec.length s.trail);
-              enqueue s a (-1);
-              loop ()
-          end
-          else begin
-            match decide s with
-            | None ->
-              save_model s;
-              Sat
-            | Some _ -> loop ()
-          end
+          | 0 -> Unsat
+          | _ ->
+            new_level s;
+            enqueue s a (-1);
+            loop ()
+        end
+        else if decide s then loop ()
+        else begin
+          save_model s;
+          Sat
+        end
       in
       let r = loop () in
       backtrack s 0;

@@ -5,7 +5,23 @@
     conflict learning, VSIDS branching with phase saving, and Luby
     restarts.  Clauses may be added between [solve] calls (the attack adds
     two circuit copies per DIP iteration), and [solve] accepts assumptions
-    for one-off queries. *)
+    for one-off queries.
+
+    Layout.  A clause is one plain [int array] of literals ({!Lit.t}
+    encoding: [2v] / [2v+1]); a clause ref is its index in a growable
+    array of clauses, and each variable's reason is such a ref (or -1).
+    Watch lists are per-literal [int array]s of refs with separate
+    lengths, compacted in place during propagation, which reports a
+    conflict as a ref rather than an exception.  Values are kept per
+    literal (-1 unassigned, 0 false, 1 true); the trail, the decision
+    level starts and the conflict-analysis buffer are owned int arrays.
+    The hot loops allocate nothing and call nothing outside this module.
+
+    The search is the original one of this solver, decision for
+    decision: the watch-visit order, watch-list order, learnt-literal
+    order, activity-bump order and heap are fixed, so {!conflicts} and
+    {!propagations} on a given input never change with the layout
+    (pinned by the "search identity" tests). *)
 
 type t
 

@@ -2,6 +2,14 @@
    Cnf backends share the gate clauses. *)
 type sink = { fresh : unit -> int; clause : Lit.t list -> unit }
 
+(* Binary XOR/XNOR clause group: o <-> a xor b (xnor via sign flip). *)
+let xor_clauses sink o a b positive =
+  let oo = if positive then o else Lit.negate o in
+  sink.clause [ Lit.negate oo; a; b ];
+  sink.clause [ Lit.negate oo; Lit.negate a; Lit.negate b ];
+  sink.clause [ oo; Lit.negate a; b ];
+  sink.clause [ oo; a; Lit.negate b ]
+
 let encode_with sink net ~shared =
   if Netlist.ffs net <> [] then
     invalid_arg "Tseitin: netlist has flip-flops (combinationalize first)";
@@ -15,14 +23,7 @@ let encode_with sink net ~shared =
       v
     end
   in
-  (* Binary XOR/XNOR clause group: o <-> a xor b (xnor via sign flip). *)
-  let xor_clauses o a b positive =
-    let oo = if positive then o else Lit.negate o in
-    sink.clause [ Lit.negate oo; a; b ];
-    sink.clause [ Lit.negate oo; Lit.negate a; Lit.negate b ];
-    sink.clause [ oo; Lit.negate a; b ];
-    sink.clause [ oo; a; Lit.negate b ]
-  in
+  let xor_clauses = xor_clauses sink in
   (* o <-> AND(ins) with optional output inversion (NAND). *)
   let and_clauses o ins positive =
     let oo = if positive then o else Lit.negate o in
@@ -97,14 +98,25 @@ let encode_with sink net ~shared =
   List.iter encode_node (Netlist.comb_topo_order net);
   vars
 
-let encode solver net ~shared =
-  let sink =
-    {
-      fresh = (fun () -> Solver.new_var solver);
-      clause = (fun c -> ignore (Solver.add_clause solver c));
-    }
+let solver_sink solver =
+  {
+    fresh = (fun () -> Solver.new_var solver);
+    clause = (fun c -> ignore (Solver.add_clause solver c));
+  }
+
+let encode solver net ~shared = encode_with (solver_sink solver) net ~shared
+
+let miter solver pairs =
+  let sink = solver_sink solver in
+  let diffs =
+    List.map
+      (fun (a, b) ->
+        let d = Lit.pos (Solver.new_var solver) in
+        xor_clauses sink d (Lit.pos a) (Lit.pos b) true;
+        d)
+      pairs
   in
-  encode_with sink net ~shared
+  sink.clause diffs
 
 let encode_simple solver net = encode solver net ~shared:(fun _ -> None)
 

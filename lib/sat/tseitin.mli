@@ -14,6 +14,13 @@
     @raise Invalid_argument if [net] still contains flip-flops. *)
 val encode : Solver.t -> Netlist.t -> shared:(int -> int option) -> int array
 
+(** [miter solver pairs] asserts that at least one pair of variables
+    differs: for each [(a, b)] in order it allocates a fresh [d] with
+    [d <-> a xor b], then adds the clause over every [d].  The SAT attack
+    and its relatives pass the outputs of two circuit copies.  With no
+    pairs the added clause is empty, so the solver becomes UNSAT. *)
+val miter : Solver.t -> (int * int) list -> unit
+
 (** [encode_simple solver net] is {!encode} with no sharing. *)
 val encode_simple : Solver.t -> Netlist.t -> int array
 

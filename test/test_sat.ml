@@ -146,6 +146,321 @@ let solver_incremental_law (nv, cls) =
   in
   r_all = r_inc
 
+(* Assumptions on top of a random CNF: the brute-force reference takes
+   them as extra unit clauses. *)
+let assumptions_arb =
+  QCheck.make
+    ~print:(fun ((nv, cls), asm) ->
+      Printf.sprintf "%d vars, %d clauses, assumptions [%s]" nv
+        (List.length cls)
+        (String.concat "; " (List.map string_of_int asm)))
+    QCheck.Gen.(
+      QCheck.gen random_cnf_arb >>= fun (nv, cls) ->
+      list_size (int_range 0 4)
+        (map2 (fun v pos -> Lit.make (v mod nv) pos) (int_bound (nv - 1)) bool)
+      >>= fun asm -> return ((nv, cls), asm))
+
+let solver_assumptions_law ((nv, cls), asm) =
+  let cnf = Cnf.create () in
+  for _ = 1 to nv do ignore (Cnf.new_var cnf) done;
+  List.iter (Cnf.add_clause cnf) cls;
+  let with_units = Cnf.create () in
+  for _ = 1 to nv do ignore (Cnf.new_var with_units) done;
+  List.iter (Cnf.add_clause with_units) cls;
+  List.iter (fun a -> Cnf.add_clause with_units [ a ]) asm;
+  let s = Solver.create () in
+  for _ = 1 to nv do ignore (Solver.new_var s) done;
+  let ok = List.for_all (fun c -> Solver.add_clause s c) cls in
+  let expected = Cnf.brute_force with_units <> None in
+  let got = ok && Solver.solve ~assumptions:asm s = Solver.Sat in
+  expected = got
+  && ((not got)
+     || Cnf.eval cnf (Solver.value s)
+        && List.for_all (fun a -> Solver.value s (Lit.var a) = Lit.is_pos a) asm)
+
+(* One solver driven through a random interleaving of add_clause,
+   solve ~assumptions and plain solve; each answer must match a fresh
+   solver given the clauses so far and the same assumptions. *)
+type op = Add of Lit.t list | Solve of Lit.t list
+
+let interleaved_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 3 8 >>= fun nv ->
+    let lit = map2 (fun v pos -> Lit.make (v mod nv) pos) (int_bound (nv - 1)) bool in
+    let op =
+      frequency
+        [
+          (3, map (fun c -> Add c) (list_size (int_range 1 3) lit));
+          (1, map (fun a -> Solve a) (list_size (int_range 0 3) lit));
+        ]
+    in
+    list_size (int_range 1 30) op >>= fun ops -> return (nv, ops)
+  in
+  QCheck.make
+    ~print:(fun (nv, ops) ->
+      let lits l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "%d vars: %s" nv
+        (String.concat " "
+           (List.map
+              (function
+                | Add c -> "add[" ^ lits c ^ "]"
+                | Solve a -> "solve[" ^ lits a ^ "]")
+              ops)))
+    gen
+
+let solver_interleaved_law (nv, ops) =
+  let mk () =
+    let s = Solver.create () in
+    for _ = 1 to nv do ignore (Solver.new_var s) done;
+    s
+  in
+  let s = mk () in
+  let ok = ref true in
+  let added = ref [] in
+  List.for_all
+    (function
+      | Add c ->
+        if not (Solver.add_clause s c) then ok := false;
+        added := c :: !added;
+        true
+      | Solve asm ->
+        let got = if !ok then Solver.solve ~assumptions:asm s else Solver.Unsat in
+        let fresh = mk () in
+        let fresh_ok =
+          List.for_all (fun c -> Solver.add_clause fresh c) (List.rev !added)
+        in
+        let expected =
+          if fresh_ok then Solver.solve ~assumptions:asm fresh else Solver.Unsat
+        in
+        got = expected
+        && (got = Solver.Unsat
+           || List.for_all
+                (List.exists (fun l -> Solver.value s (Lit.var l) = Lit.is_pos l))
+                !added
+              && List.for_all
+                   (fun a -> Solver.value s (Lit.var a) = Lit.is_pos a)
+                   asm))
+    ops
+
+(* ----- Search identity -----
+
+   The solver's exact search (every decision, conflict and propagation)
+   pinned on fixed instances.  A change to the kernel's data layout or
+   mechanics must reproduce these counts exactly; a change to the search
+   itself (heuristics, learning, restarts) must re-pin them on purpose. *)
+
+let verdict_name = function Solver.Sat -> "sat" | Solver.Unsat -> "unsat"
+
+let search_row name s r =
+  (name ^ " " ^ verdict_name r, Solver.conflicts s, Solver.propagations s)
+
+let random_3sat ~seed ~nv ~nc =
+  let rng = Random.State.make [| seed; 0x3353 |] in
+  let s = Solver.create () in
+  for _ = 1 to nv do ignore (Solver.new_var s) done;
+  for _ = 1 to nc do
+    let a = Lit.make (Random.State.int rng nv) (Random.State.bool rng) in
+    let b = Lit.make (Random.State.int rng nv) (Random.State.bool rng) in
+    let c = Lit.make (Random.State.int rng nv) (Random.State.bool rng) in
+    ignore (Solver.add_clause s [ a; b; c ])
+  done;
+  s
+
+(* The SAT attack's DIP loop, written out against Solver and Tseitin:
+   two copies of [locked] over shared X variables and distinct key
+   vectors, a miter over their outputs, and per DIP one I/O-constraint
+   copy per key vector.  Returns the row for the final solver state. *)
+let dip_loop_row name locked key_inputs chip =
+  let oracle = Sat_attack.oracle_of_netlist ~partial:true chip in
+  let s = Solver.create () in
+  let input_name pi = (Netlist.node locked pi).Netlist.name in
+  let x_pis, key_pis =
+    List.partition
+      (fun pi -> not (List.mem (input_name pi) key_inputs))
+      (Netlist.inputs locked)
+  in
+  let fresh pis = List.map (fun pi -> (pi, Solver.new_var s)) pis in
+  let xs = fresh x_pis in
+  let k1 = fresh key_pis in
+  let k2 = fresh key_pis in
+  let encode shared =
+    Tseitin.encode s locked ~shared:(fun id -> List.assoc_opt id shared)
+  in
+  let v1 = encode (xs @ k1) in
+  let v2 = encode (xs @ k2) in
+  Tseitin.miter s (List.map (fun (_, d) -> (v1.(d), v2.(d))) (Netlist.outputs locked));
+  let rec loop dips =
+    match Solver.solve s with
+    | Solver.Unsat -> (dips, Solver.Unsat)
+    | Solver.Sat ->
+      let dip = List.map (fun (pi, v) -> (input_name pi, Solver.value s v)) xs in
+      let outs = oracle dip in
+      List.iter
+        (fun keys ->
+          let vars = encode keys in
+          List.iter2
+            (fun (pi, _) (_, b) -> ignore (Solver.add_clause s [ Lit.make vars.(pi) b ]))
+            xs dip;
+          List.iter
+            (fun (po, d) ->
+              ignore (Solver.add_clause s [ Lit.make vars.(d) (List.assoc po outs) ]))
+            (Netlist.outputs locked))
+        [ k1; k2 ];
+      loop (dips + 1)
+  in
+  let dips, r = loop 0 in
+  search_row (Printf.sprintf "%s %d dips" name dips) s r
+
+let gk2_tiny () =
+  let net = Benchmarks.tiny () in
+  let clock = Sta.clock_for net ~margin:4.5 in
+  let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
+  let stripped, keys = Insertion.strip_keygens d in
+  let locked, _ = Combinationalize.run stripped in
+  let chip, _ = Combinationalize.run net in
+  (locked, keys, chip)
+
+let sarlock4 () =
+  let chip =
+    Generator.generate
+      {
+        Generator.gen_name = "si";
+        seed = 17;
+        n_pi = 8;
+        n_po = 4;
+        n_ff = 0;
+        n_gates = 60;
+        depth = 6;
+        ff_depth_bias = 0.0;
+      }
+  in
+  let lk = Sarlock.lock ~seed:4 chip ~n_keys:4 in
+  (lk.Locked.net, lk.Locked.key_inputs, chip)
+
+let search_rows () =
+  let solved name s = search_row name s (Solver.solve s) in
+  let php =
+    List.map (fun n -> solved (Printf.sprintf "php%d" n) (pigeonhole n)) [ 5; 6 ]
+  in
+  let random =
+    List.init 8 (fun seed ->
+        solved (Printf.sprintf "3sat%d" seed) (random_3sat ~seed ~nv:60 ~nc:256))
+  in
+  let assumed =
+    let s = random_3sat ~seed:100 ~nv:50 ~nc:160 in
+    List.mapi
+      (fun i asm ->
+        search_row (Printf.sprintf "asm%d" i) s (Solver.solve ~assumptions:asm s))
+      [
+        [ Lit.pos 0; Lit.neg 1; Lit.pos 2 ];
+        [ Lit.neg 0; Lit.neg 3 ];
+        [];
+        List.init 12 (fun v -> Lit.make (3 * v) (v mod 2 = 0));
+        [ Lit.pos 5 ];
+      ]
+  in
+  let gk_locked, gk_keys, gk_chip = gk2_tiny () in
+  let sar_locked, sar_keys, sar_chip = sarlock4 () in
+  php @ random @ assumed
+  @ [
+      dip_loop_row "gk2-tiny" gk_locked gk_keys gk_chip;
+      dip_loop_row "sarlock4" sar_locked sar_keys sar_chip;
+    ]
+
+let expected_search_rows =
+  [
+    ("php5 unsat", 149, 1735);
+    ("php6 unsat", 1020, 13420);
+    ("3sat0 sat", 15, 334);
+    ("3sat1 unsat", 58, 1039);
+    ("3sat2 sat", 42, 664);
+    ("3sat3 unsat", 74, 1223);
+    ("3sat4 unsat", 25, 350);
+    ("3sat5 unsat", 54, 851);
+    ("3sat6 sat", 1, 67);
+    ("3sat7 unsat", 41, 733);
+    ("asm0 unsat", 3, 64);
+    ("asm1 sat", 15, 242);
+    ("asm2 sat", 15, 292);
+    ("asm3 unsat", 16, 309);
+    ("asm4 sat", 17, 373);
+    ("gk2-tiny 0 dips unsat", 150, 3058);
+    ("sarlock4 15 dips unsat", 141, 34838);
+  ]
+
+let test_search_identity () =
+  let rows = search_rows () in
+  Alcotest.(check (list (triple string int int)))
+    "conflicts and propagations" expected_search_rows rows
+
+let xor8 () =
+  let chip =
+    Generator.generate
+      {
+        Generator.gen_name = "sx";
+        seed = 23;
+        n_pi = 10;
+        n_po = 5;
+        n_ff = 0;
+        n_gates = 80;
+        depth = 7;
+        ff_depth_bias = 0.0;
+      }
+  in
+  let lk = Xor_lock.lock ~seed:5 chip ~n_keys:8 in
+  (lk.Locked.net, lk.Locked.key_inputs, chip)
+
+(* The solver's clients, through their public entry points: outcomes
+   that depend on which model each solve returns, recorded on the
+   original kernel. *)
+let expected_attack_rows =
+  [
+    "gk2-tiny sat iterations=0 conflicts=125";
+    "sarlock4 sat iterations=15 conflicts=141";
+    "sarlock4 appsat dips=8 queries=100 key=sk0=1 sk1=0 sk2=0 sk3=1";
+    "xor8 sensitization patterns=4 recovered=xk2=0 xk7=1";
+    "xor8 equiv witness=0100111111";
+  ]
+
+let test_attack_search_identity () =
+  let oracle chip = Sat_attack.oracle_of_netlist ~partial:true chip in
+  let sat name (locked, key_inputs, chip) =
+    let o = Sat_attack.run ~locked ~key_inputs ~oracle:(oracle chip) () in
+    Printf.sprintf "%s sat iterations=%d conflicts=%d" name o.Sat_attack.iterations
+      o.Sat_attack.conflicts
+  in
+  let appsat =
+    let locked, key_inputs, chip = sarlock4 () in
+    let o = Appsat.run ~seed:7 ~locked ~key_inputs ~oracle:(oracle chip) () in
+    Printf.sprintf "sarlock4 appsat dips=%d queries=%d key=%s" o.Appsat.dips
+      o.Appsat.random_queries (Key.to_string o.Appsat.key)
+  in
+  let locked, key_inputs, chip = xor8 () in
+  let sensitization =
+    let o = Sensitization.run ~seed:7 ~locked ~key_inputs ~oracle:(oracle chip) () in
+    Printf.sprintf "xor8 sensitization patterns=%d recovered=%s"
+      o.Sensitization.patterns_used (Key.to_string o.Sensitization.recovered)
+  in
+  let equiv =
+    let zero_key = List.map (fun k -> (k, false)) key_inputs in
+    match Equiv.check ~fixed_b:zero_key chip locked with
+    | Equiv.Equivalent -> "xor8 equiv equivalent"
+    | Equiv.Different w ->
+      "xor8 equiv witness="
+      ^ String.concat "" (List.map (fun (_, b) -> if b then "1" else "0") w)
+  in
+  Alcotest.(check (list string))
+    "attack outcomes"
+    expected_attack_rows
+    [
+      sat "gk2-tiny" (gk2_tiny ());
+      sat "sarlock4" (sarlock4 ());
+      appsat;
+      sensitization;
+      equiv;
+    ]
+
 (* ----- Tseitin ----- *)
 
 let exhaustive_gate_check fn arity =
@@ -249,6 +564,19 @@ let test_to_cnf () =
   Alcotest.(check int) "clauses" 2 (Cnf.num_clauses cnf);
   Alcotest.(check bool) "vars assigned" true (vars.(a) >= 0 && vars.(g) >= 0)
 
+let test_tseitin_miter () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and b = Solver.new_var s and c = Solver.new_var s in
+  Tseitin.miter s [ (a, a); (b, c) ];
+  Alcotest.(check bool) "some pair differs" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check bool) "b <> c" true (Solver.value s b <> Solver.value s c);
+  ignore (Solver.add_clause s [ Lit.pos b ]);
+  ignore (Solver.add_clause s [ Lit.pos c ]);
+  Alcotest.(check bool) "no pair can differ" true (Solver.solve s = Solver.Unsat);
+  let empty = Solver.create () in
+  Tseitin.miter empty [];
+  Alcotest.(check bool) "no pairs" true (Solver.solve empty = Solver.Unsat)
+
 (* ----- Equiv ----- *)
 
 let test_equiv_basic () =
@@ -327,6 +655,12 @@ let suites =
           solver_vs_brute_law;
         qcheck ~count:100 "incremental = batch" random_cnf_arb
           solver_incremental_law;
+        qcheck ~count:300 "assumptions agree with brute force" assumptions_arb
+          solver_assumptions_law;
+        qcheck ~count:200 "interleaved add/solve = fresh solver" interleaved_arb
+          solver_interleaved_law;
+        tc "search identity" `Quick test_search_identity;
+        tc "attack search identity" `Quick test_attack_search_identity;
       ] );
     ( "sat.tseitin",
       [
@@ -334,6 +668,7 @@ let suites =
         tc "lut" `Quick test_tseitin_lut;
         tc "rejects flip-flops" `Quick test_tseitin_rejects_ffs;
         tc "to_cnf" `Quick test_to_cnf;
+        tc "miter" `Quick test_tseitin_miter;
         qcheck ~count:50 "encoding matches eval"
           (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 500))
           tseitin_vs_eval_law;

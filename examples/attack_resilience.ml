@@ -5,7 +5,12 @@
    miter unsatisfiable from the start, and the attacker's "recovered" key
    produces a netlist the real (timing-true) chip contradicts.
 
-   Run with: dune exec examples/attack_resilience.exe *)
+   Run with: dune exec examples/attack_resilience.exe
+   A wrong outcome exits 1. *)
+
+let fail msg =
+  Format.printf "%s@." msg;
+  exit 1
 
 let () =
   let net = Benchmarks.by_name "s5378" in
@@ -29,9 +34,9 @@ let () =
     (match Equiv.check ~fixed_b:k comb xor.Locked.net with
     | Equiv.Equivalent ->
       Format.printf "[xor] decrypted netlist proven equivalent to the original@."
-    | Equiv.Different _ -> Format.printf "[xor] equivalence check FAILED?!@.")
+    | Equiv.Different _ -> fail "[xor] equivalence check FAILED?!")
   | Sat_attack.Unsat_at_first_iteration _ | Sat_attack.Budget_exhausted ->
-    Format.printf "[xor] attack failed?!@.");
+    fail "[xor] attack failed?!");
 
   (* --- glitch key-gate locking, 8 GKs = 16 key bits --- *)
   let design = Insertion.lock ~seed:5 net ~clock_ps ~n_gks:8 in
@@ -51,8 +56,8 @@ let () =
       "[gk] the arbitrary key the attacker is left with disagrees with the@.\
       \     functioning chip on %d of 64 sampled input vectors@."
       mismatches
-  | Sat_attack.Key_recovered _ -> Format.printf "[gk] unexpectedly recovered a key?!@."
-  | Sat_attack.Budget_exhausted -> Format.printf "[gk] budget exhausted?!@.");
+  | Sat_attack.Key_recovered _ -> fail "[gk] unexpectedly recovered a key?!"
+  | Sat_attack.Budget_exhausted -> fail "[gk] budget exhausted?!");
 
   (* --- and the timing-true ground truth --- *)
   let cycles = 12 in

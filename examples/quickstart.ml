@@ -2,7 +2,8 @@
    then watch the correct transitional key reproduce the original
    behaviour while wrong keys corrupt it.
 
-   Run with: dune exec examples/quickstart.exe *)
+   Run with: dune exec examples/quickstart.exe
+   A wrong outcome exits 1. *)
 
 let () =
   (* A ~40-cell sequential circuit. *)
@@ -56,6 +57,8 @@ let () =
    with
   | Sat_attack.Unsat_at_first_iteration _ ->
     Format.printf "SAT attack: unsatisfiable at the first DIP search — it learned nothing@."
-  | Sat_attack.Key_recovered _ -> Format.printf "SAT attack unexpectedly succeeded?!@."
+  | Sat_attack.Key_recovered _ ->
+    Format.printf "SAT attack unexpectedly succeeded?!@.";
+    exit 1
   | Sat_attack.Budget_exhausted -> Format.printf "SAT attack ran out of budget@.");
   Format.printf "done.@."

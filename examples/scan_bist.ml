@@ -9,9 +9,14 @@
    Mixing conventional XOR key-gates into the encrypted cones (the
    paper's hybrid) takes the attacker's reference values away.
 
-   Run with: dune exec examples/scan_bist.exe *)
+   Run with: dune exec examples/scan_bist.exe
+   A wrong outcome exits 1. *)
 
 let pf = Format.printf
+
+let fail msg =
+  pf "%s@." msg;
+  exit 1
 
 let show_verdicts verdicts =
   List.iter
@@ -37,7 +42,7 @@ let () =
   let c2, _ = Combinationalize.run view in
   (match Equiv.check c1 c2 with
   | Equiv.Equivalent -> pf "scan_enable=0: design proven unchanged@."
-  | Equiv.Different _ -> pf "scan broke the design?!@.");
+  | Equiv.Different _ -> fail "scan broke the design?!");
 
   (* --- GK-only: scan reads the key-gate behaviour directly --- *)
   let clock = Sta.clock_for net ~margin:4.5 in
@@ -72,7 +77,7 @@ let () =
   in
   show_verdicts hv;
   (match Scan_attack.decrypt ~stripped_comb:hcomb hv with
-  | Some _ -> pf "[hybrid] decrypted anyway?!@."
+  | Some _ -> fail "[hybrid] decrypted anyway?!"
   | None ->
     pf
       "[hybrid] no trusted decryption: the unknown key bits corrupt the@.\

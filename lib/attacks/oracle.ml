@@ -614,3 +614,17 @@ let query_batch t qs =
     end
 
 let as_fn t q = query t q
+
+let differs net ~missing =
+  let outs = Netlist.outputs net in
+  let index = Hashtbl.create (List.length outs) in
+  List.iteri (fun i (po, _) -> Hashtbl.replace index po i) outs;
+  let buf = Bytes.make (List.length outs) '\000' in
+  fun exp got ->
+    List.iteri (fun i (_, w) -> Bytes.set buf i (if w then '\001' else '\000')) got;
+    List.exists
+      (fun (po, v) ->
+        match Hashtbl.find_opt index po with
+        | Some i -> v <> (Bytes.get buf i = '\001')
+        | None -> missing)
+      exp

@@ -123,6 +123,21 @@ val query_batch :
     and budget with [t]). *)
 val relax : t -> t
 
+(** [differs net ~missing] compares the chip's replies with those of
+    [of_netlist net], whose outputs come in {!Netlist.outputs} order:
+    [differs net ~missing exp got] is true when some output of [exp]
+    has another value in [got].  An output of [exp] that [net] lacks
+    counts as a difference exactly when [missing].  The partial
+    application builds the output-name index and the one value buffer
+    every later comparison refills, so a reply costs one pass over each
+    list and allocates no table. *)
+val differs :
+  Netlist.t ->
+  missing:bool ->
+  (string * bool) list ->
+  (string * bool) list ->
+  bool
+
 (** [as_fn t] is [query t] as a bare closure, for legacy signatures. *)
 val as_fn : t -> (string * bool) list -> (string * bool) list
 

@@ -22,14 +22,8 @@ let agrees_with_oracle ?(samples = 128) ?seed net ~oracle =
   let dips = List.rev !dips in
   let expected = Oracle.query_batch (Oracle.relax oracle) dips in
   let got = Oracle.query_batch (Oracle.of_netlist net) dips in
-  List.for_all2
-    (fun exp g ->
-      not
-        (List.exists
-           (fun (po, v) ->
-             match List.assoc_opt po g with Some w -> v <> w | None -> false)
-           exp))
-    expected got
+  let differs = Oracle.differs net ~missing:false in
+  List.for_all2 (fun exp g -> not (differs exp g)) expected got
 
 let exec ?(samples = 128) ?(eps = 0.05) ?(max_candidates = 12) ?seed ~budget
     locked ~oracle =

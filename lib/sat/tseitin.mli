@@ -24,6 +24,34 @@ val miter : Solver.t -> (int * int) list -> unit
 (** [encode_simple solver net] is {!encode} with no sharing. *)
 val encode_simple : Solver.t -> Netlist.t -> int array
 
+(** [assert_io solver net ~shared ~inputs ~outputs] asserts one I/O
+    constraint [net(x, K) = y]: [inputs] pairs input node ids with their
+    values in the pattern [x], and [outputs] pairs output driver ids with
+    their required values [y].  An input outside [inputs] is symbolic:
+    [shared id] may bind it to an existing variable (a key bit), and
+    otherwise it gets a fresh one.
+
+    The pattern's values are folded in before anything is encoded.  A
+    forward pass propagates them as constants, a reverse pass marks the
+    fan-in cone of the outputs that still depend on a symbolic input,
+    and a forward pass encodes only the non-constant nodes of that cone:
+    a node equal to one symbolic fanin up to a sign ([Buf], [Not], a gate
+    whose other fanins are all known) reuses that fanin's literal, and
+    every other node gets one fresh variable and the {!encode} clauses
+    over its symbolic fanins.  Each symbolic output then gets one unit
+    clause; a known output that disagrees with [y] makes [solver] UNSAT.
+    For every assignment of the symbolic inputs the result is satisfiable
+    exactly when {!encode} plus unit pins on [x] and [y] is.
+
+    @raise Invalid_argument if [net] still contains flip-flops. *)
+val assert_io :
+  Solver.t ->
+  Netlist.t ->
+  shared:(int -> int option) ->
+  inputs:(int * bool) array ->
+  outputs:(int * bool) array ->
+  unit
+
 (** [to_cnf net] encodes into a fresh passive {!Cnf} (for DIMACS export and
     tests); returns the formula and the node → variable map. *)
 val to_cnf : Netlist.t -> Cnf.t * int array

@@ -41,6 +41,25 @@ let count_lines_with path needles =
   close_in ic;
   !n
 
+(* The integer [field] of the args of every "E" record of span [name], in
+   file order. *)
+let end_args path name field =
+  let ic = open_in path in
+  let r = ref [] in
+  (try
+     while true do
+       match Cjson.of_string (input_line ic) with
+       | Ok ev
+         when Cjson.mem_str "name" ev = Some name && Cjson.mem_str "ph" ev = Some "E"
+         ->
+         let v = Option.bind (Cjson.member "args" ev) (Cjson.mem_int field) in
+         r := Option.value v ~default:(-1) :: !r
+       | Ok _ | Error _ -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !r
+
 (* ----- Metrics ----- *)
 
 let test_metrics_counters () =
@@ -172,6 +191,22 @@ let test_trace_attack_iteration_spans () =
     (count_lines_with path [ {|"attack.iteration"|}; {|"ph":"B"|} ]);
   Alcotest.(check int) "one attack.run span" 1
     (count_lines_with path [ {|"attack.run"|}; {|"ph":"B"|} ]);
+  (* solver counts: each DIP search closes with its conflict delta, and
+     the deltas add up to the outcome's total; each iteration closes with
+     the variables and clauses its constraints added *)
+  let solve_conflicts = end_args path "attack.solve" "conflicts" in
+  Alcotest.(check int) "one attack.solve span per search" (o.Attack.iterations + 1)
+    (List.length solve_conflicts);
+  Alcotest.(check int) "conflict deltas sum to the outcome's" o.Attack.conflicts
+    (List.fold_left ( + ) 0 solve_conflicts);
+  Alcotest.(check bool) "propagation deltas recorded" true
+    (List.for_all (fun p -> p >= 0) (end_args path "attack.solve" "propagations"));
+  List.iter
+    (fun field ->
+      let added = end_args path "attack.iteration" field in
+      Alcotest.(check int) (field ^ " on every iteration span") o.Attack.iterations
+        (List.length (List.filter (fun v -> v >= 0) added)))
+    [ "vars"; "clauses" ];
   Sys.remove path
 
 (* ----- Budget: zero/expired deadline (regression) ----- *)

@@ -412,13 +412,15 @@ let xor8 () =
   (lk.Locked.net, lk.Locked.key_inputs, chip)
 
 (* The solver's clients, through their public entry points: outcomes
-   that depend on which model each solve returns, recorded on the
-   original kernel. *)
+   that depend on which model each solve returns.  gk2-tiny is one miter
+   solve, so it pins the kernel and Tseitin.encode; the sarlock4 DIP
+   loops also pin the I/O constraint encoding (Tseitin.assert_io), so
+   they move only when an attack's formula changes on purpose. *)
 let expected_attack_rows =
   [
     "gk2-tiny sat iterations=0 conflicts=125";
-    "sarlock4 sat iterations=15 conflicts=141";
-    "sarlock4 appsat dips=8 queries=100 key=sk0=1 sk1=0 sk2=0 sk3=1";
+    "sarlock4 sat iterations=15 conflicts=140";
+    "sarlock4 appsat dips=12 queries=150 key=sk0=1 sk1=0 sk2=0 sk3=1";
     "xor8 sensitization patterns=4 recovered=xk2=0 xk7=1";
     "xor8 equiv witness=0100111111";
   ]
@@ -577,6 +579,172 @@ let test_tseitin_miter () =
   Tseitin.miter empty [];
   Alcotest.(check bool) "no pairs" true (Solver.solve empty = Solver.Unsat)
 
+(* ----- folded I/O constraints (Tseitin.assert_io) ----- *)
+
+(* The law for one I/O constraint: under every key K over [keys], the
+   folded constraint, the full encoding plus unit pins, and the engine
+   agree on whether locked(x, K) = y.  [x] pins every other input.
+   Returns the keys (as bit masks) where they disagree. *)
+let folded_disagreements locked ~keys ~x ~y =
+  let key_index = Hashtbl.create 8 in
+  Array.iteri (fun i id -> Hashtbl.replace key_index id i) keys;
+  let with_keys s =
+    let kv = Array.map (fun _ -> Solver.new_var s) keys in
+    (kv, fun id -> Option.map (fun i -> kv.(i)) (Hashtbl.find_opt key_index id))
+  in
+  let folded = Solver.create () in
+  let kf, shared = with_keys folded in
+  Tseitin.assert_io folded locked ~shared ~inputs:x ~outputs:y;
+  let full = Solver.create () in
+  let kfull, shared = with_keys full in
+  let vars = Tseitin.encode full locked ~shared in
+  Array.iter
+    (fun (id, b) -> ignore (Solver.add_clause full [ Lit.make vars.(id) b ]))
+    (Array.append x y);
+  let value = Array.make (Netlist.num_nodes locked) false in
+  Array.iter (fun (id, b) -> value.(id) <- b) x;
+  List.filter
+    (fun k ->
+      let bit i = k land (1 lsl i) <> 0 in
+      Array.iteri (fun i id -> value.(id) <- bit i) keys;
+      let sat s kv =
+        Solver.solve ~assumptions:(List.init (Array.length kv) (fun i -> Lit.make kv.(i) (bit i))) s
+        = Solver.Sat
+      in
+      let values = Netlist.eval_comb locked (fun id -> value.(id)) in
+      let engine = Array.for_all (fun (d, b) -> values.(d) = b) y in
+      sat folded kf <> engine || sat full kfull <> engine)
+    (List.init (1 lsl Array.length keys) Fun.id)
+
+(* Seeded Netlist_gen circuits (half of them adversarial: LUTs, MUXes,
+   constants, wide gates, repeated fanins) locked with up to 6 key bits;
+   a random DIP; the chip's outputs, or the same with one bit flipped. *)
+let folded_law seed =
+  let rng = Random.State.make [| seed; 0x464f |] in
+  let chip = fst (Combinationalize.run (Netlist_gen.net rng)) in
+  let n_keys = 1 + Random.State.int rng 6 in
+  let lock =
+    match Random.State.int rng 3 with
+    | 0 -> Xor_lock.lock
+    | 1 -> Sarlock.lock
+    | _ -> Mux_lock.lock
+  in
+  match lock ~seed chip ~n_keys with
+  | exception Invalid_argument _ -> true (* too small to host the lock *)
+  | lk ->
+    let locked = lk.Locked.net in
+    let keys =
+      Array.of_list
+        (List.map (fun k -> Option.get (Netlist.find locked k)) lk.Locked.key_inputs)
+    in
+    let x =
+      Array.of_list
+        (List.map
+           (fun pi -> (pi, Random.State.bool rng))
+           (Dip_miter.x_inputs locked ~key_inputs:lk.Locked.key_inputs))
+    in
+    let reply =
+      let o = Oracle.of_netlist ~partial:true chip in
+      Oracle.query o
+        (Array.to_list
+           (Array.map (fun (pi, b) -> ((Netlist.node locked pi).Netlist.name, b)) x))
+    in
+    let y =
+      Array.of_list
+        (List.map (fun (po, d) -> (d, List.assoc po reply)) (Netlist.outputs locked))
+    in
+    if Array.length y > 0 && Random.State.bool rng then begin
+      let i = Random.State.int rng (Array.length y) in
+      y.(i) <- (fst y.(i), not (snd y.(i)))
+    end;
+    folded_disagreements locked ~keys ~x ~y = []
+
+(* Every gate function, wide parities and LUTs over fanins drawn (with
+   repetition) from a 0 input, a 1 input and two key bits: constant
+   selects and data on MUXes, LUTs with mixed constant inputs, gates left
+   with one unknown input (the aliasing rules) and gates with none. *)
+let test_assert_io_single_gates () =
+  let rng = Random.State.make [| 0x5347 |] in
+  let tables arity =
+    if arity <= 2 then
+      List.init (1 lsl (1 lsl arity)) (fun t ->
+          Array.init (1 lsl arity) (fun r -> t land (1 lsl r) <> 0))
+    else List.init 8 (fun _ -> Array.init (1 lsl arity) (fun _ -> Random.State.bool rng))
+  in
+  let shapes =
+    List.concat_map
+      (fun (fn, arities) -> List.map (fun a -> (`Gate fn, a)) arities)
+      [
+        (Cell.Not, [ 1 ]); (Cell.Buf, [ 1 ]); (Cell.And, [ 2; 3 ]);
+        (Cell.Nand, [ 2; 3 ]); (Cell.Or, [ 2; 3 ]); (Cell.Nor, [ 2; 3 ]);
+        (Cell.Xor, [ 2; 3; 5 ]); (Cell.Xnor, [ 2; 3; 5 ]); (Cell.Mux, [ 3 ]);
+      ]
+    @ List.concat_map
+        (fun a -> List.map (fun t -> (`Lut t, a)) (tables a))
+        [ 1; 2; 3; 4 ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (shape, arity) ->
+      for pick = 0 to (1 lsl (2 * arity)) - 1 do
+        let net = Netlist.create "g" in
+        let x0 = Netlist.add_input net "x0" and x1 = Netlist.add_input net "x1" in
+        let k0 = Netlist.add_input net "k0" and k1 = Netlist.add_input net "k1" in
+        let srcs = [| x0; x1; k0; k1 |] in
+        let fanins = Array.init arity (fun i -> srcs.((pick lsr (2 * i)) land 3)) in
+        let g =
+          match shape with
+          | `Gate fn -> Netlist.add_gate net fn fanins
+          | `Lut truth -> Netlist.add_lut net ~truth fanins
+        in
+        Netlist.add_output net "y" g;
+        List.iter
+          (fun want ->
+            incr checked;
+            let bad =
+              folded_disagreements net ~keys:[| k0; k1 |]
+                ~x:[| (x0, false); (x1, true) |]
+                ~y:[| (g, want) |]
+            in
+            if bad <> [] then
+              Alcotest.failf "%s/%d fanins %s, y=%b: disagrees under key %d"
+                (match shape with
+                | `Gate fn -> Cell.fn_name fn
+                | `Lut _ -> "LUT")
+                arity
+                (String.concat ","
+                   (Array.to_list (Array.map (fun f -> (Netlist.node net f).Netlist.name) fanins)))
+                want (List.hd bad))
+          [ false; true ]
+      done)
+    shapes;
+  Alcotest.(check bool) "cases checked" true (!checked > 10_000)
+
+(* An output the DIP's X values already decide, against the oracle: the
+   constraint is UNSAT outright, and neither it nor an agreeing one
+   allocates a variable. *)
+let test_assert_io_constant_output () =
+  let net = Netlist.create "c" in
+  let x = Netlist.add_input net "x" and k = Netlist.add_input net "k" in
+  let g = Netlist.add_gate net Cell.And [| x; k |] in
+  let h = Netlist.add_gate net Cell.Xor [| g; k |] in
+  Netlist.add_output net "g" g;
+  Netlist.add_output net "h" h;
+  let run want_g =
+    let s = Solver.create () in
+    let kv = Solver.new_var s in
+    Tseitin.assert_io s net
+      ~shared:(fun id -> if id = k then Some kv else None)
+      ~inputs:[| (x, false) |]
+      ~outputs:[| (g, want_g); (h, true) |];
+    (Solver.num_vars s, Solver.solve s)
+  in
+  Alcotest.(check bool) "disagreeing constant output: UNSAT" true
+    (snd (run true) = Solver.Unsat);
+  let vars, verdict = run false in
+  Alcotest.(check bool) "agreeing: SAT" true (verdict = Solver.Sat);
+  Alcotest.(check int) "h aliases the key: no fresh variable" 1 vars
+
 (* ----- Equiv ----- *)
 
 let test_equiv_basic () =
@@ -672,6 +840,10 @@ let suites =
         qcheck ~count:50 "encoding matches eval"
           (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 500))
           tseitin_vs_eval_law;
+        tc "assert_io: single gates (exhaustive)" `Quick test_assert_io_single_gates;
+        tc "assert_io: constant output vs oracle" `Quick test_assert_io_constant_output;
+        qcheck ~count:200 "assert_io = encode + pins = engine" Netlist_gen.arb_seed
+          folded_law;
       ] );
     ( "sat.equiv",
       [

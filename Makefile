@@ -16,14 +16,16 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Evaluation-engine micro-benchmarks; verifies engine/seed-path equivalence
-# on every benchmark and writes BENCH_eval.json.
+# Evaluation-engine micro-benchmarks (eval_comb, one-word and 8-word
+# eval_block); verifies every lane against the Ref_sim reference walk on
+# every benchmark and writes BENCH_eval.json.
 bench-eval:
 	dune exec bench/bench_eval.exe
 
-# Attack-framework benchmarks: oracle throughput (batched engine path
-# vs. the pre-framework assoc-list oracle, equivalence-checked, must be
-# >= 10x) plus per-attack wall time; writes BENCH_attacks.json.
+# Attack-framework benchmarks: oracle throughput (batched vs one query at
+# a time, local and through gklockd, every path checked against the
+# Ref_sim reference walk) plus per-attack wall time; writes
+# BENCH_attacks.json.
 bench-attacks:
 	dune exec bench/bench_attacks.exe
 
@@ -31,8 +33,7 @@ bench-attacks:
 # BENCH_*.json stay full-run artifacts.  Both self-check their emitted
 # JSON against the repo parser; bench_eval asserts the block path never
 # loses to the single-word path, bench_attacks asserts the batched
-# oracle is >= 10x the assoc baseline and >= 1x scalar on the largest
-# circuit in the run.
+# oracle is >= 1x scalar on the largest circuit in the run.
 bench-eval-smoke:
 	dune exec bench/bench_eval.exe -- --smoke /tmp/BENCH_eval_smoke.json
 

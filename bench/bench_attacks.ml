@@ -1,73 +1,26 @@
 (* Attack-framework benchmarks: oracle query throughput (batched
-   63-lane engine path vs. scalar engine path vs. the pre-framework
-   assoc-list oracle, plus both remote paths through an in-process
-   gklockd over a loopback unix socket) and per-attack wall time for
-   every registry entry on two benchmarks.  Prints human-readable tables
-   and writes machine-readable results to BENCH_attacks.json (or the
-   path given as the last argument):
+   engine path vs. one query at a time, plus both remote paths through
+   an in-process gklockd over a loopback unix socket) and per-attack
+   wall time for every registry entry on two benchmarks.  Prints
+   human-readable tables and writes machine-readable results to
+   BENCH_attacks.json (or the path given as the last argument):
 
      dune exec bench/bench_attacks.exe              # or: make bench-attacks
      dune exec bench/bench_attacks.exe -- --smoke   # CI-sized, seconds
 
-   All five oracle paths are equivalence-checked on the same query set
-   before being timed, and the run fails unless the batched path beats
-   the assoc-list baseline by at least 10x. *)
+   All four oracle paths are equivalence-checked against the naive
+   reference walk [Ref_sim.eval_comb] on the same query set before being
+   timed, and the run fails if the batched path loses to one query at a
+   time. *)
 
-(* ----- the pre-framework oracle, reproduced as a fixed baseline -----
-
-   One scalar evaluation per query on the seed evaluation path (a fresh
-   DFS topological sort and per-gate fanin array per call — see
-   bench_eval.ml), with every source resolved by an assoc-list lookup on
-   the query (unmentioned sources read false) — exactly the closure the
-   attacks module used to build before the instrumented [Oracle.t]. *)
-
-let legacy_topo net =
-  let n = Netlist.num_nodes net in
-  let state = Array.make n 0 in
-  let order = ref [] in
-  let rec visit id =
-    let nd = Netlist.node net id in
-    if not (Netlist.is_comb nd) then ()
-    else
-      match state.(id) with
-      | 2 -> ()
-      | 1 -> failwith "cycle"
-      | _ ->
-        state.(id) <- 1;
-        Array.iter visit nd.Netlist.fanins;
-        state.(id) <- 2;
-        order := id :: !order
+(* The reference reply to [q]: unmentioned sources read false. *)
+let reference_query net q =
+  let value = Hashtbl.of_seq (List.to_seq q) in
+  let values =
+    Ref_sim.eval_comb net (fun id ->
+        Option.value ~default:false
+          (Hashtbl.find_opt value (Netlist.node net id).Netlist.name))
   in
-  for id = 0 to n - 1 do
-    visit id
-  done;
-  List.rev !order
-
-let assoc_query net q =
-  let values = Array.make (Netlist.num_nodes net) false in
-  for id = 0 to Netlist.num_nodes net - 1 do
-    match (Netlist.node net id).Netlist.kind with
-    | Netlist.Input | Netlist.Ff ->
-      values.(id) <-
-        (match List.assoc_opt (Netlist.node net id).Netlist.name q with
-        | Some v -> v
-        | None -> false)
-    | Netlist.Const b -> values.(id) <- b
-    | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dead -> ()
-  done;
-  List.iter
-    (fun id ->
-      let n = Netlist.node net id in
-      let ins = Array.map (fun f -> values.(f)) n.Netlist.fanins in
-      match n.Netlist.kind with
-      | Netlist.Gate fn -> values.(id) <- Cell.eval fn ins
-      | Netlist.Lut truth ->
-        let idx = ref 0 in
-        Array.iteri (fun i b -> if b then idx := !idx lor (1 lsl i)) ins;
-        values.(id) <- truth.(!idx)
-      | Netlist.Input | Netlist.Const _ | Netlist.Ff | Netlist.Dead ->
-        assert false)
-    (legacy_topo net);
   List.map (fun (po, d) -> (po, values.(d))) (Netlist.outputs net)
 
 (* ----- measurement ----- *)
@@ -134,7 +87,6 @@ type oracle_row = {
   o_bench : string;
   o_cells : int;
   o_queries : int;
-  o_assoc_qps : float;
   o_scalar_qps : float;
   o_batch_qps : float;
   o_remote_scalar_qps : float;  (* one Query frame round trip per query *)
@@ -151,12 +103,12 @@ let bench_oracle ~min_time ~n_queries net name cells =
     List.init n_queries (fun _ ->
         List.map (fun n -> (n, Random.State.bool rng)) names)
   in
-  (* equivalence first: all three paths must agree on every query *)
+  (* equivalence first: every path must agree with the reference walk *)
   let batch_results = Oracle.query_batch oracle dips in
   List.iter2
     (fun dip batched ->
-      if assoc_query comb dip <> batched then
-        failwith (name ^ ": batched oracle disagrees with assoc-list eval");
+      if reference_query comb dip <> batched then
+        failwith (name ^ ": batched oracle disagrees with Ref_sim");
       if Oracle.query oracle dip <> batched then
         failwith (name ^ ": batched oracle disagrees with scalar query"))
     dips batch_results;
@@ -192,13 +144,11 @@ let bench_oracle ~min_time ~n_queries net name cells =
     dips batch_results;
   if Oracle.query_batch remote dips <> batch_results then
     failwith (name ^ ": remote batched oracle disagrees with batched eval");
-  Printf.printf "equivalence %-8s OK (%d queries x 5 paths)\n%!" name
+  Printf.printf "equivalence %-8s OK (%d queries x 4 paths)\n%!" name
     n_queries;
   (* on large circuits one engine-path call takes about as long as a
      major-GC slice, so a single rep is a coin flip on whether it pays
-     one; take the median of at least [min_reps] calls.  The assoc
-     baseline is orders of magnitude slower per call, so one rep already
-     averages its GC noise away *)
+     one; take the median of at least [min_reps] calls *)
   let qps ?min_reps f =
     float_of_int n_queries /. median_rep_s ?min_reps ~min_time f
   in
@@ -208,13 +158,11 @@ let bench_oracle ~min_time ~n_queries net name cells =
       o_bench = name;
       o_cells = cells;
       o_queries = n_queries;
-    (* all three paths are timed producing the full response set
+    (* every path is timed producing the full response set
        ([List.map], not [List.iter]+[ignore]): [query_batch] necessarily
        keeps every response live until it returns, so a scalar loop that
        dropped each response as it went would be measured doing strictly
        less retention work than the batch it is compared against *)
-      o_assoc_qps =
-        qps (fun () -> ignore (List.map (fun d -> assoc_query comb d) dips));
       o_scalar_qps =
         qps ~min_reps (fun () ->
             ignore (List.map (fun d -> Oracle.query oracle d) dips));
@@ -284,14 +232,13 @@ let bench_attacks ~max_iterations ~deadline_s net name =
 let json_of_oracle r =
   Printf.sprintf
     "    {\"name\": %S, \"cells\": %d, \"queries\": %d, \
-     \"assoc_queries_per_sec\": %.1f, \"scalar_queries_per_sec\": %.1f, \
-     \"batch_queries_per_sec\": %.1f, \"remote_scalar_queries_per_sec\": \
-     %.1f, \"remote_batch_queries_per_sec\": %.1f, \
-     \"batch_speedup_vs_assoc\": %.2f, \"batch_speedup_vs_scalar\": %.2f, \
+     \"scalar_queries_per_sec\": %.1f, \"batch_queries_per_sec\": %.1f, \
+     \"remote_scalar_queries_per_sec\": %.1f, \
+     \"remote_batch_queries_per_sec\": %.1f, \
+     \"batch_speedup_vs_scalar\": %.2f, \
      \"remote_batch_speedup_vs_remote_scalar\": %.2f}"
-    r.o_bench r.o_cells r.o_queries r.o_assoc_qps r.o_scalar_qps r.o_batch_qps
+    r.o_bench r.o_cells r.o_queries r.o_scalar_qps r.o_batch_qps
     r.o_remote_scalar_qps r.o_remote_batch_qps
-    (r.o_batch_qps /. r.o_assoc_qps)
     (r.o_batch_qps /. r.o_scalar_qps)
     (r.o_remote_batch_qps /. r.o_remote_scalar_qps)
 
@@ -334,26 +281,14 @@ let () =
         bench_oracle ~min_time ~n_queries net n (Netlist.num_nodes net))
       oracle_benches
   in
-  Printf.printf "\n%-8s %6s %12s %12s %12s %12s %12s %9s %9s\n" "bench"
-    "cells" "assoc q/s" "scalar q/s" "batch q/s" "rmt-sc q/s" "rmt-bat q/s"
-    "vs-assoc" "vs-scalar";
+  Printf.printf "\n%-8s %6s %12s %12s %12s %12s %9s\n" "bench" "cells"
+    "scalar q/s" "batch q/s" "rmt-sc q/s" "rmt-bat q/s" "vs-scalar";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %6d %12.0f %12.0f %12.0f %12.0f %12.0f %8.1fx %8.1fx\n"
-        r.o_bench r.o_cells r.o_assoc_qps r.o_scalar_qps r.o_batch_qps
-        r.o_remote_scalar_qps r.o_remote_batch_qps
-        (r.o_batch_qps /. r.o_assoc_qps)
+      Printf.printf "%-8s %6d %12.0f %12.0f %12.0f %12.0f %8.1fx\n" r.o_bench
+        r.o_cells r.o_scalar_qps r.o_batch_qps r.o_remote_scalar_qps
+        r.o_remote_batch_qps
         (r.o_batch_qps /. r.o_scalar_qps))
-    oracle_rows;
-  List.iter
-    (fun r ->
-      if r.o_batch_qps < 10.0 *. r.o_assoc_qps then
-        failwith
-          (Printf.sprintf
-             "%s: batched oracle only %.1fx over the assoc-list baseline \
-              (need >= 10x)"
-             r.o_bench
-             (r.o_batch_qps /. r.o_assoc_qps)))
     oracle_rows;
   (* the regression this file exists to catch: on the largest circuit in
      the run, the batched path must not lose to per-query scalar eval *)

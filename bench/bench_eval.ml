@@ -1,62 +1,15 @@
-(* Micro-benchmarks for the bit-parallel evaluation engine: scalar
-   vs. word-parallel evaluation and cached vs. uncached topological
-   ordering, on three seed benchmarks.  Prints a human-readable table and
-   writes machine-readable results to BENCH_eval.json (or the path given
-   as the last argument) so later PRs can track the perf trajectory:
+(* Micro-benchmarks for the bit-parallel evaluation engine: one pattern
+   ([Netlist.eval_comb]), one word and an 8-word block through
+   [Netlist.Engine.eval_block], on three seed benchmarks.  Prints a
+   human-readable table and writes machine-readable results to
+   BENCH_eval.json (or the path given as the last argument) so later PRs
+   can track the perf trajectory:
 
      dune exec bench/bench_eval.exe            # or: make bench-eval
      dune exec bench/bench_eval.exe -- --smoke # CI-sized, seconds
 
-   The "legacy" rows re-measure the pre-engine eval_comb (a fresh DFS
-   topological sort and per-gate fanin array per call) as a fixed baseline
-   that survives further optimization of the library itself. *)
-
-(* ----- the seed evaluation path, reproduced verbatim ----- *)
-
-let legacy_topo net =
-  let n = Netlist.num_nodes net in
-  let state = Array.make n 0 in
-  let order = ref [] in
-  let rec visit id =
-    let nd = Netlist.node net id in
-    if not (Netlist.is_comb nd) then ()
-    else
-      match state.(id) with
-      | 2 -> ()
-      | 1 -> failwith "cycle"
-      | _ ->
-        state.(id) <- 1;
-        Array.iter visit nd.Netlist.fanins;
-        state.(id) <- 2;
-        order := id :: !order
-  in
-  for id = 0 to n - 1 do
-    visit id
-  done;
-  List.rev !order
-
-let legacy_eval net assignment =
-  let values = Array.make (Netlist.num_nodes net) false in
-  for id = 0 to Netlist.num_nodes net - 1 do
-    match (Netlist.node net id).Netlist.kind with
-    | Netlist.Input | Netlist.Ff -> values.(id) <- assignment id
-    | Netlist.Const b -> values.(id) <- b
-    | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dead -> ()
-  done;
-  List.iter
-    (fun id ->
-      let n = Netlist.node net id in
-      let ins = Array.map (fun f -> values.(f)) n.Netlist.fanins in
-      match n.Netlist.kind with
-      | Netlist.Gate fn -> values.(id) <- Cell.eval fn ins
-      | Netlist.Lut truth ->
-        let idx = ref 0 in
-        Array.iteri (fun i b -> if b then idx := !idx lor (1 lsl i)) ins;
-        values.(id) <- truth.(!idx)
-      | Netlist.Input | Netlist.Const _ | Netlist.Ff | Netlist.Dead ->
-        assert false)
-    (legacy_topo net);
-  values
+   Every seed benchmark is first checked lane by lane against the naive
+   reference walk [Ref_sim.eval_comb]. *)
 
 (* ----- measurement ----- *)
 
@@ -78,22 +31,18 @@ let throughput ?min_time ~patterns_per_call f =
   let reps, elapsed = time_reps ?min_time f in
   float_of_int (reps * patterns_per_call) /. elapsed
 
-let micros ?min_time f =
-  let reps, elapsed = time_reps ?min_time f in
-  1e6 *. elapsed /. float_of_int reps
-
 (* Interleaved best-of-N windows: single-vCPU CI boxes show wall-clock
    noise of tens of percent, so when two paths are compared head to head
    they are timed in alternating windows and each reports its best one —
-   steady-state throughput rather than scheduler luck. *)
-let throughput_pair ?(windows = 6) ~reps ~patterns_per_call f g =
-  f ();
-  g ();
+   steady-state throughput rather than scheduler luck.  Each path is
+   given as (reps per window, patterns per call, call). *)
+let throughput_pair ?(windows = 6) f g =
+  List.iter (fun (_, _, fn) -> fn ()) [ f; g ];
   Gc.compact ();
   let best = [| 0.0; 0.0 |] in
   for _w = 1 to windows do
     List.iteri
-      (fun i fn ->
+      (fun i (reps, patterns_per_call, fn) ->
         let t0 = Unix.gettimeofday () in
         for _r = 1 to reps do
           fn ()
@@ -111,14 +60,10 @@ let block_words = 8
 type row = {
   r_name : string;
   r_cells : int;
-  r_legacy_pps : float;
   r_scalar_pps : float;
   r_word_pps : float;
   r_block_pps : float;
-  r_sharded_pps : float;
   r_strash_reduction : float;
-  r_topo_uncached_us : float;
-  r_topo_cached_us : float;
 }
 
 let bench_spec ?min_time spec =
@@ -126,98 +71,82 @@ let bench_spec ?min_time spec =
   let n = Netlist.num_nodes net in
   let rng = Random.State.make [| 0xB17; Hashtbl.hash spec.Benchmarks.bname |] in
   let stim = Array.init n (fun _ -> Random.State.bool rng) in
-  let stim_words = Array.init n (fun _ -> Netlist.Engine.random_word rng) in
   let eng = Netlist.Engine.get net in
   let n_srcs = Array.length (Netlist.Engine.sources eng) in
   let block_stim =
     Array.init (n_srcs * block_words) (fun _ -> Netlist.Engine.random_word rng)
   in
   let scratch = Netlist.Engine.create_scratch eng in
-  let legacy_pps =
-    throughput ?min_time ~patterns_per_call:1 (fun () ->
-        ignore (legacy_eval net (Array.get stim)))
-  in
   let scalar_pps =
     throughput ?min_time ~patterns_per_call:1 (fun () ->
         ignore (Netlist.eval_comb net (Array.get stim)))
   in
-  (* the word row drives the engine the way the library's hot paths do
-     (reused scratch, slot-dense result); the id-indexed compat wrapper
-     [eval_words] pays an extra allocation + scatter per call *)
-  let word_pps =
-    throughput ?min_time ~patterns_per_call:Netlist.Engine.word_bits (fun () ->
-        ignore (Netlist.Engine.eval_words_into ~scratch eng (Array.get stim_words)))
+  (* one word and the oracle's 8-word block, both as the library's hot
+     paths drive the engine (reused scratch, sources filled straight into
+     the slot-dense block buffer), timed head to head over the same
+     stimulus *)
+  let run n_words () =
+    ignore
+      (Netlist.Engine.eval_block ~scratch eng ~n_words ~fill:(fun buf ->
+           Array.blit block_stim 0 buf 0 (n_srcs * n_words)))
   in
-  (* the multi-word engine path as the oracle drives it (reused scratch,
-     sources filled straight into the slot-dense block buffer), measured
-     head to head against the sharded plan over the same stimulus *)
-  let fill buf = Array.blit block_stim 0 buf 0 (n_srcs * block_words) in
-  let pln = Netlist.Engine.plan net in
   let reps =
     match min_time with
     | Some t when t < 0.1 -> Stdlib.max 10 (500 / block_words)
     | _ -> Stdlib.max 20 (2000 / block_words)
   in
-  let block_pps, sharded_pps =
-    throughput_pair ~reps
-      ~patterns_per_call:(block_words * Netlist.Engine.word_bits)
-      (fun () ->
-        ignore
-          (Netlist.Engine.eval_block ~scratch eng ~n_words:block_words ~fill))
-      (fun () ->
-        Netlist.Engine.eval_block_sharded pln ~n_words:block_words ~fill)
-  in
-  let strash_reduction = Opt.reduction (snd (Opt.run net)) in
-  let topo_uncached_us = micros ?min_time (fun () -> ignore (legacy_topo net)) in
-  let topo_cached_us =
-    micros ?min_time (fun () -> ignore (Netlist.comb_topo_order net))
+  let word_pps, block_pps =
+    let w = Netlist.Engine.word_bits in
+    throughput_pair
+      (reps * block_words, w, run 1)
+      (reps, block_words * w, run block_words)
   in
   {
     r_name = spec.Benchmarks.bname;
     r_cells = spec.Benchmarks.cells;
-    r_legacy_pps = legacy_pps;
     r_scalar_pps = scalar_pps;
     r_word_pps = word_pps;
     r_block_pps = block_pps;
-    r_sharded_pps = sharded_pps;
-    r_strash_reduction = strash_reduction;
-    r_topo_uncached_us = topo_uncached_us;
-    r_topo_cached_us = topo_cached_us;
+    r_strash_reduction = Opt.reduction (snd (Opt.run net));
   }
 
-(* ----- equivalence: engine vs. the seed path, all seed benchmarks ----- *)
+(* ----- equivalence: engine vs. the reference walk, all seed benchmarks ----- *)
 
 let check_equivalence specs =
   List.iter
     (fun spec ->
       let net = Benchmarks.load spec in
       let eng = Netlist.Engine.get net in
+      let slot_of = Netlist.Engine.slot_of_id eng in
       let n = Netlist.num_nodes net in
       let rng = Random.State.make [| 0xE9; spec.Benchmarks.config.Generator.seed |] in
       let vectors =
         Array.init Netlist.Engine.word_bits (fun _ ->
             Array.init n (fun _ -> Random.State.bool rng))
       in
-      (* word per source id packing vector v into lane v *)
-      let words =
-        Array.init n (fun id ->
-            let w = ref 0 in
-            Array.iteri (fun v vec -> if vec.(id) then w := !w lor (1 lsl v)) vectors;
-            !w)
+      (* word per source packing vector v into lane v *)
+      let blk =
+        Netlist.Engine.eval_block eng ~n_words:1 ~fill:(fun buf ->
+            Array.iteri
+              (fun i id ->
+                Array.iteri
+                  (fun v vec -> if vec.(id) then buf.(i) <- buf.(i) lor (1 lsl v))
+                  vectors)
+              (Netlist.Engine.sources eng))
       in
-      let word_values = Netlist.Engine.eval_words eng (Array.get words) in
       Array.iteri
         (fun v vec ->
           let scalar = Netlist.eval_comb net (Array.get vec) in
-          let legacy = legacy_eval net (Array.get vec) in
+          let reference = Ref_sim.eval_comb net (Array.get vec) in
           for id = 0 to n - 1 do
-            if scalar.(id) <> legacy.(id) then
+            if scalar.(id) <> reference.(id) then
               failwith
-                (Printf.sprintf "%s: scalar engine disagrees with seed eval at node %d"
+                (Printf.sprintf "%s: eval_comb disagrees with Ref_sim at node %d"
                    spec.Benchmarks.bname id);
-            if word_values.(id) land (1 lsl v) <> 0 <> scalar.(id) then
+            let s = slot_of.(id) in
+            if s >= 0 && blk.(s) land (1 lsl v) <> 0 <> reference.(id) then
               failwith
-                (Printf.sprintf "%s: lane %d disagrees with scalar eval at node %d"
+                (Printf.sprintf "%s: lane %d disagrees with Ref_sim at node %d"
                    spec.Benchmarks.bname v id)
           done)
         vectors;
@@ -229,20 +158,12 @@ let check_equivalence specs =
 
 let json_of_row r =
   Printf.sprintf
-    "    {\"name\": %S, \"cells\": %d, \"legacy_patterns_per_sec\": %.1f, \
-     \"scalar_patterns_per_sec\": %.1f, \"word_patterns_per_sec\": %.1f, \
-     \"block_patterns_per_sec\": %.1f, \"sharded_patterns_per_sec\": %.1f, \
-     \"word_speedup_vs_legacy\": %.2f, \"scalar_speedup_vs_legacy\": %.2f, \
-     \"block_speedup_vs_word\": %.2f, \"sharded_speedup_vs_block\": %.2f, \
-     \"strash_reduction\": %.4f, \"topo_uncached_us\": %.2f, \
-     \"topo_cached_us\": %.2f}"
-    r.r_name r.r_cells r.r_legacy_pps r.r_scalar_pps r.r_word_pps
-    r.r_block_pps r.r_sharded_pps
-    (r.r_word_pps /. r.r_legacy_pps)
-    (r.r_scalar_pps /. r.r_legacy_pps)
+    "    {\"name\": %S, \"cells\": %d, \"scalar_patterns_per_sec\": %.1f, \
+     \"word_patterns_per_sec\": %.1f, \"block_patterns_per_sec\": %.1f, \
+     \"block_speedup_vs_word\": %.2f, \"strash_reduction\": %.4f}"
+    r.r_name r.r_cells r.r_scalar_pps r.r_word_pps r.r_block_pps
     (r.r_block_pps /. r.r_word_pps)
-    (r.r_sharded_pps /. r.r_block_pps)
-    r.r_strash_reduction r.r_topo_uncached_us r.r_topo_cached_us
+    r.r_strash_reduction
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -258,16 +179,13 @@ let () =
   let specs = List.filter_map Benchmarks.find_spec names in
   check_equivalence (if smoke then specs else Benchmarks.specs);
   let rows = List.map (bench_spec ~min_time) specs in
-  Printf.printf "\n%-8s %6s %13s %13s %13s %13s %13s %8s %7s\n" "bench"
-    "cells" "legacy p/s" "scalar p/s" "word p/s" "block p/s" "shard p/s"
-    "sh/blk" "strash";
+  Printf.printf "\n%-8s %6s %13s %13s %13s %8s %7s\n" "bench" "cells"
+    "scalar p/s" "word p/s" "block p/s" "blk/wrd" "strash";
   List.iter
     (fun r ->
-      Printf.printf
-        "%-8s %6d %13.0f %13.0f %13.0f %13.0f %13.0f %7.2fx %6.1f%%\n"
-        r.r_name r.r_cells r.r_legacy_pps r.r_scalar_pps r.r_word_pps
-        r.r_block_pps r.r_sharded_pps
-        (r.r_sharded_pps /. r.r_block_pps)
+      Printf.printf "%-8s %6d %13.0f %13.0f %13.0f %7.2fx %6.1f%%\n" r.r_name
+        r.r_cells r.r_scalar_pps r.r_word_pps r.r_block_pps
+        (r.r_block_pps /. r.r_word_pps)
         (100. *. r.r_strash_reduction))
     rows;
   (* the block path exists to amortize per-pass overhead; it must not
@@ -281,18 +199,6 @@ let () =
              r.r_name
              (r.r_block_pps /. r.r_word_pps)))
     rows;
-  (* the sharded plan's fused kernels exist to beat the multi-pass block
-     interpreter; on the largest circuit in a full run they must win by
-     at least 2x (the tentpole claim committed in BENCH_eval.json) *)
-  (match List.rev rows with
-  | largest :: _ when not smoke ->
-    if largest.r_sharded_pps < 2.0 *. largest.r_block_pps then
-      failwith
-        (Printf.sprintf
-           "%s: sharded plan only %.2fx over the block path (need >= 2x)"
-           largest.r_name
-           (largest.r_sharded_pps /. largest.r_block_pps))
-  | _ -> ());
   let doc =
     Printf.sprintf
       "{\n\

@@ -263,8 +263,7 @@ let find_exn name =
 let m_runs = Obs.Metrics.counter "attack.runs"
 let h_elapsed = Obs.Metrics.histogram "attack.elapsed_s"
 
-let run ?budget ?seed ?(optimize = false) ~name ~locked ~key_inputs ~oracle ()
-    =
+let run ?budget ?seed ~name ~locked ~key_inputs ~oracle () =
   let e = find_exn name in
   let budget =
     match budget with
@@ -272,12 +271,6 @@ let run ?budget ?seed ?(optimize = false) ~name ~locked ~key_inputs ~oracle ()
     | None -> Budget.create ~max_iterations:4096 ()
   in
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
-  (* The strash/rewrite front-end preserves primary-input names (key
-     inputs included), flip-flops and output names, so the attack sees
-     the same pin interface over a smaller instruction stream.  It must
-     never change a verdict — asserted registry-wide in the tier-1
-     suite. *)
-  let locked = if optimize then fst (Opt.run locked) else locked in
   let ctx = { locked; key_inputs; oracle; budget; seed } in
   Obs.Metrics.incr m_runs;
   let sp =
@@ -288,7 +281,6 @@ let run ?budget ?seed ?(optimize = false) ~name ~locked ~key_inputs ~oracle ()
           ("netlist", Cjson.Str (Netlist.name locked));
           ("key_inputs", Cjson.Int (List.length key_inputs));
           ("seed", Cjson.Int seed);
-          ("optimize", Cjson.Bool optimize);
         ]
       "attack.run"
   in

@@ -95,21 +95,15 @@ val find : string -> entry option
 (** @raise Invalid_argument listing the known names. *)
 val find_exn : string -> entry
 
-(** [run ?budget ?seed ?optimize ~name ~locked ~key_inputs ~oracle ()] —
-    the one entry point.  [budget] defaults to 4096 iterations (no query
-    or deadline limit); [seed] defaults to {!Fuzz_seed.value}.
-    [optimize] (default false) runs the {!Opt} strash/rewrite front-end
-    on [locked] first — the pin interface (key inputs included) is
-    preserved, only the instruction stream the attack reasons over
-    shrinks; it must never change a verdict (asserted registry-wide in
-    the tier-1 suite).  {!Budget.Exhausted} raised anywhere inside the
-    attack (including key verification) is caught and reported as
-    [Out_of_budget]; [queries] counts only this run's charges even when
-    [oracle] is shared. *)
+(** [run ?budget ?seed ~name ~locked ~key_inputs ~oracle ()] — the one
+    entry point.  [budget] defaults to 4096 iterations (no query or
+    deadline limit); [seed] defaults to {!Fuzz_seed.value}.
+    {!Budget.Exhausted} raised anywhere inside the attack (including key
+    verification) is caught and reported as [Out_of_budget]; [queries]
+    counts only this run's charges even when [oracle] is shared. *)
 val run :
   ?budget:Budget.t ->
   ?seed:int ->
-  ?optimize:bool ->
   name:string ->
   locked:Netlist.t ->
   key_inputs:string list ->

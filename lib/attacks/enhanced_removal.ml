@@ -85,7 +85,29 @@ let remodel src located =
       located
   in
   let swept, _ = Synth.optimize net in
-  { net = swept; new_key_inputs = names }
+  (* The replaced GKs' key inputs now feed nothing.  Drop them, as
+     [Removal_attack.strip_tdbs] drops TDK delay keys: left in, the SAT
+     attack would read them as primary inputs and send them to the
+     chip, which has no such pins. *)
+  let disconnected =
+    List.filter_map
+      (fun gk ->
+        let src_id, _ = chase_buffers src gk.key_net [] in
+        let nd = Netlist.node src src_id in
+        if nd.Netlist.kind = Netlist.Input then Netlist.find swept nd.Netlist.name
+        else None)
+      located
+  in
+  let fanout = Netlist.fanout_table swept in
+  let drivers = List.map snd (Netlist.outputs swept) in
+  let dropped =
+    List.filter
+      (fun id -> fanout.(id) = [] && not (List.mem id drivers))
+      (List.sort_uniq compare disconnected)
+  in
+  List.iter (Netlist.kill swept) dropped;
+  let net = if dropped = [] then swept else fst (Netlist.compact swept) in
+  { net; new_key_inputs = names }
 
 let exec ~budget src ~oracle () =
   let located = locate src in

@@ -33,7 +33,8 @@ type remodelled = {
 }
 
 (** Replace each located GK with [XOR(x, erk<i>)]; the old structure is
-    swept. *)
+    swept, and so is each GK's key input once nothing else reads it, so
+    the remodelled netlist's non-key inputs are the chip's pins. *)
 val remodel : Netlist.t -> located_gk list -> remodelled
 
 (** Locate, remodel and SAT-attack in one call; the oracle speaks for the

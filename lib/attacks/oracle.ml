@@ -27,11 +27,10 @@ type memo = {
 type net_backend = {
   net : Netlist.t;
   eng : Netlist.Engine.engine;
-  sc : Netlist.Engine.scratch;  (* scalar-path + sequential-batch scratch *)
+  sc : Netlist.Engine.scratch;  (* calling-domain scratch *)
   srcs : int array;
   src_names : string array;
   idx_of_name : (string, int) Hashtbl.t;
-  src_idx_of_id : int array;  (* node id -> source index, -1 elsewhere *)
   outs : (string * int) list;  (* po name, driver node id *)
   out_slots : int array;  (* driver slot per output, engine slot space *)
   (* the only two possible response entries per output, preallocated and
@@ -39,11 +38,7 @@ type net_backend = {
      allocates cons cells only, halving the per-query garbage *)
   out_t : (string * bool) array;
   out_f : (string * bool) array;
-  block_words : int;  (* words per eval_block pass *)
   shards : int option;  (* forced shard count; None = size-gated auto *)
-  pln : Netlist.Engine.plan option;
-      (* fused shard plan, built under ~optimize; used on the
-         single-domain batch path (plan buffers are not domain-safe) *)
 }
 
 (* Canonical-key state for black-box oracles: the distinct sorted name
@@ -79,7 +74,7 @@ type t = {
 (* Words per eval_block pass: 8 * 63 = 504 lanes per instruction-stream
    walk — deep enough to amortize the walk, shallow enough that the block
    buffer of a multi-thousand-slot engine stays cache-resident. *)
-let default_block_words = 8
+let block_words = 8
 
 (* Auto-sharding engages when (miss lanes x engine slots) is big enough
    that per-lane work dwarfs the domain spawns. *)
@@ -99,17 +94,11 @@ let mk_memo memo memo_cap =
         cap = (match memo_cap with Some c -> c | None -> max_int);
       }
 
-let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap
-    ?(block_words = default_block_words) ?shards ?(optimize = false) net =
-  if block_words < 1 then
-    invalid_arg "Oracle.of_netlist: block_words must be >= 1";
+let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap ?shards net
+    =
   (match shards with
   | Some s when s < 1 -> invalid_arg "Oracle.of_netlist: shards must be >= 1"
   | _ -> ());
-  (* The optimized twin preserves source names and declaration order, so
-     swapping it in is invisible to callers: same pins, same outputs,
-     same semantics, fewer instructions. *)
-  let net = if optimize then fst (Opt.run net) else net in
   let eng = Netlist.Engine.get net in
   let srcs = Netlist.Engine.sources eng in
   let src_names =
@@ -117,8 +106,6 @@ let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap
   in
   let idx_of_name = Hashtbl.create (2 * Array.length srcs) in
   Array.iteri (fun i n -> Hashtbl.replace idx_of_name n i) src_names;
-  let src_idx_of_id = Array.make (max 1 (Netlist.num_nodes net)) (-1) in
-  Array.iteri (fun i id -> src_idx_of_id.(id) <- i) srcs;
   let outs = Netlist.outputs net in
   let slot_of_id = Netlist.Engine.slot_of_id eng in
   let out_names = Array.of_list (List.map fst outs) in
@@ -135,14 +122,11 @@ let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap
           srcs;
           src_names;
           idx_of_name;
-          src_idx_of_id;
           outs;
           out_slots;
           out_t = Array.map (fun n -> (n, true)) out_names;
           out_f = Array.map (fun n -> (n, false)) out_names;
-          block_words;
           shards;
-          pln = (if optimize then Some (Netlist.Engine.plan net) else None);
         };
     partial;
     budget;
@@ -307,21 +291,21 @@ let memo_add t key r =
       Hashtbl.replace m.tbl key r
     end
 
-let outs_of_slots b (values : bool array) =
+(* One query is lane 0 of a one-word block; sources are engine slots
+   0..n_src-1 in the same order as [srcs], i.e. as the key's chars. *)
+let eval_key b key =
+  let blk =
+    Netlist.Engine.eval_block ~scratch:b.sc b.eng ~n_words:1 ~fill:(fun buf ->
+        String.iteri (fun i c -> if c = '1' then buf.(i) <- 1) key)
+  in
   let r = ref [] in
   for oi = Array.length b.out_slots - 1 downto 0 do
     r :=
-      (if values.(b.out_slots.(oi)) then b.out_t.(oi) else b.out_f.(oi)) :: !r
+      (if blk.(b.out_slots.(oi)) land 1 = 1 then b.out_t.(oi)
+       else b.out_f.(oi))
+      :: !r
   done;
   !r
-
-let eval_key b key =
-  (* sources are engine slots 0..n_src-1 in the same order as [srcs] *)
-  let values =
-    Netlist.Engine.eval_into ~scratch:b.sc b.eng (fun id ->
-        key.[b.src_idx_of_id.(id)] = '1')
-  in
-  outs_of_slots b values
 
 let query t q =
   match t.backend with
@@ -384,7 +368,7 @@ let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
   let w = Netlist.Engine.word_bits in
   let n_src = Array.length b.srcs in
   let n_outs = Array.length b.out_slots in
-  let lanes_per_block = b.block_words * w in
+  let lanes_per_block = block_words * w in
   let base = ref lane_lo in
   while !base < lane_hi do
     let b0 = !base in
@@ -400,44 +384,6 @@ let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
       for oi = n_outs - 1 downto 0 do
         let word =
           Array.unsafe_get blk ((Array.unsafe_get b.out_slots oi * nw) + wi)
-        in
-        r :=
-          (if (word lsr bit) land 1 = 1 then Array.unsafe_get b.out_t oi
-           else Array.unsafe_get b.out_f oi)
-          :: !r
-      done;
-      computed.(b0 + j) <- !r
-    done;
-    Obs.Metrics.incr m_batch_blocks;
-    Obs.Metrics.add m_batch_words nw;
-    Obs.Metrics.add m_batch_lanes lanes;
-    base := b0 + lanes
-  done
-
-(* Same as {!process_lanes} but through a fused shard plan (built under
-   [~optimize]): single-pass kernels over the optimized instruction
-   stream.  Only the single-domain batch path uses this — plan buffers
-   are owned by the plan and not domain-safe. *)
-let process_lanes_plan b p (misses : string array) ~lane_lo ~lane_hi computed
-    =
-  let w = Netlist.Engine.word_bits in
-  let n_src = Array.length b.srcs in
-  let n_outs = Array.length b.out_slots in
-  let lanes_per_block = b.block_words * w in
-  let base = ref lane_lo in
-  while !base < lane_hi do
-    let b0 = !base in
-    let lanes = min lanes_per_block (lane_hi - b0) in
-    let nw = (lanes + w - 1) / w in
-    Netlist.Engine.eval_block_sharded p ~n_words:nw
-      ~fill:(transpose_fill misses ~b0 ~lanes ~nw ~n_src);
-    for j = 0 to lanes - 1 do
-      let wi = j / w and bit = j mod w in
-      let r = ref [] in
-      for oi = n_outs - 1 downto 0 do
-        let word =
-          Netlist.Engine.plan_read p ~slot:(Array.unsafe_get b.out_slots oi)
-            ~word:wi
         in
         r :=
           (if (word lsr bit) land 1 = 1 then Array.unsafe_get b.out_t oi
@@ -585,12 +531,8 @@ let query_batch t qs =
         charge t n_miss;
         (* 4. evaluate + build responses, sharded over lane ranges *)
         let ed = domains_for n_miss in
-        if ed <= 1 then (
-          match b.pln with
-          | Some p ->
-            process_lanes_plan b p misses ~lane_lo:0 ~lane_hi:n_miss computed
-          | None ->
-            process_lanes b b.sc misses ~lane_lo:0 ~lane_hi:n_miss computed)
+        if ed <= 1 then
+          process_lanes b b.sc misses ~lane_lo:0 ~lane_hi:n_miss computed
         else begin
           Obs.Metrics.incr m_shard_batches;
           Obs.Metrics.add m_shard_jobs ed;

@@ -33,10 +33,11 @@
     so a run that leaned on the default is distinguishable from one that
     pinned every pin.
 
-    Batched queries ({!query_batch}) route through the multi-word
-    {!Netlist.Engine.eval_block} path: distinct memo misses are
-    bit-transposed into blocks of [block_words * 63] stimulus lanes, each
-    block evaluated in one pass over the compiled instruction stream, and
+    Every evaluation goes through {!Netlist.Engine.eval_block}: a single
+    query is lane 0 of a one-word block, and batched queries
+    ({!query_batch}) bit-transpose distinct memo misses into blocks of
+    8 words (504 stimulus lanes on 64-bit hosts), each block evaluated
+    in one pass over the compiled instruction stream, and
     on large engines pending blocks are sharded across a bounded domain
     pool ({!Parallel.map} semantics — nested use degrades to sequential).
     This is the fast path for sampling workloads (brute force, AppSAT
@@ -44,9 +45,9 @@
 
 type t
 
-(** [of_netlist ?partial ?budget ?memo ?memo_cap ?block_words ?shards
-    net] wraps [net] (combinational, or any netlist whose FF outputs are
-    to be driven directly) as an oracle.
+(** [of_netlist ?partial ?budget ?memo ?memo_cap ?shards net] wraps [net]
+    (combinational, or any netlist whose FF outputs are to be driven
+    directly) as an oracle.
 
     [partial] (default false): read unmentioned sources as false instead
     of raising.  [memo] (default true): cache query results.  [memo_cap]
@@ -56,31 +57,18 @@ type t
     memo keeps {!queries} monotone but can re-evaluate (and re-charge)
     a vector whose entry was evicted.
 
-    [block_words] (default 8): words per {!Netlist.Engine.eval_block}
-    pass on the batched path, i.e. [block_words * 63] lanes per
-    instruction-stream walk.  [shards] forces the batch domain-pool
-    width; by default sharding engages only on engines of a few thousand
-    slots and uses [Parallel.default_domains ()].  [~shards:1] disables
-    sharding.
-
-    [optimize] (default false): run the {!Opt} strash/rewrite front-end
-    on [net] and simulate the optimized twin instead.  The twin keeps
-    source names, source order and output names, so queries and
-    responses are byte-identical — only the instruction stream shrinks.
-    Batched queries additionally route through a fused
-    {!Netlist.Engine.plan} on the single-domain path.
+    [shards] forces the batch domain-pool width; by default sharding
+    engages only on engines of a few thousand slots and uses
+    [Parallel.default_domains ()].  [~shards:1] disables sharding.
 
     The netlist must not be mutated while wrapped.
-    @raise Invalid_argument if [memo_cap], [block_words] or [shards]
-    is [< 1]. *)
+    @raise Invalid_argument if [memo_cap] or [shards] is [< 1]. *)
 val of_netlist :
   ?partial:bool ->
   ?budget:Budget.t ->
   ?memo:bool ->
   ?memo_cap:int ->
-  ?block_words:int ->
   ?shards:int ->
-  ?optimize:bool ->
   Netlist.t ->
   t
 
@@ -111,7 +99,7 @@ val of_fn :
 val query : t -> (string * bool) list -> (string * bool) list
 
 (** [query_batch t qs] evaluates all of [qs] — duplicate and memoized
-    vectors cost nothing; distinct misses are packed [block_words * 63]
+    vectors cost nothing; distinct misses are packed 8 words of lanes
     per engine pass and sharded across domains on large engines.
     Results are in request order.  The whole batch of misses is charged
     to the budget {e before} evaluation starts, so [Budget.Exhausted]

@@ -38,6 +38,8 @@ let exec ?(samples = 64) ?seed ?(unknown = []) ~budget ~stripped_comb ~oracle
   let eng = Netlist.Engine.get stripped_comb in
   let w = Netlist.Engine.word_bits in
   let words = Array.make (Netlist.num_nodes stripped_comb) 0 in
+  let slot_of = Netlist.Engine.slot_of_id eng in
+  let scratch = Netlist.Engine.create_scratch eng in
   (* the chip cannot be asked about the stripped netlist's key pins —
      the undriveable-pin guess is exactly the partial-query escape *)
   let chip = Oracle.relax oracle in
@@ -64,10 +66,15 @@ let exec ?(samples = 64) ?seed ?(unknown = []) ~budget ~stripped_comb ~oracle
                 if v then words.(pi) <- words.(pi) lor (1 lsl j))
               assignments.(!start + j)
           done;
-          let values = Netlist.Engine.eval_words eng (Array.get words) in
+          let values =
+            Netlist.Engine.eval_block ~scratch eng ~n_words:1 ~fill:(fun buf ->
+                Array.iteri
+                  (fun i id -> buf.(i) <- words.(id))
+                  (Netlist.Engine.sources eng))
+          in
+          let x = values.(slot_of.(gk.Enhanced_removal.x)) in
           for j = 0 to lanes - 1 do
-            x_vals.(!start + j) <-
-              (values.(gk.Enhanced_removal.x) lsr j) land 1 = 1
+            x_vals.(!start + j) <- (x lsr j) land 1 = 1
           done;
           start := !start + lanes
         done;

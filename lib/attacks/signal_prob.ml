@@ -18,21 +18,22 @@ let estimate ?(samples = 2048) ?seed ?(fixed = []) net =
   let slot_of = Netlist.Engine.slot_of_id eng in
   let n_slots = Netlist.Engine.n_slots eng in
   let slot_ones = Array.make n_slots 0 in
-  let words = Array.make n 0 in
   let remaining = ref samples in
   while !remaining > 0 do
     let lanes = min w !remaining in
-    Array.iter
-      (fun pi ->
-        let word =
-          match Hashtbl.find_opt fixed_of (Netlist.node net pi).Netlist.name with
-          | Some true -> -1
-          | Some false -> 0
-          | None -> Netlist.Engine.random_word rng
-        in
-        words.(pi) <- word)
-      srcs;
-    let values = Netlist.Engine.eval_words_into ~scratch eng (Array.get words) in
+    let values =
+      Netlist.Engine.eval_block ~scratch eng ~n_words:1 ~fill:(fun buf ->
+          Array.iteri
+            (fun i pi ->
+              buf.(i) <-
+                (match
+                   Hashtbl.find_opt fixed_of (Netlist.node net pi).Netlist.name
+                 with
+                | Some true -> -1
+                | Some false -> 0
+                | None -> Netlist.Engine.random_word rng))
+            srcs)
+    in
     let mask = if lanes = w then -1 else (1 lsl lanes) - 1 in
     for s = 0 to n_slots - 1 do
       slot_ones.(s) <-

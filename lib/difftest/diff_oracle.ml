@@ -61,7 +61,7 @@ let mk ?(cycle = -1) ?(lane = -1) ?(detail = "") oracle signal =
 
 let ff_name net id = (Netlist.node net id).Netlist.name
 
-(* ----- oracle 1: compiled scalar engine vs the naive reference ----- *)
+(* ----- oracle 1: eval_comb (one pattern) vs the naive reference ----- *)
 
 let check_engine_scalar ?fault (c : Fuzz_case.t) =
   let net = c.Fuzz_case.net in
@@ -104,7 +104,7 @@ let check_engine_scalar ?fault (c : Fuzz_case.t) =
        ]);
   !out
 
-(* ----- oracle 2: bit-parallel lanes vs the scalar engine ----- *)
+(* ----- oracle 2: bit-parallel lanes vs eval_comb, per lane ----- *)
 
 let check_engine_lanes ~rng (c : Fuzz_case.t) =
   let net = c.Fuzz_case.net in
@@ -196,11 +196,12 @@ let check_engine_lanes ~rng (c : Fuzz_case.t) =
     !out
   end
 
-(* ----- oracle 2b: multi-word block evaluation vs words / scalar /
-   reference.  One combinational frame (inputs and FF outputs driven
-   freely), random block geometry with a partial final word, checked
-   three ways: every word against eval_words, and sampled lanes against
-   the scalar engine and the naive reference walk. ----- *)
+(* ----- oracle 2b: multi-word block evaluation vs one-word blocks /
+   eval_comb / reference.  One combinational frame (inputs and FF
+   outputs driven freely), random block geometry with a partial final
+   word, checked three ways: every word against a one-word block over
+   that word's stimulus, and sampled lanes against eval_comb and the
+   naive reference walk. ----- *)
 
 let check_engine_block ~rng (c : Fuzz_case.t) =
   let net = c.Fuzz_case.net in
@@ -237,12 +238,16 @@ let check_engine_block ~rng (c : Fuzz_case.t) =
       ~fill:(fun buf -> Array.blit stim 0 buf 0 (n_src * n_words))
   in
   let out = ref [] in
-  (* law 1: each word of the block agrees with a plain eval_words pass *)
+  (* law 1: each word of the block agrees with a one-word block over
+     that word's stimulus *)
   for wi = 0 to n_words - 1 do
     if !out = [] then begin
       let values =
-        Netlist.Engine.eval_words_into ~scratch:word_scratch eng (fun id ->
-            stim.((Hashtbl.find src_index id * n_words) + wi))
+        Netlist.Engine.eval_block ~scratch:word_scratch eng ~n_words:1
+          ~fill:(fun buf ->
+            for si = 0 to n_src - 1 do
+              buf.(si) <- stim.((si * n_words) + wi)
+            done)
       in
       for s = 0 to n_slots - 1 do
         if values.(s) <> blk.((s * n_words) + wi) && !out = [] then
@@ -250,14 +255,14 @@ let check_engine_block ~rng (c : Fuzz_case.t) =
             [
               mk Engine_block (name_of_slot s)
                 ~detail:
-                  (Printf.sprintf "word %d: block=%x eval_words=%x" wi
+                  (Printf.sprintf "word %d: block=%x one-word=%x" wi
                      blk.((s * n_words) + wi)
                      values.(s));
             ]
       done
     end
   done;
-  (* law 2: sampled lanes agree with the scalar engine and Ref_sim *)
+  (* law 2: sampled lanes agree with eval_comb and Ref_sim *)
   let sample_lanes =
     List.sort_uniq compare
       (0 :: (lanes - 1) :: List.init 2 (fun _ -> Random.State.int rng lanes))
@@ -269,7 +274,7 @@ let check_engine_block ~rng (c : Fuzz_case.t) =
           let si = Hashtbl.find src_index id in
           (stim.((si * n_words) + (l / w)) lsr (l mod w)) land 1 = 1
         in
-        let scalar = Netlist.Engine.eval eng assignment in
+        let scalar = Netlist.eval_comb net assignment in
         let reference = Ref_sim.eval_comb net assignment in
         for id = 0 to Array.length slot_of - 1 do
           let s = slot_of.(id) in

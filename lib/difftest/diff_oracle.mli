@@ -2,11 +2,11 @@
 
     The repo carries several independent implementations of "what does
     this netlist compute": the naive reference walk ({!Ref_sim}), the
-    compiled scalar engine ({!Netlist.eval_comb} via {!Cycle_sim}), the
-    bit-parallel lane engine ({!Cycle_sim.run_batch}), the event-driven
-    timing simulator ({!Timing_sim}), SAT equivalence over a miter
-    ({!Equiv}) and BDDs ({!Bdd}).  Each oracle here cross-checks two of
-    them on one {!Fuzz_case.t} and reports any disagreement as a
+    compiled engine one pattern at a time ({!Netlist.eval_comb} via
+    {!Cycle_sim}) and one lane per bit ({!Cycle_sim.run_batch}), the
+    event-driven timing simulator ({!Timing_sim}), SAT equivalence over a
+    miter ({!Equiv}) and BDDs ({!Bdd}).  Each oracle here cross-checks
+    two of them on one {!Fuzz_case.t} and reports any disagreement as a
     structured {!mismatch} — first divergent cycle, signal, lane — the
     raw material the shrinker minimizes and the corpus replays.
 
@@ -15,12 +15,12 @@
     bench printer that oracle 4 routes the circuit through). *)
 
 type oracle =
-  | Engine_scalar  (** compiled scalar engine vs naive reference walk *)
-  | Engine_lanes   (** bit-parallel lanes vs scalar engine, per lane *)
+  | Engine_scalar  (** [eval_comb] (via {!Cycle_sim}) vs reference walk *)
+  | Engine_lanes   (** bit-parallel lanes vs [eval_comb], per lane *)
   | Engine_block
-      (** multi-word [eval_block] vs [eval_words] per word, plus sampled
-          lanes vs scalar engine and reference walk — covers partial
-          final words *)
+      (** multi-word [eval_block] vs a one-word block per word, plus
+          sampled lanes vs [eval_comb] and reference walk — covers
+          partial final words *)
   | Timing         (** timing simulator's captures vs cycle accurate sim *)
   | Sat_roundtrip  (** SAT miter: netlist ≡ its bench round-trip, unrolled *)
   | Bdd_probe      (** BDD build vs reference walk on sampled vectors *)

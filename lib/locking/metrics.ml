@@ -50,13 +50,14 @@ let bit_error_rate ?(samples = 256) ?(seed = 17) ~reference locked key =
     List.iter
       (fun n -> Hashtbl.replace stim n (Netlist.Engine.random_word rng))
       x_names;
-    let want =
-      Netlist.Engine.eval_words_into ~scratch:ref_scratch ref_eng
-        (word_of reference)
+    let eval scratch eng net =
+      Netlist.Engine.eval_block ~scratch eng ~n_words:1 ~fill:(fun buf ->
+          Array.iteri
+            (fun i id -> buf.(i) <- word_of net id)
+            (Netlist.Engine.sources eng))
     in
-    let got =
-      Netlist.Engine.eval_words_into ~scratch:lk_scratch lk_eng (word_of lnet)
-    in
+    let want = eval ref_scratch ref_eng reference in
+    let got = eval lk_scratch lk_eng lnet in
     List.iter
       (fun (want_s, got_s) ->
         total := !total + lanes;

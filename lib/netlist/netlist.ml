@@ -19,24 +19,24 @@ type node = {
 type po = { po_name : string; mutable driver : int }
 
 (* A netlist compiled to a flat instruction stream: one instruction per
-   combinational node in topological order, fanins flattened into a single
-   array addressed by [offs].  Evaluation then needs no node records, no
-   per-call fanin allocation and no hashing — just int arrays.
+   combinational node, fanins flattened into a single array addressed by
+   [offs], each instruction tagged with a fused opcode (see [fused_op]).
+   Evaluation then needs no node records, no per-call fanin allocation
+   and no hashing — just int arrays.
 
    Values live in *slots*, not node ids: sources take slots
-   [0 .. n_srcs-1] in declaration order, constants the next few, and each
-   instruction writes slot [n_srcs + n_consts + i] — so the hot loop walks
-   the value array in the same order it walks the instruction stream, and
-   a fanin read is always a lower slot.  Slot [n_slots] is a spare
-   always-zero slot that dead fanins are wired to.  [slot_of_id] /
+   [0 .. n_srcs-1] in declaration order, constants the next few, and
+   instruction [i] writes slot [n_slots - n_instr + i] — so the hot loop
+   walks the value array in the same order it walks the instruction
+   stream, and a fanin read is always a lower slot.  Slot [n_slots] is a
+   spare always-zero slot that dead fanins are wired to.  [slot_of_id] /
    [id_of_slot] translate for consumers that think in node ids. *)
 type engine = {
   eng_gen : int;  (* generation of the netlist this was compiled from *)
   eng_nodes : int;
   n_srcs : int;  (* sources occupy slots 0..n_srcs-1, declaration order *)
   n_slots : int;  (* live slots; buffers carry one extra all-zero slot *)
-  ops : int array;  (* opcode per instruction, see [opcode_of_fn] *)
-  dst : int array;  (* destination slot per instruction *)
+  ops : int array;  (* fused opcode per instruction, see [fused_op] *)
   offs : int array;  (* length = #instructions + 1; slice of [fan] *)
   fan : int array;  (* flattened fanin slots *)
   tabs : bool array array;  (* LUT truth table per instruction, [||] else *)
@@ -48,16 +48,15 @@ type engine = {
   mutable eng_scratch : scratch option;  (* lazily created owned scratch *)
 }
 
-(* Reusable evaluation buffers, all indexed by slot.  One scratch belongs
-   to exactly one engine; the engine-owned one makes steady-state
-   evaluation allocation-free, and independent scratches can be created
-   per domain for parallel evaluation of the same engine. *)
+(* Reusable evaluation buffers.  One scratch belongs to exactly one
+   engine; the engine-owned one makes steady-state evaluation
+   allocation-free, and independent scratches can be created per domain
+   for parallel evaluation of the same engine. *)
 and scratch = {
   sc_owner : engine;
-  sc_bools : bool array;  (* n_slots + 1 *)
-  sc_words : int array;  (* n_slots + 1 *)
-  mutable sc_block : int array;  (* (n_slots + 1) * block words, grown *)
-  mutable sc_block_words : int;
+  mutable sc_block : int array;  (* >= (n_slots + 1) * sc_words, grown *)
+  mutable sc_words : int;  (* word count [sc_fanw] is scaled by, 0 = none *)
+  mutable sc_fanw : int array;  (* [fan] pre-scaled for a multi-word call *)
 }
 
 (* Graph analyses memoized behind the netlist's generation counter: any
@@ -112,13 +111,9 @@ let generation t = t.gen
 let m_generation_bumps = Obs.Metrics.counter "netlist.generation_bumps"
 let m_engine_compiles = Obs.Metrics.counter "engine.compiles"
 let m_engine_instructions = Obs.Metrics.counter "engine.instructions_compiled"
-let m_engine_evals = Obs.Metrics.counter "engine.evals"
-let m_engine_word_evals = Obs.Metrics.counter "engine.word_evals"
 let m_engine_block_evals = Obs.Metrics.counter "engine.block_evals"
 let m_engine_block_words = Obs.Metrics.counter "engine.block_words"
 let m_engine_instr_exec = Obs.Metrics.counter "engine.instructions_executed"
-let m_plan_compiles = Obs.Metrics.counter "engine.plan_compiles"
-let m_plan_evals = Obs.Metrics.counter "engine.plan_block_evals"
 
 let touch t =
   Obs.Metrics.incr m_generation_bumps;
@@ -495,29 +490,118 @@ module Engine = struct
 
   let word_bits = Sys.int_size
 
-  let opcode_of_fn : Cell.gate_fn -> int = function
-    | Cell.Not -> 0
-    | Cell.Buf -> 1
-    | Cell.And -> 2
-    | Cell.Or -> 3
-    | Cell.Nand -> 4
-    | Cell.Nor -> 5
-    | Cell.Xor -> 6
-    | Cell.Xnor -> 7
-    | Cell.Mux -> 8
+  (* Fused opcodes: the 2-, 3- and 4-input AND/OR/NAND/NOR/XOR/XNOR each
+     get a single-pass kernel (a NAND2 is one read-read-write loop, not
+     copy + combine + invert); wider variadic gates fall back to the
+     generic copy/combine/invert shape.  The numbering also fixes the
+     scheduler's bucket order, see [affinity_order]. *)
+  let op_not = 0
+  let op_buf = 1
+  let op_mux = 8
+  let op_lut = 21
+  let n_ops = 28
 
-  let op_lut = 9
+  let fused_op (fn : Cell.gate_fn) arity =
+    let variadic family =
+      family
+      +
+      match arity with
+      | 2 -> 2
+      | 3 -> 9
+      | 4 -> 22
+      | _ -> 15
+    in
+    match fn with
+    | Cell.Not -> op_not
+    | Cell.Buf -> op_buf
+    | Cell.Mux -> op_mux
+    | Cell.And -> variadic 0
+    | Cell.Or -> variadic 1
+    | Cell.Nand -> variadic 2
+    | Cell.Nor -> variadic 3
+    | Cell.Xor -> variadic 4
+    | Cell.Xnor -> variadic 5
+
+  (* Opcode-affinity list schedule of the topological order [topo]: among
+     ready instructions keep draining the current opcode's bucket, so the
+     interpreter's dispatch branch stays predictable, and when it runs
+     dry switch to the fullest bucket.  LIFO buckets keep producers and
+     consumers close together.  The result is still topological. *)
+  let affinity_order t topo op_of =
+    let n_instr = Array.length topo in
+    let pos = Array.make (max 1 (num_nodes t)) (-1) in
+    Array.iteri (fun i id -> pos.(id) <- i) topo;
+    let ops = Array.map op_of topo in
+    let indeg = Array.make (max 1 n_instr) 0 in
+    let succ_off = Array.make (n_instr + 1) 0 in
+    let each_edge f =
+      Array.iteri
+        (fun i id ->
+          Array.iter
+            (fun src -> if pos.(src) >= 0 then f pos.(src) i)
+            (node t id).fanins)
+        topo
+    in
+    each_edge (fun p i ->
+        indeg.(i) <- indeg.(i) + 1;
+        succ_off.(p + 1) <- succ_off.(p + 1) + 1);
+    for i = 0 to n_instr - 1 do
+      succ_off.(i + 1) <- succ_off.(i) + succ_off.(i + 1)
+    done;
+    let succ = Array.make (max 1 succ_off.(n_instr)) 0 in
+    let fill_at = Array.sub succ_off 0 (max 1 n_instr) in
+    each_edge (fun p i ->
+        succ.(fill_at.(p)) <- i;
+        fill_at.(p) <- fill_at.(p) + 1);
+    let buckets = Array.make n_ops [] and blen = Array.make n_ops 0 in
+    let push i =
+      let b = ops.(i) in
+      buckets.(b) <- i :: buckets.(b);
+      blen.(b) <- blen.(b) + 1
+    in
+    for i = 0 to n_instr - 1 do
+      if indeg.(i) = 0 then push i
+    done;
+    let order = Array.make n_instr 0 and cur = ref 0 in
+    for q = 0 to n_instr - 1 do
+      if blen.(!cur) = 0 then begin
+        let best = ref 0 in
+        for b = 1 to n_ops - 1 do
+          if blen.(b) > blen.(!best) then best := b
+        done;
+        cur := !best
+      end;
+      match buckets.(!cur) with
+      | [] -> assert false
+      | i :: tl ->
+        buckets.(!cur) <- tl;
+        blen.(!cur) <- blen.(!cur) - 1;
+        order.(q) <- topo.(i);
+        for x = succ_off.(i) to succ_off.(i + 1) - 1 do
+          let u = succ.(x) in
+          indeg.(u) <- indeg.(u) - 1;
+          if indeg.(u) = 0 then push u
+        done
+    done;
+    order
 
   let compile t =
     Obs.Trace.with_span
       ~args:[ ("netlist", Cjson.Str t.net_name); ("gen", Cjson.Int t.gen) ]
       "engine.compile"
     @@ fun () ->
-    let order = comb_topo_array t in
+    let op_of id =
+      let nd = node t id in
+      match nd.kind with
+      | Gate fn -> fused_op fn (Array.length nd.fanins)
+      | Lut _ -> op_lut
+      | Input | Const _ | Ff | Dead -> assert false
+    in
+    let order = affinity_order t (comb_topo_array t) op_of in
     let n_instr = Array.length order in
     let n = num_nodes t in
     (* slot assignment: sources, then constants, then instructions in
-       topological order — value writes are sequential in memory *)
+       schedule order — value writes are sequential in memory *)
     let slot_of_id = Array.make (max 1 n) (-1) in
     let srcs = ref [] and consts = ref [] in
     Vec.iter
@@ -549,32 +633,23 @@ module Engine = struct
     let zero_slot = n_slots in
     zero_slots := zero_slot :: !zero_slots;
     let slot_of f = if slot_of_id.(f) < 0 then zero_slot else slot_of_id.(f) in
-    let ops = Array.make n_instr 0 in
+    let ops = Array.map op_of order in
     let tabs = Array.make n_instr [||] in
     let offs = Array.make (n_instr + 1) 0 in
-    let dst = Array.make (max 1 n_instr) 0 in
-    let total = ref 0 in
     Array.iteri
       (fun i id ->
-        offs.(i) <- !total;
-        dst.(i) <- slot_of_id.(id);
         let nd = node t id in
-        total := !total + Array.length nd.fanins;
-        match nd.kind with
-        | Gate fn -> ops.(i) <- opcode_of_fn fn
-        | Lut truth ->
-          ops.(i) <- op_lut;
-          tabs.(i) <- truth
-        | Input | Const _ | Ff | Dead -> assert false)
+        offs.(i + 1) <- offs.(i) + Array.length nd.fanins;
+        match nd.kind with Lut truth -> tabs.(i) <- truth | _ -> ())
       order;
-    offs.(n_instr) <- !total;
     Obs.Metrics.incr m_engine_compiles;
     Obs.Metrics.add m_engine_instructions n_instr;
-    let fan = Array.make (max 1 !total) 0 in
+    let fan = Array.make (max 1 offs.(n_instr)) 0 in
     Array.iteri
       (fun i id ->
-        let nd = node t id in
-        Array.iteri (fun pin f -> fan.(offs.(i) + pin) <- slot_of f) nd.fanins)
+        Array.iteri
+          (fun pin f -> fan.(offs.(i) + pin) <- slot_of f)
+          (node t id).fanins)
       order;
     let id_of_slot = Array.make (max 1 n_slots) (-1) in
     Array.iteri
@@ -586,7 +661,6 @@ module Engine = struct
       n_srcs;
       n_slots;
       ops;
-      dst;
       offs;
       fan;
       tabs;
@@ -614,13 +688,7 @@ module Engine = struct
   let slot_of_id e = e.slot_of_id
 
   let create_scratch e =
-    {
-      sc_owner = e;
-      sc_bools = Array.make (e.n_slots + 1) false;
-      sc_words = Array.make (e.n_slots + 1) 0;
-      sc_block = [||];
-      sc_block_words = 0;
-    }
+    { sc_owner = e; sc_block = [||]; sc_words = 0; sc_fanw = [||] }
 
   let owned_scratch e =
     match e.eng_scratch with
@@ -637,719 +705,19 @@ module Engine = struct
         invalid_arg "Netlist.Engine: scratch belongs to a different engine";
       s
 
-  (* The three interpreter cores run over slot-dense buffers: writes are
-     sequential (instruction i writes slot n_srcs + n_consts + i) and
-     every fanin read is a lower slot, so big circuits stay cache-resident
-     instead of hopping around an id-indexed array. *)
-
-  let run_bools e (values : bool array) =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let v =
-        match ops.(i) with
-        | 0 -> not values.(fan.(lo))
-        | 1 -> values.(fan.(lo))
-        | 2 | 4 ->
-          let r = ref true in
-          for j = lo to hi - 1 do
-            r := !r && values.(fan.(j))
-          done;
-          if ops.(i) = 2 then !r else not !r
-        | 3 | 5 ->
-          let r = ref false in
-          for j = lo to hi - 1 do
-            r := !r || values.(fan.(j))
-          done;
-          if ops.(i) = 3 then !r else not !r
-        | 6 | 7 ->
-          let r = ref false in
-          for j = lo to hi - 1 do
-            r := !r <> values.(fan.(j))
-          done;
-          if ops.(i) = 6 then !r else not !r
-        | 8 ->
-          if values.(fan.(lo)) then values.(fan.(lo + 2))
-          else values.(fan.(lo + 1))
-        | _ ->
-          let idx = ref 0 in
-          for j = lo to hi - 1 do
-            if values.(fan.(j)) then idx := !idx lor (1 lsl (j - lo))
-          done;
-          tabs.(i).(!idx)
-      in
-      values.(dst.(i)) <- v
-    done
-
-  let run_words e (values : int array) =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let v =
-        match ops.(i) with
-        | 0 -> lnot values.(fan.(lo))
-        | 1 -> values.(fan.(lo))
-        | 2 | 4 ->
-          let r = ref (-1) in
-          for j = lo to hi - 1 do
-            r := !r land values.(fan.(j))
-          done;
-          if ops.(i) = 2 then !r else lnot !r
-        | 3 | 5 ->
-          let r = ref 0 in
-          for j = lo to hi - 1 do
-            r := !r lor values.(fan.(j))
-          done;
-          if ops.(i) = 3 then !r else lnot !r
-        | 6 | 7 ->
-          let r = ref 0 in
-          for j = lo to hi - 1 do
-            r := !r lxor values.(fan.(j))
-          done;
-          if ops.(i) = 6 then !r else lnot !r
-        | 8 ->
-          let s = values.(fan.(lo)) in
-          s land values.(fan.(lo + 2)) lor (lnot s land values.(fan.(lo + 1)))
-        | _ ->
-          (* Sum of products over the true rows of the truth table: for
-             every lane the conjunction selects exactly the row indexed by
-             that lane's fanin bits. *)
-          let tab = tabs.(i) in
-          let r = ref 0 in
-          for row = 0 to Array.length tab - 1 do
-            if tab.(row) then begin
-              let term = ref (-1) in
-              for j = lo to hi - 1 do
-                let w = values.(fan.(j)) in
-                term :=
-                  !term land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
-              done;
-              r := !r lor !term
-            end
-          done;
-          !r
-      in
-      values.(dst.(i)) <- v
-    done
-
-  (* [nw] words per slot, word k of slot s at [blk.(s * nw + k)]: the
-     instruction stream is walked once for nw * word_bits stimulus lanes,
-     with contiguous per-slot word runs so the inner loops stream. *)
-  let run_block e (blk : int array) nw =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let db = dst.(i) * nw in
-      match ops.(i) with
-      | 0 ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- lnot blk.(fb + k)
-        done
-      | 1 ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done
-      | (2 | 4) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) land blk.(fb + k)
-          done
-        done;
-        if op = 4 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | (3 | 5) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) lor blk.(fb + k)
-          done
-        done;
-        if op = 5 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | (6 | 7) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) lxor blk.(fb + k)
-          done
-        done;
-        if op = 7 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | 8 ->
-        let sb = fan.(lo) * nw
-        and bb = fan.(lo + 1) * nw
-        and cb = fan.(lo + 2) * nw in
-        for k = 0 to nw - 1 do
-          let s = blk.(sb + k) in
-          blk.(db + k) <- s land blk.(cb + k) lor (lnot s land blk.(bb + k))
-        done
-      | _ ->
-        let tab = tabs.(i) in
-        for k = 0 to nw - 1 do
-          let r = ref 0 in
-          for row = 0 to Array.length tab - 1 do
-            if tab.(row) then begin
-              let term = ref (-1) in
-              for j = lo to hi - 1 do
-                let w = blk.((fan.(j) * nw) + k) in
-                term :=
-                  !term land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
-              done;
-              r := !r lor !term
-            end
-          done;
-          blk.(db + k) <- !r
-        done
-    done
-
-  let eval_into ?scratch e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    let values = s.sc_bools in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- true) e.one_slots;
-    run_bools e values;
-    values
-
-  let eval_words_into ?scratch e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_word_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    let values = s.sc_words in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- -1) e.one_slots;
-    run_words e values;
-    values
-
-  let eval_block ?scratch e ~n_words ~fill =
-    if n_words < 1 then
-      invalid_arg "Netlist.Engine.eval_block: n_words must be >= 1";
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_block_evals;
-      Obs.Metrics.add m_engine_block_words n_words;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    if Array.length s.sc_block < (e.n_slots + 1) * n_words then begin
-      s.sc_block <- Array.make ((e.n_slots + 1) * n_words) 0;
-      s.sc_block_words <- n_words
-    end;
-    let blk = s.sc_block in
-    (* source region zeroed so partially-filled blocks read 0, and
-       constant/spare slots re-pinned: a previous call with a different
-       n_words laid slots out at a different stride *)
-    Array.fill blk 0 (e.n_srcs * n_words) 0;
-    Array.iter
-      (fun sl -> Array.fill blk (sl * n_words) n_words 0)
-      e.zero_slots;
-    fill blk;
-    Array.iter
-      (fun sl -> Array.fill blk (sl * n_words) n_words (-1))
-      e.one_slots;
-    run_block e blk n_words;
-    blk
-
-  (* ----- shard plans: fused kernels over output fanout cones -----
-
-     A plan recompiles the instruction stream once more, per shard: the
-     sinks (primary-output drivers and flip-flop D pins) are partitioned
-     into K fanout cones, each cone's live instructions get a dense
-     local slot space and a specialized opcode (NAND2 is one fused pass
-     instead of copy + combine + invert), and shards evaluate
-     independently — in parallel across the Parallel domain pool when
-     more than one domain is available, and still faster than
-     [run_block] on one domain because the fused kernels touch ~1/3 of
-     the memory per gate and unreachable instructions are skipped
-     entirely.  Cone duplication is the cost of independence: a sink
-     assignment whose shards would together re-evaluate more than
-     [dup_budget] times the live logic collapses to fewer shards (on
-     dense circuits like s38417 every cone overlaps almost fully, so the
-     auto plan degenerates to one shard and the win comes from the fused
-     kernels + dead-code skip alone). *)
-
-  type shard = {
-    sp_ops : int array;  (* specialized opcodes, see [spec_op] *)
-    sp_dst : int array;  (* local destination slot per instruction *)
-    sp_offs : int array;
-    sp_fan : int array;  (* local fanin slots *)
-    sp_tabs : bool array array;
-    sp_n_slots : int;
-    sp_copy_src : int array;  (* coalesced copy-in ranges: global start... *)
-    sp_copy_local : int array;  (* ...local start... *)
-    sp_copy_len : int array;  (* ...and length, in slots *)
-    sp_one_local : int array;
-    sp_zero_local : int array;
-    mutable sp_fanw : int array;  (* sp_fan pre-scaled by the word count *)
-    mutable sp_dstw : int array;  (* sp_dst pre-scaled by the word count *)
-    mutable sp_scaled_words : int;
-    mutable sp_blk : int array;
-    mutable sp_blk_words : int;
-  }
-
-  type plan = {
-    pl_eng : engine;
-    pl_shards : shard array;
-    pl_direct : bool;  (* single shard wanting every source in order:
-                          [fill] writes the shard block directly *)
-    pl_shard_of : int array;  (* global slot -> owning shard, -1 otherwise *)
-    pl_local_of : int array;  (* global slot -> local slot in owning shard *)
-    pl_is_one : bool array;  (* global slot -> is a constant-one slot *)
-    pl_dup : float;  (* sum of shard instructions / live instructions *)
-    pl_live : int;  (* live (sink-reachable) instructions *)
-    mutable pl_src : int array;  (* source block, same layout as eval_block *)
-    mutable pl_words : int;
-  }
-
-  (* Fused opcode for engine opcode [op] at [arity]: 2-, 3- and 4-input
-     variadic gates get single-pass kernels; wider ones fall back to the
-     generic copy/combine/invert shape. *)
-  let spec_op op arity =
-    match (op, arity) with
-    | 0, _ -> 0
-    | 1, _ -> 1
-    | 2, 2 -> 2
-    | 3, 2 -> 3
-    | 4, 2 -> 4
-    | 5, 2 -> 5
-    | 6, 2 -> 6
-    | 7, 2 -> 7
-    | 8, _ -> 8
-    | 2, 3 -> 9
-    | 3, 3 -> 10
-    | 4, 3 -> 11
-    | 5, 3 -> 12
-    | 6, 3 -> 13
-    | 7, 3 -> 14
-    | 2, 4 -> 23
-    | 3, 4 -> 24
-    | 4, 4 -> 25
-    | 5, 4 -> 26
-    | 6, 4 -> 27
-    | 7, 4 -> 28
-    | 2, _ -> 16
-    | 3, _ -> 17
-    | 4, _ -> 18
-    | 5, _ -> 19
-    | 6, _ -> 20
-    | 7, _ -> 21
-    | _ -> 22 (* LUT *)
-
-  let n_spec_ops = 29
-
-  let plan ?shards ?(dup_budget = 1.25) t =
-    let e = get t in
-    let n_instr = Array.length e.ops in
-    let first = e.n_slots - n_instr in
-    (* sink instructions: primary-output drivers + flip-flop D pins *)
-    let sink_of_id id =
-      if id < 0 then -1
-      else
-        let s = e.slot_of_id.(id) in
-        if s >= first && s < e.n_slots then s - first else -1
-    in
-    let is_sink = Array.make (max 1 n_instr) false in
-    Vec.iter
-      (fun po ->
-        let i = sink_of_id po.driver in
-        if i >= 0 then is_sink.(i) <- true)
-      t.pos;
-    Vec.iter
-      (fun nd ->
-        if nd.kind = Ff then begin
-          let i = sink_of_id nd.fanins.(0) in
-          if i >= 0 then is_sink.(i) <- true
-        end)
-      t.nodes;
-    let sinks = ref [] in
-    for i = n_instr - 1 downto 0 do
-      if is_sink.(i) then sinks := i :: !sinks
-    done;
-    let sinks = Array.of_list !sinks in
-    let n_sinks = Array.length sinks in
-    (* live = reachable from some sink *)
-    let live = Bytes.make (max 1 n_instr) '\000' in
-    let stack = ref [] in
-    Array.iter (fun i -> stack := i :: !stack) sinks;
-    let n_live = ref 0 in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | i :: tl ->
-        stack := tl;
-        if Bytes.get live i = '\000' then begin
-          Bytes.set live i '\001';
-          incr n_live;
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            let f = e.fan.(j) in
-            if f >= first && f < e.n_slots then stack := (f - first) :: !stack
-          done
-        end
-    done;
-    (* cone DFS into [buf], stamped so visited state resets per sink *)
-    let stamp = Array.make (max 1 n_instr) (-1) in
-    let buf = ref (Array.make 1024 0) in
-    let cone_of tag sink =
-      let len = ref 0 in
-      let push i =
-        if Array.length !buf = !len then begin
-          let b = Array.make (2 * !len) 0 in
-          Array.blit !buf 0 b 0 !len;
-          buf := b
-        end;
-        !buf.(!len) <- i;
-        incr len
-      in
-      let st = ref [ sink ] in
-      while !st <> [] do
-        match !st with
-        | [] -> ()
-        | i :: tl ->
-          st := tl;
-          if stamp.(i) <> tag then begin
-            stamp.(i) <- tag;
-            push i;
-            for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-              let f = e.fan.(j) in
-              if f >= first && f < e.n_slots then st := (f - first) :: !st
-            done
-          end
-      done;
-      !len
-    in
-    (* greedy cone-affinity partition into [k] shards; big cones first *)
-    let partition k =
-      let order = Array.mapi (fun idx s -> (idx, s)) sinks in
-      let sizes = Array.map (fun (idx, s) -> (cone_of idx s, s)) order in
-      Array.sort (fun (a, _) (b, _) -> compare b a) sizes;
-      let members = Array.init k (fun _ -> Bytes.make (max 1 n_instr) '\000') in
-      let counts = Array.make k 0 in
-      Array.iteri
-        (fun rank (_, sink) ->
-          let tag = n_sinks + rank in
-          let len = cone_of tag sink in
-          let cone = !buf in
-          let best = ref 0 and best_score = ref min_int in
-          for s = 0 to k - 1 do
-            let m = members.(s) in
-            let overlap = ref 0 in
-            for c = 0 to len - 1 do
-              if Bytes.get m cone.(c) = '\001' then incr overlap
-            done;
-            (* prefer the shard already holding most of this cone;
-               tie-break toward the emptiest shard *)
-            let score = (!overlap * 8) - (counts.(s) * 8 / max 1 !n_live) in
-            if score > !best_score
-               || (score = !best_score && counts.(s) < counts.(!best))
-            then begin
-              best := s;
-              best_score := score
-            end
-          done;
-          let m = members.(!best) in
-          for c = 0 to len - 1 do
-            if Bytes.get m cone.(c) = '\000' then begin
-              Bytes.set m cone.(c) '\001';
-              counts.(!best) <- counts.(!best) + 1
-            end
-          done)
-        sizes;
-      (members, counts)
-    in
-    let forced = shards <> None in
-    let k0 =
-      match shards with
-      | Some k when k < 1 -> invalid_arg "Netlist.Engine.plan: shards < 1"
-      | Some k -> min k (max 1 n_sinks)
-      | None -> min (Parallel.default_domains ()) (max 1 n_sinks)
-    in
-    let rec choose k =
-      if k <= 1 then ([| Bytes.copy live |], [| !n_live |])
-      else begin
-        let members, counts = partition k in
-        let total = Array.fold_left ( + ) 0 counts in
-        let dup = float_of_int total /. float_of_int (max 1 !n_live) in
-        if forced || dup <= dup_budget then (members, counts)
-        else choose (k / 2)
-      end
-    in
-    let members, counts = choose k0 in
-    let k = Array.length members in
-    let shard_of = Array.make (e.n_slots + 1) (-1) in
-    let local_of = Array.make (e.n_slots + 1) (-1) in
-    let compile_shard s =
-      let m = members.(s) in
-      let needed = Array.make (e.n_slots + 1) false in
-      let n_mine = counts.(s) in
-      let total_fan = ref 0 in
-      for i = 0 to n_instr - 1 do
-        if Bytes.get m i = '\001' then begin
-          needed.(first + i) <- true;
-          total_fan := !total_fan + (e.offs.(i + 1) - e.offs.(i));
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            needed.(e.fan.(j)) <- true
-          done
-        end
-      done;
-      (* Pinned local slots: sources and constants in ascending global
-         order (so copy-in ranges coalesce) plus the spare zero slot,
-         then sink destinations.  Interior destinations are allocated
-         from a free list as values die, so the shard's working set
-         stays close to the circuit's peak liveness instead of its
-         total gate count. *)
-      let loc = Array.make (e.n_slots + 1) (-1) in
-      let next = ref 0 in
-      let pin g =
-        if needed.(g) && loc.(g) < 0 then begin
-          loc.(g) <- !next;
-          incr next
-        end
-      in
-      for g = 0 to first - 1 do
-        pin g
-      done;
-      pin e.n_slots;
-      let copies = ref [] and ones = ref [] and zeros = ref [] in
-      (* coalesce consecutive needed sources into ranged blits *)
-      let g = ref 0 in
-      while !g < e.n_srcs do
-        if needed.(!g) then begin
-          let g0 = !g in
-          while !g < e.n_srcs && needed.(!g) do
-            incr g
-          done;
-          copies := (g0, loc.(g0), !g - g0) :: !copies
-        end
-        else incr g
-      done;
-      let copies = Array.of_list (List.rev !copies) in
-      Array.iter
-        (fun g -> if needed.(g) then ones := loc.(g) :: !ones)
-        e.one_slots;
-      Array.iter
-        (fun g -> if needed.(g) then zeros := loc.(g) :: !zeros)
-        e.zero_slots;
-      (* member table and intra-shard dependency edges *)
-      let mine = Array.make (max 1 n_mine) 0 in
-      let midx = Array.make (max 1 n_instr) (-1) in
-      let mi = ref 0 in
-      for i = 0 to n_instr - 1 do
-        if Bytes.get m i = '\001' then begin
-          mine.(!mi) <- i;
-          midx.(i) <- !mi;
-          if is_sink.(i) then pin (first + i);
-          incr mi
-        end
-      done;
-      let indeg = Array.make (max 1 n_mine) 0 in
-      let succ_cnt = Array.make (max 1 n_mine) 0 in
-      let n_edges = ref 0 in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-          let f = e.fan.(j) in
-          if f >= first && f < e.n_slots then begin
-            indeg.(t) <- indeg.(t) + 1;
-            let p = midx.(f - first) in
-            succ_cnt.(p) <- succ_cnt.(p) + 1;
-            incr n_edges
-          end
-        done
-      done;
-      let succ_off = Array.make (n_mine + 1) 0 in
-      for t = 0 to n_mine - 1 do
-        succ_off.(t + 1) <- succ_off.(t) + succ_cnt.(t)
-      done;
-      let succ = Array.make (max 1 !n_edges) 0 in
-      let fill_at = Array.copy succ_off in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-          let f = e.fan.(j) in
-          if f >= first && f < e.n_slots then begin
-            let p = midx.(f - first) in
-            succ.(fill_at.(p)) <- t;
-            fill_at.(p) <- fill_at.(p) + 1
-          end
-        done
-      done;
-      (* opcode-affinity list scheduling: among ready instructions,
-         keep draining the current opcode's bucket so the interpreter
-         dispatch branch stays predictable; when it runs dry, switch to
-         the fullest bucket.  LIFO buckets keep producers and consumers
-         close together, which also shrinks live ranges. *)
-      let sop = Array.make (max 1 n_mine) 0 in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        sop.(t) <- spec_op e.ops.(i) (e.offs.(i + 1) - e.offs.(i))
-      done;
-      let buckets = Array.make n_spec_ops [] in
-      let blen = Array.make n_spec_ops 0 in
-      let push t =
-        let b = sop.(t) in
-        buckets.(b) <- t :: buckets.(b);
-        blen.(b) <- blen.(b) + 1
-      in
-      for t = 0 to n_mine - 1 do
-        if indeg.(t) = 0 then push t
-      done;
-      let sp_ops = Array.make (max 1 n_mine) 0 in
-      let sp_dst = Array.make (max 1 n_mine) 0 in
-      let sp_offs = Array.make (n_mine + 1) 0 in
-      let sp_tabs = Array.make (max 1 n_mine) [||] in
-      let sp_fan = Array.make (max 1 !total_fan) 0 in
-      let remaining = succ_cnt in
-      let free = ref [] and pending = ref [] in
-      let alloc () =
-        match !free with
-        | sl :: tl ->
-          free := tl;
-          sl
-        | [] ->
-          let sl = !next in
-          incr next;
-          sl
-      in
-      let scheduled = ref 0 and fo = ref 0 and cur = ref 0 in
-      while !scheduled < n_mine do
-        if blen.(!cur) = 0 then begin
-          let best = ref 0 in
-          for b = 1 to n_spec_ops - 1 do
-            if blen.(b) > blen.(!best) then best := b
-          done;
-          cur := !best
-        end;
-        (match buckets.(!cur) with
-        | [] -> assert false
-        | t :: tl ->
-          buckets.(!cur) <- tl;
-          blen.(!cur) <- blen.(!cur) - 1;
-          (* slots freed by the previous instruction become allocatable
-             only now, so multi-pass kernels never alias a fanin *)
-          free := List.rev_append !pending !free;
-          pending := [];
-          let q = !scheduled in
-          let i = mine.(t) in
-          sp_offs.(q) <- !fo;
-          sp_ops.(q) <- sop.(t);
-          sp_tabs.(q) <- e.tabs.(i);
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            sp_fan.(!fo) <- loc.(e.fan.(j));
-            incr fo
-          done;
-          if loc.(first + i) < 0 then loc.(first + i) <- alloc ();
-          sp_dst.(q) <- loc.(first + i);
-          (* the first shard computing a sink owns it for plan reads *)
-          if is_sink.(i) && shard_of.(first + i) < 0 then begin
-            shard_of.(first + i) <- s;
-            local_of.(first + i) <- loc.(first + i)
-          end;
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            let f = e.fan.(j) in
-            if f >= first && f < e.n_slots then begin
-              let p = midx.(f - first) in
-              remaining.(p) <- remaining.(p) - 1;
-              if remaining.(p) = 0 && not is_sink.(mine.(p)) then
-                pending := loc.(f) :: !pending
-            end
-          done;
-          incr scheduled;
-          for x = succ_off.(t) to succ_off.(t + 1) - 1 do
-            let u = succ.(x) in
-            indeg.(u) <- indeg.(u) - 1;
-            if indeg.(u) = 0 then push u
-          done)
-      done;
-      sp_offs.(n_mine) <- !fo;
-      {
-        sp_ops;
-        sp_dst;
-        sp_offs;
-        sp_fan;
-        sp_tabs;
-        sp_n_slots = !next;
-        sp_copy_src = Array.map (fun (a, _, _) -> a) copies;
-        sp_copy_local = Array.map (fun (_, b, _) -> b) copies;
-        sp_copy_len = Array.map (fun (_, _, c) -> c) copies;
-        sp_one_local = Array.of_list !ones;
-        sp_zero_local = Array.of_list !zeros;
-        sp_fanw = [||];
-        sp_dstw = [||];
-        sp_scaled_words = 0;
-        sp_blk = [||];
-        sp_blk_words = 0;
-      }
-    in
-    let shards_a = Array.init k compile_shard in
-    let is_one = Array.make (e.n_slots + 1) false in
-    Array.iter (fun g -> is_one.(g) <- true) e.one_slots;
-    let total = Array.fold_left ( + ) 0 counts in
-    let direct =
-      k = 1
-      && e.n_srcs > 0
-      && Array.length shards_a.(0).sp_copy_len = 1
-      && shards_a.(0).sp_copy_src.(0) = 0
-      && shards_a.(0).sp_copy_local.(0) = 0
-      && shards_a.(0).sp_copy_len.(0) = e.n_srcs
-    in
-    Obs.Metrics.incr m_plan_compiles;
-    {
-      pl_eng = e;
-      pl_shards = shards_a;
-      pl_direct = direct;
-      pl_shard_of = shard_of;
-      pl_local_of = local_of;
-      pl_is_one = is_one;
-      pl_dup = float_of_int total /. float_of_int (max 1 !n_live);
-      pl_live = !n_live;
-      pl_src = [||];
-      pl_words = 0;
-    }
-
-  let plan_shard_count p = Array.length p.pl_shards
-  let plan_duplication p = p.pl_dup
-  let plan_live_instructions p = p.pl_live
-  let plan_generation p = p.pl_eng.eng_gen
-
-  (* Fused single-pass kernels.  Bounds are established once per shard
-     per call (buffer sized to sp_n_slots * nw and every slot index is
-     < sp_n_slots by construction), so the inner loops use unchecked
+  (* The fused kernels over [nw] words per slot, word k of slot s at
+     [blk.(s * nw + k)], with [fanw] the fanin slots pre-scaled by [nw].
+     Bounds are established once per call ([blk] holds
+     [(n_slots + 1) * nw] words and every slot in [fan] is at most
+     [n_slots] by construction), so the inner loops use unchecked
      accesses — this is the difference between 3 and 7 memory touches
      per NAND2 per word. *)
-  let run_shard sp (blk : int array) nw =
-    let ops = sp.sp_ops
-    and dstw = sp.sp_dstw
-    and offs = sp.sp_offs
-    and fanw = sp.sp_fanw
-    and tabs = sp.sp_tabs in
+  let run e fanw (blk : int array) nw =
+    let ops = e.ops and offs = e.offs and tabs = e.tabs in
+    let first = e.n_slots - Array.length ops in
     for i = 0 to Array.length ops - 1 do
       let lo = Array.unsafe_get offs i in
-      let db = Array.unsafe_get dstw i in
+      let db = (first + i) * nw in
       match Array.unsafe_get ops i with
       | 0 ->
         let a = Array.unsafe_get fanw lo in
@@ -1479,12 +847,12 @@ module Engine = struct
                lxor Array.unsafe_get blk (b + k)
                lxor Array.unsafe_get blk (c + k)))
         done
-      | (23 | 25) as op ->
+      | (22 | 24) as op ->
         let a = Array.unsafe_get fanw lo
         and b = Array.unsafe_get fanw (lo + 1)
         and c = Array.unsafe_get fanw (lo + 2)
         and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 23 then
+        if op = 22 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (a + k)
@@ -1501,12 +869,12 @@ module Engine = struct
                  land Array.unsafe_get blk (c + k)
                  land Array.unsafe_get blk (d + k)))
           done
-      | (24 | 26) as op ->
+      | (23 | 25) as op ->
         let a = Array.unsafe_get fanw lo
         and b = Array.unsafe_get fanw (lo + 1)
         and c = Array.unsafe_get fanw (lo + 2)
         and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 24 then
+        if op = 23 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (a + k)
@@ -1523,12 +891,12 @@ module Engine = struct
                  lor Array.unsafe_get blk (c + k)
                  lor Array.unsafe_get blk (d + k)))
           done
-      | (27 | 28) as op ->
+      | (26 | 27) as op ->
         let a = Array.unsafe_get fanw lo
         and b = Array.unsafe_get fanw (lo + 1)
         and c = Array.unsafe_get fanw (lo + 2)
         and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 27 then
+        if op = 26 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (a + k)
@@ -1545,7 +913,7 @@ module Engine = struct
                  lxor Array.unsafe_get blk (c + k)
                  lxor Array.unsafe_get blk (d + k)))
           done
-      | (16 | 18) as op ->
+      | (15 | 17) as op ->
         let hi = Array.unsafe_get offs (i + 1) in
         let a = Array.unsafe_get fanw lo in
         for k = 0 to nw - 1 do
@@ -1558,11 +926,11 @@ module Engine = struct
               (Array.unsafe_get blk (db + k) land Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 18 then
+        if op = 17 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
-      | (17 | 19) as op ->
+      | (16 | 18) as op ->
         let hi = Array.unsafe_get offs (i + 1) in
         let a = Array.unsafe_get fanw lo in
         for k = 0 to nw - 1 do
@@ -1575,11 +943,11 @@ module Engine = struct
               (Array.unsafe_get blk (db + k) lor Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 19 then
+        if op = 18 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
-      | (20 | 21) as op ->
+      | (19 | 20) as op ->
         let hi = Array.unsafe_get offs (i + 1) in
         let a = Array.unsafe_get fanw lo in
         for k = 0 to nw - 1 do
@@ -1592,11 +960,14 @@ module Engine = struct
               (Array.unsafe_get blk (db + k) lxor Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 21 then
+        if op = 20 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
       | _ ->
+        (* LUT: sum of products over the true rows of the truth table;
+           for every lane the conjunction selects exactly the row indexed
+           by that lane's fanin bits *)
         let hi = Array.unsafe_get offs (i + 1) in
         let tab = tabs.(i) in
         for k = 0 to nw - 1 do
@@ -1605,7 +976,7 @@ module Engine = struct
             if tab.(row) then begin
               let term = ref (-1) in
               for j = lo to hi - 1 do
-                let w = blk.((Array.unsafe_get fanw j) + k) in
+                let w = blk.(Array.unsafe_get fanw j + k) in
                 term :=
                   !term
                   land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
@@ -1617,119 +988,43 @@ module Engine = struct
         done
     done
 
-  let shard_scale sp n_words =
-    if sp.sp_scaled_words <> n_words then begin
-      sp.sp_fanw <- Array.map (fun f -> f * n_words) sp.sp_fan;
-      sp.sp_dstw <- Array.map (fun d -> d * n_words) sp.sp_dst;
-      sp.sp_scaled_words <- n_words
-    end;
-    if Array.length sp.sp_blk < sp.sp_n_slots * n_words then
-      sp.sp_blk <- Array.make (max 1 (sp.sp_n_slots * n_words)) 0;
-    sp.sp_blk_words <- n_words;
-    let blk = sp.sp_blk in
-    Array.iter
-      (fun l -> Array.fill blk (l * n_words) n_words 0)
-      sp.sp_zero_local;
-    Array.iter
-      (fun l -> Array.fill blk (l * n_words) n_words (-1))
-      sp.sp_one_local;
-    blk
-
-  let eval_block_sharded p ~n_words ~fill =
+  let eval_block ?scratch e ~n_words ~fill =
     if n_words < 1 then
-      invalid_arg "Netlist.Engine.eval_block_sharded: n_words must be >= 1";
-    let e = p.pl_eng in
+      invalid_arg "Netlist.Engine.eval_block: n_words must be >= 1";
     if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_plan_evals;
-      Obs.Metrics.add m_engine_block_words n_words
-    end;
-    p.pl_words <- n_words;
-    if p.pl_direct then begin
-      (* sole shard wants every source at its global offset: [fill]
-         writes the shard block directly, no staging copy *)
-      let sp = p.pl_shards.(0) in
-      let blk = shard_scale sp n_words in
-      Array.fill blk 0 (e.n_srcs * n_words) 0;
-      fill blk;
-      run_shard sp blk n_words
-    end
-    else begin
-      if Array.length p.pl_src < e.n_srcs * n_words then
-        p.pl_src <- Array.make (max 1 (e.n_srcs * n_words)) 0
-      else Array.fill p.pl_src 0 (e.n_srcs * n_words) 0;
-      fill p.pl_src;
-      let run_one sp =
-        let blk = shard_scale sp n_words in
-        let src = p.pl_src in
-        for c = 0 to Array.length sp.sp_copy_len - 1 do
-          Array.blit src
-            (sp.sp_copy_src.(c) * n_words)
-            blk
-            (sp.sp_copy_local.(c) * n_words)
-            (sp.sp_copy_len.(c) * n_words)
-        done;
-        run_shard sp blk n_words
-      in
-      if Array.length p.pl_shards > 1 && Parallel.default_domains () > 1 then
-        ignore (Parallel.map run_one (Array.to_list p.pl_shards))
-      else Array.iter run_one p.pl_shards
-    end
-
-  let plan_read p ~slot ~word =
-    let e = p.pl_eng in
-    if word < 0 || word >= p.pl_words then
-      invalid_arg "Netlist.Engine.plan_read: word out of range";
-    if slot < 0 || slot > e.n_slots then
-      invalid_arg "Netlist.Engine.plan_read: bad slot";
-    if slot < e.n_srcs then
-      if p.pl_direct then p.pl_shards.(0).sp_blk.((slot * p.pl_words) + word)
-      else p.pl_src.((slot * p.pl_words) + word)
-    else
-      match p.pl_shard_of.(slot) with
-      | -1 ->
-        if p.pl_is_one.(slot) then -1
-        else if slot < e.n_slots - Array.length e.ops || slot = e.n_slots then 0
-          (* constant-zero or the spare zero slot *)
-        else
-          invalid_arg
-            "Netlist.Engine.plan_read: slot is not a sink (interior slots \
-             are recycled)"
-      | s ->
-        p.pl_shards.(s).sp_blk.((p.pl_local_of.(slot) * p.pl_words) + word)
-
-  (* Id-indexed compatibility paths: evaluate slot-dense into a fresh
-     buffer (safe to call concurrently on a shared engine), then scatter
-     to the node-id layout.  Dead nodes read false / 0. *)
-
-  let eval e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_evals;
+      Obs.Metrics.incr m_engine_block_evals;
+      Obs.Metrics.add m_engine_block_words n_words;
       Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
     end;
-    let values = Array.make (e.n_slots + 1) false in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- true) e.one_slots;
-    run_bools e values;
-    let out = Array.make e.eng_nodes false in
-    for sl = 0 to e.n_slots - 1 do
-      out.(e.id_of_slot.(sl)) <- values.(sl)
-    done;
-    out
-
-  let eval_words e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_word_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let values = Array.make (e.n_slots + 1) 0 in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- -1) e.one_slots;
-    run_words e values;
-    let out = Array.make e.eng_nodes 0 in
-    for sl = 0 to e.n_slots - 1 do
-      out.(e.id_of_slot.(sl)) <- values.(sl)
-    done;
-    out
+    let s = scratch_for e scratch in
+    if Array.length s.sc_block < (e.n_slots + 1) * n_words then
+      s.sc_block <- Array.make ((e.n_slots + 1) * n_words) 0;
+    (* one word reads [fan] as it is, so alternating one-word and
+       multi-word calls keep the scaled copy *)
+    let fanw =
+      if n_words = 1 then e.fan
+      else begin
+        if s.sc_words <> n_words then begin
+          s.sc_fanw <- Array.map (fun f -> f * n_words) e.fan;
+          s.sc_words <- n_words
+        end;
+        s.sc_fanw
+      end
+    in
+    let blk = s.sc_block in
+    (* source region zeroed so partially-filled blocks read 0, and
+       constant/spare slots re-pinned: a previous call with a different
+       n_words laid slots out at a different stride *)
+    Array.fill blk 0 (e.n_srcs * n_words) 0;
+    Array.iter
+      (fun sl -> Array.fill blk (sl * n_words) n_words 0)
+      e.zero_slots;
+    fill blk;
+    Array.iter
+      (fun sl -> Array.fill blk (sl * n_words) n_words (-1))
+      e.one_slots;
+    run e fanw blk n_words;
+    blk
 
   (* Branch-free SWAR popcount.  The familiar 64-bit masks do not fit in
      a 63-bit literal, so the wide ones are assembled by shifting; all
@@ -1771,7 +1066,21 @@ module Engine = struct
     !w
 end
 
-let eval_comb t assignment = Engine.eval (Engine.get t) assignment
+(* Lane 0 of a one-word block in a fresh scratch (safe on a shared
+   engine), scattered back to the node-id layout; dead nodes read
+   false. *)
+let eval_comb t assignment =
+  let e = Engine.get t in
+  let blk =
+    Engine.eval_block ~scratch:(Engine.create_scratch e) e ~n_words:1
+      ~fill:(fun buf ->
+        Array.iteri (fun i id -> if assignment id then buf.(i) <- 1) e.srcs)
+  in
+  let out = Array.make e.eng_nodes false in
+  for sl = 0 to e.n_slots - 1 do
+    out.(e.id_of_slot.(sl)) <- blk.(sl) land 1 = 1
+  done;
+  out
 
 let pp_kind ppf = function
   | Input -> Format.pp_print_string ppf "input"

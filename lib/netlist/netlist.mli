@@ -171,33 +171,34 @@ val comb_topo_array : t -> int array
     provided for [Input] and [Ff] nodes, and is the node's value.  The
     result array is indexed by id (dead nodes map to [false]).  Used as the
     zero-delay functional semantics and as the SAT-attack oracle.
-    Implemented as the scalar path of {!Engine}, so the per-call cost is
-    one pass over the compiled instruction stream. *)
+    Implemented as lane 0 of a one-word {!Engine.eval_block} in a fresh
+    buffer, so it is safe on a shared engine. *)
 val eval_comb : t -> (int -> bool) -> bool array
 
 (** {1 Bit-parallel evaluation engine}
 
     The engine compiles a netlist once into a flat instruction stream
-    (cached topological order, pre-resolved fanin offsets, LUT tables) and
-    evaluates it either for a single Boolean pattern ({!Engine.eval}, the
-    scalar fast path behind {!eval_comb}) or for {!Engine.word_bits}
-    stimulus patterns at once ({!Engine.eval_words}), one pattern per bit
-    of a native [int].  Compilation is memoized behind the netlist's
-    {!generation} counter: {!Engine.get} recompiles only after a
-    mutation.
+    (fused arity-specialised opcodes, pre-resolved fanin offsets, LUT
+    tables) and evaluates [n_words * ]{!Engine.word_bits} stimulus
+    patterns per pass with {!Engine.eval_block}, one pattern per bit of
+    a native [int].  That is the engine's only evaluation function;
+    {!eval_comb} is its one-pattern, node-id-indexed convenience.
+    Compilation is memoized behind the netlist's {!generation} counter:
+    {!Engine.get} recompiles only after a mutation.
 
-    {2 Slot-dense layout (engine v2)}
+    {2 Slot-dense layout}
 
     Values live in dense {e slots} ordered like the instruction stream,
     not in node-id order: sources take slots [0 .. n_srcs - 1] in
     declaration order (so source [i] of {!Engine.sources} is slot [i]),
     constants the next few, and instruction [i] writes the next slot
     after those — the hot loop writes memory sequentially and every
-    fanin read is a lower slot.  {!Engine.eval} / {!Engine.eval_words}
-    scatter the slots back to a node-id-indexed array for compatibility;
-    the [_into] variants and {!Engine.eval_block} expose the slot-dense
-    buffers directly (translate with {!Engine.slot_of_id}) and reuse
-    {!Engine.scratch} buffers so steady-state evaluation allocates
+    fanin read is a lower slot.  Instructions are emitted in an
+    opcode-affinity order (a topological order that runs instructions of
+    the same fused opcode back to back), so slots follow that order, not
+    {!comb_topo_order}.  Every slot, interior ones included, is readable
+    after a pass (translate with {!Engine.slot_of_id}); buffers come from
+    reusable {!Engine.scratch}es, so steady-state evaluation allocates
     nothing. *)
 module Engine : sig
   type engine
@@ -220,12 +221,12 @@ module Engine : sig
   val generation : engine -> int
 
   (** Ids of the [Input] and [Ff] nodes, in declaration order — exactly the
-      ids the assignment functions below are consulted for.  Source [i]
-      occupies slot [i]. *)
+      sources {!eval_block}'s [fill] writes.  Source [i] occupies slot
+      [i]. *)
   val sources : engine -> int array
 
   (** Number of live value slots (sources + constants + instructions).
-      Slot-indexed result buffers have this many meaningful entries. *)
+      Slot-indexed result buffers have at least this many slots. *)
   val n_slots : engine -> int
 
   (** [slot_of_id e] maps node id to slot ([-1] for dead nodes).
@@ -238,92 +239,19 @@ module Engine : sig
       @raise Invalid_argument when passed to a different engine. *)
   val create_scratch : engine -> scratch
 
-  (** [eval e assignment] is {!eval_comb} on the compiled form.  The
-      result is node-id-indexed (dead nodes read [false]) and freshly
-      allocated — safe on a shared engine. *)
-  val eval : engine -> (int -> bool) -> bool array
-
-  (** [eval_words e assignment] evaluates {!word_bits} patterns at once:
-      [assignment id] packs one stimulus bit per lane for each source node,
-      and the result word per node id packs the node's value per lane.
-      Constants broadcast to every lane; dead nodes are 0. *)
-  val eval_words : engine -> (int -> int) -> int array
-
-  (** [eval_into ?scratch e assignment] is {!eval} but into reused
-      buffers: the result is {e slot}-indexed (see {!slot_of_id}) and is
-      the scratch's own buffer — valid until the next evaluation on that
-      scratch. *)
-  val eval_into : ?scratch:scratch -> engine -> (int -> bool) -> bool array
-
-  (** Slot-indexed, allocation-free {!eval_words}; same aliasing rule as
-      {!eval_into}. *)
-  val eval_words_into : ?scratch:scratch -> engine -> (int -> int) -> int array
-
   (** [eval_block ?scratch e ~n_words ~fill] evaluates
       [n_words * word_bits] stimulus lanes in one pass over the
       instruction stream.  The block buffer packs [n_words] consecutive
       words per slot: word [k] of slot [s] lives at [s * n_words + k].
       [fill buf] must write the stimulus words for each source [i] of
       {!sources} at [i * n_words + k]; the source region is pre-zeroed,
-      so unfilled words evaluate with all-false inputs.  Returns the
-      scratch's block buffer (aliasing rule as {!eval_into}). *)
+      so unfilled words evaluate with all-false inputs.  Constants
+      broadcast to every lane.  Returns the scratch's block buffer,
+      valid until the next evaluation on that scratch.
+      @raise Invalid_argument if [n_words < 1]. *)
   val eval_block :
     ?scratch:scratch -> engine -> n_words:int -> fill:(int array -> unit) ->
     int array
-
-  (** {2 Domain-sharded block evaluation}
-
-      A {!plan} recompiles the instruction stream into K {e shards} —
-      one per partition of the sinks (primary-output drivers and
-      flip-flop D pins) into fanout cones — with fused single-pass
-      kernels (a NAND2 is one combined read-read-write loop instead of
-      copy + combine + invert) over dense per-shard slot spaces.
-      Shards evaluate independently: across the {!Parallel} domain pool
-      when more than one domain is available, and faster than
-      {!eval_block} even on one domain because of the fused kernels and
-      because instructions unreachable from any sink are skipped. *)
-  type plan
-
-  (** [plan ?shards ?dup_budget t] compiles a shard plan for [t]'s
-      engine.  [shards] forces the shard count (clamped to the number of
-      sinks); by default it starts at {!Parallel.default_domains} and is
-      halved while the cone-duplication factor (total shard instructions
-      / live instructions) exceeds [dup_budget] (default [1.25]) —
-      overlapping cones re-evaluate shared logic in every shard, so a
-      dense circuit degenerates to one shard rather than pay for
-      duplicated work.  @raise Invalid_argument if [shards < 1]. *)
-  val plan : ?shards:int -> ?dup_budget:float -> t -> plan
-
-  val plan_shard_count : plan -> int
-
-  (** Total shard instructions / live instructions, >= 1. *)
-  val plan_duplication : plan -> float
-
-  (** Instructions reachable from at least one sink. *)
-  val plan_live_instructions : plan -> int
-
-  (** The netlist generation the underlying engine was compiled at. *)
-  val plan_generation : plan -> int
-
-  (** [eval_block_sharded p ~n_words ~fill] evaluates
-      [n_words * word_bits] lanes across the plan's shards.  [fill]
-      writes the stimulus exactly as for {!eval_block} (source [i]'s
-      word [k] at [i * n_words + k]; the region is pre-zeroed).  Read
-      results back with {!plan_read}.  Buffers are owned by the plan
-      and reused across calls — a plan must not be evaluated from two
-      domains at once (shard-internal parallelism is the plan's own
-      job). *)
-  val eval_block_sharded :
-    plan -> n_words:int -> fill:(int array -> unit) -> unit
-
-  (** [plan_read p ~slot ~word] is word [word] of slot [slot] (the
-      engine slot space, see {!slot_of_id}) after the last
-      {!eval_block_sharded}.  Sources, constants and sink slots
-      (primary-output drivers and flip-flop D pins) are readable.
-      @raise Invalid_argument for an interior combinational slot —
-      shards recycle interior slots as values die, so only sinks
-      survive a run. *)
-  val plan_read : plan -> slot:int -> word:int -> int
 
   (** Number of set bits in a word (lanes at 1).  Branch-free SWAR. *)
   val popcount : int -> int

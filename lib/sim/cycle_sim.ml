@@ -19,9 +19,8 @@ let state t =
   Array.to_list (Array.mapi (fun i ff -> (ff, t.ff_state.(i))) t.ff_ids)
 
 let step t ~inputs =
-  let eng = Netlist.Engine.get t.net in
   let values =
-    Netlist.Engine.eval eng (fun id ->
+    Netlist.eval_comb t.net (fun id ->
         let s = if id < Array.length t.ff_slot then t.ff_slot.(id) else -1 in
         if s >= 0 then t.ff_state.(s) else inputs id)
   in
@@ -43,6 +42,7 @@ let run_batch ?(init = fun _ -> 0) net ~cycles ~stimulus =
   (* private scratch: run_batch may run inside a Parallel.map worker, so
      it must not share the engine-owned buffers with another domain *)
   let scratch = Netlist.Engine.create_scratch eng in
+  let srcs = Netlist.Engine.sources eng in
   let slot_of = Netlist.Engine.slot_of_id eng in
   let ff_ids = Array.of_list (Netlist.ffs net) in
   let ff_slot = Array.make (max 1 (Netlist.num_nodes net)) (-1) in
@@ -58,9 +58,12 @@ let run_batch ?(init = fun _ -> 0) net ~cycles ~stimulus =
   let state = Array.map init ff_ids in
   Array.init cycles (fun cycle ->
       let values =
-        Netlist.Engine.eval_words_into ~scratch eng (fun id ->
-            let s = ff_slot.(id) in
-            if s >= 0 then state.(s) else stimulus cycle id)
+        Netlist.Engine.eval_block ~scratch eng ~n_words:1 ~fill:(fun buf ->
+            Array.iteri
+              (fun i id ->
+                let s = ff_slot.(id) in
+                buf.(i) <- (if s >= 0 then state.(s) else stimulus cycle id))
+              srcs)
       in
       Array.iteri (fun i ds -> state.(i) <- values.(ds)) ff_d_slot;
       List.map (fun (po, s) -> (po, values.(s))) out_slots)
@@ -74,7 +77,12 @@ let comb_outputs_batch net ~inputs =
   if Netlist.ffs net <> [] then
     invalid_arg "Cycle_sim.comb_outputs_batch: netlist has flip-flops";
   let eng = Netlist.Engine.get net in
-  let scratch = Netlist.Engine.create_scratch eng in
-  let values = Netlist.Engine.eval_words_into ~scratch eng inputs in
+  let values =
+    Netlist.Engine.eval_block ~scratch:(Netlist.Engine.create_scratch eng) eng
+      ~n_words:1 ~fill:(fun buf ->
+        Array.iteri
+          (fun i id -> buf.(i) <- inputs id)
+          (Netlist.Engine.sources eng))
+  in
   let slot_of = Netlist.Engine.slot_of_id eng in
   List.map (fun (po, d) -> (po, values.(slot_of.(d)))) (Netlist.outputs net)

@@ -45,12 +45,9 @@ let metrics_of ~file j =
         keyed "eval" row "name"
           [
             "scalar_patterns_per_sec"; "word_patterns_per_sec";
-            "block_patterns_per_sec"; "sharded_patterns_per_sec";
+            "block_patterns_per_sec";
           ]
-          [
-            "word_speedup_vs_legacy"; "block_speedup_vs_word";
-            "sharded_speedup_vs_block"; "strash_reduction";
-          ])
+          [ "block_speedup_vs_word"; "strash_reduction" ])
       (rows_of j "benchmarks")
   | `Attacks ->
     List.concat_map
@@ -61,8 +58,7 @@ let metrics_of ~file j =
             "remote_scalar_queries_per_sec"; "remote_batch_queries_per_sec";
           ]
           [
-            "batch_speedup_vs_assoc"; "batch_speedup_vs_scalar";
-            "remote_batch_speedup_vs_remote_scalar";
+            "batch_speedup_vs_scalar"; "remote_batch_speedup_vs_remote_scalar";
           ])
       (rows_of j "oracle")
     @ List.filter_map

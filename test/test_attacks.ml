@@ -349,6 +349,22 @@ let test_enhanced_locate_and_attack () =
          ~key_inputs:rm.Enhanced_removal.new_key_inputs ~oracle k)
   | Sat_attack.Budget_exhausted -> Alcotest.fail "attack exhausted")
 
+(* The remodelled netlist drops the replaced GKs' key inputs, so its
+   DIPs name only the chip's pins and a strict chip oracle answers them. *)
+let test_enhanced_strict_oracle () =
+  let net = Benchmarks.tiny () in
+  let clock = Sta.clock_for net ~margin:4.5 in
+  let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
+  let stripped, keys = Insertion.strip_keygens d in
+  let locked_comb, _ = Combinationalize.run stripped in
+  let oracle_comb, _ = Combinationalize.run net in
+  let o =
+    Attack.run ~seed:3 ~name:"enhanced-removal" ~locked:locked_comb
+      ~key_inputs:keys ~oracle:(Oracle.of_netlist oracle_comb) ()
+  in
+  Alcotest.(check string) "verdict" "key_recovered"
+    (Attack.verdict_name o.Attack.verdict)
+
 let test_enhanced_blinded_by_withholding () =
   let net = Benchmarks.tiny () in
   let clock = Sta.clock_for net ~margin:4.5 in
@@ -371,12 +387,13 @@ let test_enhanced_blinded_by_withholding () =
 
 (* ----- opt front-end verdict parity across the whole registry -----
 
-   [Attack.run ~optimize] and [Oracle.of_netlist ~optimize] must never
-   change an attack's verdict: the strash/rewrite front-end preserves
-   the pin interface and the function, so only the run's cost may
-   differ.  Incidental payloads that depend on the exact CNF (the
-   arbitrary model attached to [No_dip], mismatch sample counts) are
-   allowed to differ; a verified key is not. *)
+   Attacking the {!Opt} twin of the locked netlist through an oracle
+   over the twin of the chip must never change an attack's verdict: the
+   strash/rewrite front-end preserves the pin interface and the
+   function, so only the run's cost may differ.  Incidental payloads
+   that depend on the exact CNF (the arbitrary model attached to
+   [No_dip], mismatch sample counts) are allowed to differ; a verified
+   key is not. *)
 
 let opt_verdict_repr (o : Attack.outcome) =
   match o.Attack.verdict with
@@ -391,8 +408,7 @@ let test_opt_verdict_parity () =
     ( "xor" ^ string_of_int seed,
       lk.Locked.net,
       lk.Locked.key_inputs,
-      comb,
-      false )
+      comb )
   in
   let gk_ctx =
     let net = Benchmarks.tiny () in
@@ -401,17 +417,17 @@ let test_opt_verdict_parity () =
     let stripped, keys = Insertion.strip_keygens d in
     let locked_comb, _ = Combinationalize.run stripped in
     let oracle_comb, _ = Combinationalize.run net in
-    (* permissive: enhanced-removal re-keys with fresh gkkey* names *)
-    ("gk-tiny", locked_comb, keys, oracle_comb, true)
+    ("gk-tiny", locked_comb, keys, oracle_comb)
   in
   List.iter
-    (fun (cname, locked, key_inputs, chip, partial) ->
+    (fun (cname, locked, key_inputs, chip) ->
       List.iter
         (fun (e : Attack.entry) ->
           let go optimize =
-            Attack.run ~seed:3 ~optimize ~name:e.Attack.name ~locked
+            let twin net = if optimize then fst (Opt.run net) else net in
+            Attack.run ~seed:3 ~name:e.Attack.name ~locked:(twin locked)
               ~key_inputs
-              ~oracle:(Oracle.of_netlist ~partial ~optimize chip)
+              ~oracle:(Oracle.of_netlist (twin chip))
               ()
           in
           let plain = go false in
@@ -458,6 +474,7 @@ let suites =
     ( "attacks.enhanced_removal",
       [
         tc "locate + remodel + SAT" `Quick test_enhanced_locate_and_attack;
+        tc "strict chip oracle" `Quick test_enhanced_strict_oracle;
         tc "blinded by withholding" `Quick test_enhanced_blinded_by_withholding;
       ] );
     ( "attacks.opt_parity",

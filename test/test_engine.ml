@@ -104,8 +104,14 @@ let reference_eval net assignment =
     (List.rev !order);
   values
 
-(* Word lanes agree bit-for-bit with both the scalar engine path and the
-   reference evaluator. *)
+(* [fill] for a block whose source [i] takes [word id] in word [wi]. *)
+let fill_word eng ~n_words ~wi word buf =
+  Array.iteri
+    (fun i id -> buf.((i * n_words) + wi) <- word id)
+    (Netlist.Engine.sources eng)
+
+(* The lanes of a one-word block agree bit-for-bit with both eval_comb
+   and the reference evaluator. *)
 let engine_agrees_law mk seed =
   let net = mk seed in
   let n = Netlist.num_nodes net in
@@ -122,7 +128,11 @@ let engine_agrees_law mk seed =
         !acc)
   in
   let eng = Netlist.Engine.get net in
-  let word_values = Netlist.Engine.eval_words eng (Array.get words) in
+  let slot_of = Netlist.Engine.slot_of_id eng in
+  let blk =
+    Netlist.Engine.eval_block eng ~n_words:1
+      ~fill:(fill_word eng ~n_words:1 ~wi:0 (Array.get words))
+  in
   Array.to_list vectors
   |> List.mapi (fun l vec -> (l, vec))
   |> List.for_all (fun (l, vec) ->
@@ -131,15 +141,18 @@ let engine_agrees_law mk seed =
          let ok = ref true in
          for id = 0 to n - 1 do
            if scalar.(id) <> reference.(id) then ok := false;
-           if word_values.(id) land (1 lsl l) <> 0 <> scalar.(id) then ok := false
+           let s = slot_of.(id) in
+           if s >= 0 && blk.(s) land (1 lsl l) <> 0 <> scalar.(id) then
+             ok := false
          done;
          !ok)
 
 let generated_agrees_law = engine_agrees_law generated_circuit
 let adversarial_agrees_law = engine_agrees_law adversarial_circuit
 
-(* Multi-word blocks agree with eval_words per word and with the scalar
-   engine + reference on sampled lanes, including partial final words. *)
+(* Multi-word blocks agree with a one-word block per word and with
+   eval_comb + reference on sampled lanes, including partial final
+   words. *)
 let eval_block_agrees_law mk seed =
   let net = mk seed in
   let rng = Random.State.make [| seed; 0xB10C |] in
@@ -160,18 +173,21 @@ let eval_block_agrees_law mk seed =
     stim.(i) <- Netlist.Engine.random_word rng land mask
   done;
   let blk =
-    Netlist.Engine.eval_block eng ~n_words ~fill:(fun buf ->
-        Array.blit stim 0 buf 0 (n_src * n_words))
+    Array.copy
+      (Netlist.Engine.eval_block eng ~n_words ~fill:(fun buf ->
+           Array.blit stim 0 buf 0 (n_src * n_words)))
   in
   let ok = ref true in
   for wi = 0 to n_words - 1 do
-    let words =
-      Netlist.Engine.eval_words eng (fun id ->
-          stim.((Hashtbl.find src_idx id * n_words) + wi))
+    let word =
+      Netlist.Engine.eval_block eng ~n_words:1
+        ~fill:
+          (fill_word eng ~n_words:1 ~wi:0 (fun id ->
+               stim.((Hashtbl.find src_idx id * n_words) + wi)))
     in
-    Array.iteri
-      (fun id s ->
-        if s >= 0 && words.(id) <> blk.((s * n_words) + wi) then ok := false)
+    Array.iter
+      (fun s ->
+        if s >= 0 && word.(s) <> blk.((s * n_words) + wi) then ok := false)
       slot_of
   done;
   let check_lane l =
@@ -179,7 +195,7 @@ let eval_block_agrees_law mk seed =
       let si = Hashtbl.find src_idx id in
       (stim.((si * n_words) + (l / w)) lsr (l mod w)) land 1 = 1
     in
-    let scalar = Netlist.Engine.eval eng assignment in
+    let scalar = Netlist.eval_comb net assignment in
     let reference = reference_eval net assignment in
     Array.iteri
       (fun id s ->
@@ -196,6 +212,120 @@ let eval_block_agrees_law mk seed =
 
 let generated_block_law = eval_block_agrees_law generated_circuit
 let adversarial_block_law = eval_block_agrees_law adversarial_circuit
+
+(* Every fused kernel, exhaustively: a one-gate netlist per gate function
+   and legal arity up to 6 (the 2-, 3- and 4-input kernels and the wide
+   fallback), MUX, and LUTs of 1-4 inputs, with every input combination
+   as one lane.  At three words the combinations sit in word 2 and the
+   other words carry random stimulus, so a wrong stride shows. *)
+let check_one_gate ~what net ~expect =
+  let eng = Netlist.Engine.get net in
+  let w = Netlist.Engine.word_bits in
+  let k = Array.length (Netlist.Engine.sources eng) in
+  let y = (Netlist.Engine.slot_of_id eng).(snd (List.hd (Netlist.outputs net))) in
+  let rng = Random.State.make [| k; 0x6A7E |] in
+  List.iter
+    (fun (n_words, wi) ->
+      let combos = 1 lsl k in
+      let base = ref 0 in
+      while !base < combos do
+        let lanes = min w (combos - !base) in
+        let blk =
+          Netlist.Engine.eval_block eng ~n_words ~fill:(fun buf ->
+              for i = 0 to k - 1 do
+                for wj = 0 to n_words - 1 do
+                  buf.((i * n_words) + wj) <-
+                    (if wj <> wi then Netlist.Engine.random_word rng
+                     else begin
+                       let word = ref 0 in
+                       for l = 0 to lanes - 1 do
+                         if (!base + l) land (1 lsl i) <> 0 then
+                           word := !word lor (1 lsl l)
+                       done;
+                       !word
+                     end)
+                done
+              done)
+        in
+        for l = 0 to lanes - 1 do
+          let c = !base + l in
+          let ins = Array.init k (fun i -> c land (1 lsl i) <> 0) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d words, inputs %d" what n_words c)
+            (expect ins)
+            ((blk.((y * n_words) + wi) lsr l) land 1 = 1)
+        done;
+        base := !base + lanes
+      done)
+    [ (1, 0); (3, 2) ]
+
+let one_gate_net k add =
+  let net = Netlist.create "one_gate" in
+  let ins =
+    Array.init k (fun i -> Netlist.add_input net (Printf.sprintf "i%d" i))
+  in
+  Netlist.add_output net "y" (add net ins);
+  net
+
+let test_kernels_exhaustive () =
+  List.iter
+    (fun fn ->
+      for k = 1 to 6 do
+        if Cell.arity_ok fn k then
+          check_one_gate
+            ~what:(Printf.sprintf "%s/%d" (Cell.fn_name fn) k)
+            (one_gate_net k (fun net ins -> Netlist.add_gate net fn ins))
+            ~expect:(Cell.eval fn)
+      done)
+    [ Cell.Not; Cell.Buf; Cell.And; Cell.Or; Cell.Nand; Cell.Nor; Cell.Xor;
+      Cell.Xnor; Cell.Mux ];
+  let rng = Random.State.make [| 0x10B |] in
+  for k = 1 to 4 do
+    (* every table at 1-2 inputs, eight random ones at 3-4 *)
+    let tables =
+      if k <= 2 then
+        List.init (1 lsl (1 lsl k)) (fun t ->
+            Array.init (1 lsl k) (fun row -> t land (1 lsl row) <> 0))
+      else
+        List.init 8 (fun _ ->
+            Array.init (1 lsl k) (fun _ -> Random.State.bool rng))
+    in
+    List.iter
+      (fun truth ->
+        let index ins =
+          Array.fold_right (fun b acc -> (acc lsl 1) lor Bool.to_int b) ins 0
+        in
+        check_one_gate
+          ~what:(Printf.sprintf "lut%d" k)
+          (one_gate_net k (fun net ins -> Netlist.add_lut net ~truth ins))
+          ~expect:(fun ins -> truth.(index ins)))
+      tables
+  done
+
+(* The compiled order: sources take slots 0..n_srcs-1 in declaration
+   order, and every fanin's slot is lower than its gate's slot. *)
+let compiled_order_law mk seed =
+  let net = mk seed in
+  let eng = Netlist.Engine.get net in
+  let slot_of = Netlist.Engine.slot_of_id eng in
+  let declared =
+    List.filter
+      (fun id ->
+        match (Netlist.node net id).Netlist.kind with
+        | Netlist.Input | Netlist.Ff -> true
+        | _ -> false)
+      (List.init (Netlist.num_nodes net) Fun.id)
+  in
+  Array.to_list (Netlist.Engine.sources eng) = declared
+  && List.for_all2 (fun i id -> slot_of.(id) = i)
+       (List.mapi (fun i _ -> i) declared)
+       declared
+  && List.for_all
+       (fun id ->
+         let nd = Netlist.node net id in
+         (not (Netlist.is_comb nd))
+         || Array.for_all (fun f -> slot_of.(f) < slot_of.(id)) nd.Netlist.fanins)
+       (List.init (Netlist.num_nodes net) Fun.id)
 
 let test_slot_map () =
   let net = Benchmarks.s27 () in
@@ -218,38 +348,51 @@ let test_slot_map () =
   Array.iteri
     (fun s used ->
       Alcotest.(check bool) (Printf.sprintf "slot %d populated" s) true used)
-    seen
+    seen;
+  List.iter
+    (fun name ->
+      let spec = Option.get (Benchmarks.find_spec name) in
+      Alcotest.(check bool)
+        (name ^ ": sources first, fanins in lower slots")
+        true
+        (compiled_order_law (fun _ -> Benchmarks.load spec) 0))
+    [ "s1238"; "s5378" ]
 
 let test_scratch_reuse () =
   let net = Benchmarks.s27 () in
   let eng = Netlist.Engine.get net in
   let sc = Netlist.Engine.create_scratch eng in
-  let a1 =
-    Array.copy (Netlist.Engine.eval_into ~scratch:sc eng (fun id -> id mod 2 = 0))
+  let one word =
+    Netlist.Engine.eval_block ~scratch:sc eng ~n_words:1
+      ~fill:(fill_word eng ~n_words:1 ~wi:0 word)
   in
-  ignore (Netlist.Engine.eval_into ~scratch:sc eng (fun _ -> true));
-  let a2 = Netlist.Engine.eval_into ~scratch:sc eng (fun id -> id mod 2 = 0) in
+  let a1 = Array.copy (one (fun id -> if id mod 2 = 0 then -1 else 0)) in
+  ignore (one (fun _ -> -1));
+  let a2 = one (fun id -> if id mod 2 = 0 then -1 else 0) in
   Alcotest.(check bool) "same results across scratch reuse" true (a1 = a2);
   Alcotest.(check bool) "result aliases the scratch buffer" true
-    (a2 == Netlist.Engine.eval_into ~scratch:sc eng (fun _ -> false));
+    (a2 == one (fun _ -> 0));
   (* a scratch is tied to its engine *)
   let eng2 = Netlist.Engine.get (Benchmarks.s27 ()) in
-  (match Netlist.Engine.eval_into ~scratch:sc eng2 (fun _ -> false) with
+  (match
+     Netlist.Engine.eval_block ~scratch:sc eng2 ~n_words:1 ~fill:ignore
+   with
   | _ -> Alcotest.fail "expected Invalid_argument for foreign scratch"
   | exception Invalid_argument _ -> ());
-  (* word and block paths share the scratch and agree *)
-  let w1 =
-    Array.copy (Netlist.Engine.eval_words_into ~scratch:sc eng (fun _ -> -1))
-  in
+  (* one- and two-word blocks share the scratch and agree *)
+  let w1 = Array.copy (one (fun _ -> -1)) in
   let n_src = Array.length (Netlist.Engine.sources eng) in
   let blk =
     Netlist.Engine.eval_block ~scratch:sc eng ~n_words:2 ~fill:(fun buf ->
         Array.fill buf 0 (n_src * 2) (-1))
   in
   for s = 0 to Netlist.Engine.n_slots eng - 1 do
-    Alcotest.(check int) "block word 0 = eval_words" w1.(s) blk.(s * 2);
-    Alcotest.(check int) "block word 1 = eval_words" w1.(s) blk.((s * 2) + 1)
-  done
+    Alcotest.(check int) "block word 0 = one-word block" w1.(s) blk.(s * 2);
+    Alcotest.(check int) "block word 1 = one-word block" w1.(s) blk.((s * 2) + 1)
+  done;
+  Alcotest.(check bool) "one word again after two" true
+    (Array.sub (one (fun _ -> -1)) 0 (Netlist.Engine.n_slots eng)
+    = Array.sub w1 0 (Netlist.Engine.n_slots eng))
 
 let popcount_naive w =
   let c = ref 0 in
@@ -425,6 +568,11 @@ let suites =
         qcheck ~count:40
           "LUT/MUX/const circuits: block = words = scalar = reference" seed_arb
           adversarial_block_law;
+        tc "every fused kernel, exhaustively" `Quick test_kernels_exhaustive;
+        qcheck ~count:40 "compiled order: sources first, fanins lower"
+          seed_arb (fun seed ->
+            compiled_order_law generated_circuit seed
+            && compiled_order_law adversarial_circuit seed);
         tc "slot map: dense, unique, sources first" `Quick test_slot_map;
         tc "scratch reuse + ownership" `Quick test_scratch_reuse;
         tc "popcount + random_word" `Quick test_popcount_random_word;

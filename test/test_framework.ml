@@ -160,20 +160,23 @@ let test_oracle_fn_key_memo () =
   Alcotest.(check int) "distinct name set evaluated" 3 !calls;
   Alcotest.(check int) "real evals counted" 3 (Oracle.queries o)
 
-(* forced shard counts must not change results, counters, or ordering *)
+(* forced shard counts must not change results, counters, or ordering.
+   4200 queries make 1, 2 and 4 shards of 4200, 2100 and 1050 lanes:
+   each crosses at least two 504-lane block boundaries and ends on a
+   partial block. *)
 let test_oracle_sharded_batch () =
   let comb = comb_circuit 65 in
   let scalar = Oracle.of_netlist ~memo:false comb in
   let names = Oracle.input_names scalar in
   let rng = Random.State.make [| 65; 0x5ad |] in
   let dips =
-    List.init 300 (fun _ ->
+    List.init 4200 (fun _ ->
         List.map (fun n -> (n, Random.State.bool rng)) names)
   in
   let expect = List.map (Oracle.query scalar) dips in
   List.iter
     (fun shards ->
-      let o = Oracle.of_netlist ~block_words:2 ~shards comb in
+      let o = Oracle.of_netlist ~shards comb in
       let rs = Oracle.query_batch o dips in
       Alcotest.(check bool)
         (Printf.sprintf "%d shards = scalar" shards)

@@ -114,20 +114,15 @@ let bench_oracle ~min_time ~n_queries net name cells =
     dips batch_results;
   (* the same query set through an in-process gklockd over a loopback
      unix socket: memoization off on both ends so every timed query
-     crosses the wire and really evaluates.  flush_lanes = 1 because a
-     single serial client never has lane-mates to coalesce with — with
-     the default word-sized flush the scalar column would time the
-     coalescing delay, not the round trip *)
+     crosses the wire and really evaluates.  The serial client is the
+     server's only connection, so each scalar query flushes as soon as
+     it arrives: the scalar column times the round trip, not the
+     coalescing delay *)
   let sock = Filename.temp_file "gklockd_bench" ".sock" in
   Sys.remove sock;
   let server =
     Gkd_server.create
-      ~config:
-        {
-          Gkd_server.default_config with
-          Gkd_server.oracle_memo = false;
-          flush_lanes = 1;
-        }
+      ~config:{ Gkd_server.default_config with Gkd_server.oracle_memo = false }
       ~listen:(Frame_io.Unix_path sock)
       [ (name, comb) ]
   in

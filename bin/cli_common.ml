@@ -74,15 +74,11 @@ let serve_term =
       value & opt (some float) None
       & info [ "client-deadline" ] ~docv:"S" ~doc)
   in
-  let flush_lanes_arg =
-    let doc = "Coalesced scalar queries that force a flush (default: one \
-               63-lane engine word)." in
-    Arg.(
-      value & opt int Gkd_server.default_config.Gkd_server.flush_lanes
-      & info [ "flush-lanes" ] ~docv:"N" ~doc)
-  in
   let flush_delay_arg =
-    let doc = "Max seconds a pending scalar query waits for lane-mates." in
+    let doc =
+      "Max seconds a pending scalar query waits for lane-mates while some \
+       open connection could still send one."
+    in
     Arg.(
       value & opt float Gkd_server.default_config.Gkd_server.flush_delay_s
       & info [ "flush-delay" ] ~docv:"S" ~doc)
@@ -117,8 +113,8 @@ let serve_term =
       & opt float Gkd_server.default_config.Gkd_server.metrics_interval_s
       & info [ "metrics-interval" ] ~docv:"S" ~doc)
   in
-  let run listen designs max_queries deadline flush_lanes flush_delay no_memo
-      strict tcp_shutdown metrics_out metrics_interval =
+  let run listen designs max_queries deadline flush_delay no_memo strict
+      tcp_shutdown metrics_out metrics_interval =
     let addr = parse_listen listen in
     let designs =
       List.map
@@ -130,8 +126,7 @@ let serve_term =
     let config =
       {
         Gkd_server.default_config with
-        Gkd_server.flush_lanes;
-        flush_delay_s = flush_delay;
+        Gkd_server.flush_delay_s = flush_delay;
         max_queries_per_client = max_queries;
         client_deadline_s = deadline;
         oracle_memo = not no_memo;
@@ -157,5 +152,5 @@ let serve_term =
   in
   Term.(
     const run $ listen_arg $ designs_arg $ max_queries_arg $ deadline_arg
-    $ flush_lanes_arg $ flush_delay_arg $ no_memo_arg $ strict_arg
+    $ flush_delay_arg $ no_memo_arg $ strict_arg
     $ tcp_shutdown_arg $ metrics_out_arg $ metrics_interval_arg)

@@ -136,11 +136,6 @@ let duration_arg =
   in
   Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
-let flush_lanes_arg =
-  let doc = "Daemon scalar-coalescing flush threshold (lanes)." in
-  Arg.(value & opt int Load_gen.default_cfg.Load_gen.l_flush_lanes
-       & info [ "flush-lanes" ] ~docv:"N" ~doc)
-
 let flush_delay_arg =
   let doc = "Daemon max coalescing delay in seconds." in
   Arg.(value & opt float Load_gen.default_cfg.Load_gen.l_flush_delay_s
@@ -162,8 +157,7 @@ let load_dir_arg =
   Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
 
 let load_cmd =
-  let run design clients duration flush_lanes flush_delay smoke out dir gklockd
-      =
+  let run design clients duration flush_delay smoke out dir gklockd =
     let gklockd = resolve_binary "gklockd" gklockd in
     let cfg =
       {
@@ -173,7 +167,6 @@ let load_cmd =
           (match duration with
           | Some d -> d
           | None -> if smoke then 1.0 else 5.0);
-        l_flush_lanes = flush_lanes;
         l_flush_delay_s = flush_delay;
       }
     in
@@ -228,7 +221,7 @@ let load_cmd =
          "Sustained-load measurement: spawn gklockd and hammer it with \
           concurrent clients over unix and tcp, scalar and batch")
     Term.(const run $ load_design_arg $ clients_arg $ duration_arg
-          $ flush_lanes_arg $ flush_delay_arg $ smoke_arg $ out_arg
+          $ flush_delay_arg $ smoke_arg $ out_arg
           $ load_dir_arg $ gklockd_arg)
 
 (* ----- gate ----- *)

@@ -318,6 +318,10 @@ let query t q =
       let r = eval_key b key in
       memo_add t key r;
       r)
+  | Fn fb when t.memo = None ->
+    (* no memo to look up: the canonical key would be thrown away *)
+    charge t 1;
+    fb.fn q
   | Fn fb -> (
     let key = fn_key fb q in
     match memo_find t key with

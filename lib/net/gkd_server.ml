@@ -15,7 +15,6 @@ let max_client_counters = 256
 let m_other_queries = Obs.Metrics.counter "gklockd.client_queries.other"
 
 type config = {
-  flush_lanes : int;
   flush_delay_s : float;
   max_queries_per_client : int option;
   client_deadline_s : float option;
@@ -30,7 +29,6 @@ type config = {
 
 let default_config =
   {
-    flush_lanes = Netlist.Engine.word_bits;
     flush_delay_s = 0.002;
     max_queries_per_client = None;
     client_deadline_s = None;
@@ -50,6 +48,9 @@ type conn = {
   c_wmu : Mutex.t;  (* serializes frame writes; guards c_closed *)
   mutable c_closed : bool;
   mutable c_counter : Obs.Metrics.counter;
+  c_pending : int Atomic.t;
+      (* this connection's [Query] lanes that are queued or not yet
+         answered, on any design *)
 }
 
 type pending = {
@@ -92,6 +93,8 @@ type t = {
   mutable flushers : Thread.t list;
   mutable dumper : Thread.t option;
   mutable next_conn : int;
+  live : int Atomic.t;  (* open connections *)
+  waiting : int Atomic.t;  (* open connections with [c_pending > 0] *)
 }
 
 (* ----- creation ----- *)
@@ -123,8 +126,6 @@ let mk_design cfg (name, net) =
   }
 
 let create ~config ~listen designs =
-  if config.flush_lanes < 1 then
-    invalid_arg "Gkd_server.create: flush_lanes must be >= 1";
   if config.flush_delay_s <= 0.0 then
     invalid_arg "Gkd_server.create: flush_delay_s must be > 0";
   let by_name = Hashtbl.create 8 in
@@ -166,15 +167,13 @@ let create ~config ~listen designs =
     flushers = [];
     dumper = None;
     next_conn = 0;
+    live = Atomic.make 0;
+    waiting = Atomic.make 0;
   }
 
 let address t = t.bound
 
-let live_connections t =
-  Mutex.lock t.mu;
-  let n = List.length t.conns in
-  Mutex.unlock t.mu;
-  n
+let live_connections t = Atomic.get t.live
 
 let design_oracle t name =
   Option.map (fun ds -> ds.ds_oracle) (Hashtbl.find_opt t.by_name name)
@@ -269,6 +268,7 @@ let close_conn t conn =
   Mutex.lock t.mu;
   if List.memq conn t.conns then begin
     t.conns <- List.filter (fun c -> c != conn) t.conns;
+    Atomic.decr t.live;
     Mutex.lock conn.c_wmu;
     conn.c_closed <- true;
     (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
@@ -379,6 +379,11 @@ let handle t conn ~id msg =
           end
           else begin
             Mutex.lock ds.ds_mu;
+            (* counted before the push and under the queue's lock: this
+               design's flusher never sees the lane without the count,
+               nor the count without the lane *)
+            if Atomic.fetch_and_add conn.c_pending 1 = 0 then
+              Atomic.incr t.waiting;
             Queue.push
               { p_conn = conn; p_id = id; p_q = assignment;
                 p_t = Unix.gettimeofday () }
@@ -493,6 +498,12 @@ let flush ds lanes =
             survivors
       end)
 
+(* A lane is finished once its reply or error frame is written: only
+   then can a request/reply client send its next query. *)
+let lane_done t p =
+  if Atomic.fetch_and_add p.p_conn.c_pending (-1) = 1 then
+    Atomic.decr t.waiting
+
 let flusher t ds () =
   let rec loop () =
     Mutex.lock ds.ds_mu;
@@ -502,14 +513,19 @@ let flusher t ds () =
     if Queue.is_empty ds.ds_q then (* stopping, nothing left *)
       Mutex.unlock ds.ds_mu
     else begin
-      (* flush policy: a full word flushes immediately; otherwise wait
-         out the remainder of flush_delay_s from the oldest arrival.
-         [Condition] has no timed wait, so the delay is slept in small
-         slices with the queue re-checked between them. *)
+      (* flush policy: a full word flushes immediately, and so does a
+         queue no open connection can add a lane to — every open
+         connection has a query queued or awaiting its reply, and a
+         request/reply client sends nothing more until it is answered.
+         Otherwise wait out the remainder of flush_delay_s from the
+         oldest arrival.  [Condition] has no timed wait, so the delay
+         is slept in small slices with the queue re-checked between
+         them. *)
       let oldest = (Queue.peek ds.ds_q).p_t in
       let rec settle () =
         if
-          Queue.length ds.ds_q < t.cfg.flush_lanes
+          Queue.length ds.ds_q < Netlist.Engine.word_bits
+          && Atomic.get t.waiting < Atomic.get t.live
           && (not t.stopping)
           && Unix.gettimeofday () -. oldest < t.cfg.flush_delay_s
         then begin
@@ -522,7 +538,7 @@ let flusher t ds () =
       settle ();
       let lanes = ref [] in
       let k = ref 0 in
-      while !k < t.cfg.flush_lanes && not (Queue.is_empty ds.ds_q) do
+      while !k < Netlist.Engine.word_bits && not (Queue.is_empty ds.ds_q) do
         lanes := Queue.pop ds.ds_q :: !lanes;
         incr k
       done;
@@ -540,6 +556,7 @@ let flusher t ds () =
          List.iter
            (fun p -> reply_error p.p_conn ~id:p.p_id Wire.Server_error m)
            lanes);
+      List.iter (lane_done t) lanes;
       loop ()
     end
   in
@@ -573,9 +590,11 @@ let acceptor t () =
             (* shared until a [Hello] names the client: a fresh counter
                per connection would grow the registry without bound *)
             c_counter = m_other_queries;
+            c_pending = Atomic.make 0;
           }
         in
         t.conns <- conn :: t.conns;
+        Atomic.incr t.live;
         t.readers <- Thread.create (reader t conn) () :: t.readers;
         Mutex.unlock t.mu;
         loop ()

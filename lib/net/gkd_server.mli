@@ -9,10 +9,18 @@
 
     - {b scalar coalescing}: [Query] frames from {e all} clients of a
       design land in one pending queue.  The flusher drains a word as
-      soon as {!config.flush_lanes} lanes are pending, or after
-      {!config.flush_delay_s} from the oldest entry — so a lone client
-      pays at most the flush delay while a busy server packs full
-      63-lane words into every engine pass.
+      soon as a full 63-lane engine word is pending, or as soon as every
+      open connection has a [Query] queued or awaiting its reply, or
+      else after {!config.flush_delay_s} from the oldest entry.  Clients
+      such as {!Remote_oracle} are strictly request/reply: once each
+      open connection is blocked on an answer, no lane-mate can arrive,
+      so a lone client never waits for the delay while a busy server
+      still packs up to 63 lanes into every engine pass.  Limits: a
+      connection with no [Query] in flight (idle, or sending only
+      [Query_batch] frames) keeps the delay in force for everyone while
+      it is open, and a client that pipelines several [Query] frames
+      may have them split across smaller words (its answers are the
+      same).
     - {b per-client quotas}: every connection gets its own {!Budget.t}
       ({!config.max_queries_per_client} / {!config.client_deadline_s}).
       Lanes are charged at {e flush} time: a client whose quota expired
@@ -48,12 +56,9 @@
     testable. *)
 
 type config = {
-  flush_lanes : int;
-      (** coalesced lanes that force a flush (default 63 = one engine
-          word) *)
   flush_delay_s : float;
-      (** max time a pending scalar query waits for lane-mates (default
-          2 ms) *)
+      (** max time a pending scalar query waits for lane-mates while
+          some open connection could still send one (default 2 ms) *)
   max_queries_per_client : int option;  (** per-connection query quota *)
   client_deadline_s : float option;
       (** per-connection wall-clock quota, from accept time *)
@@ -82,7 +87,7 @@ type t
     oracle per design ([(name, netlist)]; sequential netlists are
     combinationalized).  No thread runs yet.
     @raise Invalid_argument on duplicate or empty design names, or a
-    non-positive [flush_lanes]/[flush_delay_s].
+    non-positive [flush_delay_s].
     @raise Unix.Unix_error if the address cannot be bound. *)
 val create :
   config:config -> listen:Frame_io.addr -> (string * Netlist.t) list -> t

@@ -2,30 +2,63 @@ let protocol_version = 1
 let header_bytes = 16
 let max_payload = 1 lsl 24
 
-(* ----- CRC-32 (IEEE 802.3), table-driven ----- *)
+(* ----- CRC-32 (IEEE 802.3), slicing-by-8 -----
 
-let crc_table =
+   Eight 256-entry tables, back to back in one [int] array: slice 0 is
+   the classic bytewise table, and slice k advances slice k-1's entry
+   by one more zero byte, so one lookup per slice folds 8 input bytes
+   into the register at once.  The register is a native int holding 32
+   bits, so the loop allocates nothing. *)
+
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
+
+(* table [k]'s entry for the low byte of [i]; the [int array]
+   annotation matters: a polymorphic array read tests for a float array
+   on every lookup, which doubles the cost of [crc32] *)
+let slice (t : int array) k i = Array.unsafe_get t ((k lsl 8) lor (i land 0xff))
 
 let crc32 b ~pos ~len =
-  let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl)
-    in
-    c := Int32.logxor (Int32.shift_right_logical !c 8) t.(idx)
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Wire.crc32: pos/len out of range";
+  let t = Lazy.force crc_tables in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    (* Int32.to_int sign-extends; [slice] only ever reads bits 0..31 *)
+    let lo = !c lxor Int32.to_int (Bytes.get_int32_le b !i) in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) in
+    c :=
+      slice t 7 lo
+      lxor slice t 6 (lo lsr 8)
+      lxor slice t 5 (lo lsr 16)
+      lxor slice t 4 (lo lsr 24)
+      lxor slice t 3 hi
+      lxor slice t 2 (hi lsr 8)
+      lxor slice t 1 (hi lsr 16)
+      lxor slice t 0 (hi lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for j = stop8 to pos + len - 1 do
+    c := (!c lsr 8) lxor slice t 0 (!c lxor Char.code (Bytes.unsafe_get b j))
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ----- error codes ----- *)
 

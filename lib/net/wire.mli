@@ -38,7 +38,8 @@ val header_bytes : int
 val max_payload : int
 
 (** CRC-32 (IEEE 802.3 polynomial) of [len] bytes of [b] at [pos] —
-    exposed for tests. *)
+    exposed for tests.
+    @raise Invalid_argument when [pos]/[len] do not lie within [b]. *)
 val crc32 : Bytes.t -> pos:int -> len:int -> int32
 
 (** Structured error codes carried by {!Error} frames. *)

@@ -8,7 +8,6 @@ type cfg = {
   l_design : string;
   l_clients : int;
   l_duration_s : float;
-  l_flush_lanes : int;
   l_flush_delay_s : float;
 }
 
@@ -17,7 +16,6 @@ let default_cfg =
     l_design = "s27";
     l_clients = 8;
     l_duration_s = 5.0;
-    l_flush_lanes = 63;
     l_flush_delay_s = 0.001;
   }
 
@@ -120,7 +118,6 @@ let run ~gklockd ~dir cfg transport mode =
          cfg.l_design;
          "--listen"; listen;
          "--no-memo";
-         "--flush-lanes"; string_of_int cfg.l_flush_lanes;
          "--flush-delay"; Printf.sprintf "%g" cfg.l_flush_delay_s;
        ]
       @ match transport with `Tcp -> [ "--allow-tcp-shutdown" ] | `Unix -> [])
@@ -238,7 +235,6 @@ let to_json ~smoke cfg rows =
       ("smoke", Cjson.Bool smoke);
       ("design", Cjson.Str cfg.l_design);
       ("clients", Cjson.Int cfg.l_clients);
-      ("flush_lanes", Cjson.Int cfg.l_flush_lanes);
       ("flush_delay_s", Cjson.Float cfg.l_flush_delay_s);
       ( "rows",
         Cjson.List

@@ -31,7 +31,6 @@ type cfg = {
   l_design : string;  (** builtin benchmark name served by the daemon *)
   l_clients : int;
   l_duration_s : float;  (** measured window per row *)
-  l_flush_lanes : int;  (** daemon scalar-coalescing flush threshold *)
   l_flush_delay_s : float;  (** daemon max coalescing delay *)
 }
 

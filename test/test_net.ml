@@ -1,7 +1,9 @@
 (* The oracle service: wire codec properties, the Oracle.of_fn batch
    transport, and end-to-end tests against an in-process gklockd —
    registry-wide verdict parity, per-client quota exhaustion inside a
-   coalesced word, malformed-frame robustness and clean shutdown. *)
+   coalesced word, the early flush when no connection can add a lane,
+   malformed-frame robustness and clean shutdown.  The checksum and one
+   frame's bytes are pinned. *)
 
 let tc = Alcotest.test_case
 
@@ -153,6 +155,70 @@ let qc_payload_boundary =
         | _ -> QCheck.Test.fail_report "payload above the cap encoded"
         | exception Invalid_argument _ -> true)
 
+(* ----- the checksum and the frame bytes are pinned ----- *)
+
+(* The CRC-32 definition itself: one bit at a time, no table. *)
+let crc32_bitwise b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc_known_answers () =
+  let crc s = Wire.crc32 (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+  Alcotest.(check int32) "check value of \"123456789\"" 0xCBF43926l
+    (crc "123456789");
+  Alcotest.(check int32) "empty payload" 0l (crc "")
+
+let qc_crc_vs_bitwise =
+  (* offsets 0..7 and lengths 0..40 hit every alignment of the 8-byte
+     step and every tail length; slack bytes after the range must not
+     change the result *)
+  Qc.qcheck ~count:500 "crc32 = bitwise CRC-32 at every offset and length"
+    (QCheck.make
+       ~print:(fun (pos, len, s) ->
+         Printf.sprintf "pos %d len %d of %d bytes" pos len (String.length s))
+       QCheck.Gen.(
+         int_bound 7 >>= fun pos ->
+         int_bound 40 >>= fun len ->
+         int_bound 7 >>= fun slack ->
+         map
+           (fun s -> (pos, len, s))
+           (string_size ~gen:(map Char.chr (0 -- 255))
+              (return (pos + len + slack)))))
+    (fun (pos, len, s) ->
+      let b = Bytes.of_string s in
+      Wire.crc32 b ~pos ~len = crc32_bitwise b ~pos ~len)
+
+let test_crc_out_of_range () =
+  let b = Bytes.of_string "abc" in
+  List.iter
+    (fun (pos, len) ->
+      match Wire.crc32 b ~pos ~len with
+      | _ -> Alcotest.failf "crc32 ~pos:%d ~len:%d of 3 bytes returned" pos len
+      | exception Invalid_argument _ -> ())
+    [ (2, 5); (0, 4); (3, 1); (4, 0); (-1, 1); (0, -1); (max_int, 2) ]
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+let test_golden_frame () =
+  Alcotest.(check string) "Query frame bytes"
+    "474b01030000000900000016fb0bf48700037332370003000247300100024731000002473201"
+    (hex
+       (Wire.encode ~id:9
+          (Wire.Query
+             {
+               design = "s27";
+               assignment = [ ("G0", true); ("G1", false); ("G2", true) ];
+             })))
+
 let test_oversized () =
   let b = Wire.encode ~id:7 Wire.Ping in
   Bytes.set_int32_be b 8 (Int32.of_int (Wire.max_payload + 1));
@@ -219,19 +285,25 @@ let test_fn_batch_dedup () =
   Alcotest.(check int) "no extra charges" 2 (Oracle.queries o)
 
 let test_fn_batch_no_memo () =
-  let batch_calls = ref 0 in
+  let batch_calls = ref 0 and scalar_calls = ref 0 in
   let o =
     Oracle.of_fn ~memo:false
       ~batch:(fun qs ->
         incr batch_calls;
         List.map (fun _ -> [ ("y", true) ]) qs)
-      (fun _ -> [ ("y", true) ])
+      (fun _ ->
+        incr scalar_calls;
+        [ ("y", true) ])
   in
   let q i = [ ("a", i land 1 = 1); ("b", i land 2 = 2) ] in
   let _ = Oracle.query_batch o [ q 0; q 0; q 1 ] in
   let _ = Oracle.query_batch o [ q 0 ] in
   Alcotest.(check int) "every batch hits the wire" 2 !batch_calls;
-  Alcotest.(check int) "all queries charged" 4 (Oracle.queries o)
+  Alcotest.(check int) "all queries charged" 4 (Oracle.queries o);
+  let _ = Oracle.query o (q 0) in
+  let _ = Oracle.query o (q 0) in
+  Alcotest.(check int) "every scalar query hits the wire" 2 !scalar_calls;
+  Alcotest.(check int) "and is charged" 6 (Oracle.queries o)
 
 (* ----- in-process daemon harness ----- *)
 
@@ -328,9 +400,8 @@ let test_quota_mid_word () =
   let config =
     {
       Gkd_server.default_config with
-      Gkd_server.flush_lanes = 63;
       (* long enough that all 8 pipelined queries coalesce into ONE word *)
-      flush_delay_s = 0.4;
+      Gkd_server.flush_delay_s = 0.4;
       max_queries_per_client = Some 3;
     }
   in
@@ -340,13 +411,19 @@ let test_quota_mid_word () =
       let asg i = List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins in
       let a = Frame_io.connect (Frame_io.Unix_path path) in
       let b = Frame_io.connect (Frame_io.Unix_path path) in
+      (* a silent third connection could still add a lane, so the word
+         waits out the delay instead of flushing as soon as alice and
+         bob both have a query in flight *)
+      let c = Frame_io.connect (Frame_io.Unix_path path) in
       Fun.protect
         ~finally:(fun () ->
-          (try Unix.close a with Unix.Unix_error _ -> ());
-          try Unix.close b with Unix.Unix_error _ -> ())
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ a; b; c ])
       @@ fun () ->
       hello a ~id:900 "alice";
       hello b ~id:901 "bob";
+      hello c ~id:902 "carol";
       (* pipeline scalar queries while the flusher sits on its delay:
          alice is 2 over her quota, bob exactly at his *)
       for i = 1 to 5 do
@@ -386,6 +463,110 @@ let test_quota_mid_word () =
       let count, sum = histogram_stats "gklockd.batch_fill" in
       Alcotest.(check int) "one flush" 1 count;
       Alcotest.(check (float 0.001)) "eight coalesced lanes" 8.0 sum)
+
+(* ----- early flush: no connection can add a lane ----- *)
+
+(* Every part runs with a 1 s delay, so a flush that waited it out is
+   plain in the timings. *)
+let slow_flush =
+  { Gkd_server.default_config with Gkd_server.flush_delay_s = 1.0 }
+
+let s27_vectors () =
+  let net = Benchmarks.s27 () in
+  let local = Oracle.of_netlist (fst (Combinationalize.run net)) in
+  let pins = Oracle.input_names local in
+  (net, local, fun i -> List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_lone_client_flushes_early () =
+  Obs.Metrics.reset ();
+  let net, local, asg = s27_vectors () in
+  with_server ~config:slow_flush [ ("s27", net) ] (fun _t path ->
+      let r =
+        Remote_oracle.connect ~client:"lone" (Frame_io.Unix_path path)
+      in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      for i = 1 to 5 do
+        let got, dt =
+          timed (fun () -> Oracle.query (Remote_oracle.oracle r) (asg i))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "query %d answered without the delay (%.3f s)" i dt)
+          true (dt < 0.25);
+        if got <> Oracle.query local (asg i) then
+          Alcotest.failf "query %d: remote result differs from local" i
+      done;
+      let count, sum = histogram_stats "gklockd.batch_fill" in
+      Alcotest.(check int) "five flushes" 5 count;
+      Alcotest.(check (float 0.001)) "of one lane each" 5.0 sum)
+
+let test_silent_connection_keeps_delay () =
+  let net, _, asg = s27_vectors () in
+  with_server ~config:slow_flush [ ("s27", net) ] (fun _t path ->
+      let silent = Frame_io.connect (Frame_io.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close silent with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      hello silent ~id:1 "silent";
+      let r =
+        Remote_oracle.connect ~client:"busy" (Frame_io.Unix_path path)
+      in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      let _, dt =
+        timed (fun () -> Oracle.query (Remote_oracle.oracle r) (asg 1))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "query waited out the delay (%.3f s)" dt)
+        true (dt >= 1.0))
+
+let test_two_closed_loop_clients () =
+  Obs.Metrics.reset ();
+  let net, local, asg = s27_vectors () in
+  with_server ~config:slow_flush [ ("s27", net) ] (fun _t path ->
+      (* both connected before either queries: neither first query can
+         flush alone *)
+      let clients =
+        List.map
+          (fun name ->
+            Remote_oracle.connect ~client:name (Frame_io.Unix_path path))
+          [ "left"; "right" ]
+      in
+      let expected = Array.init 41 (fun i -> Oracle.query local (asg i)) in
+      let errors = ref [] in
+      let emu = Mutex.create () in
+      let run k r () =
+        Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+        try
+          for j = 1 to 20 do
+            let i = (k * 20) + j in
+            if Oracle.query (Remote_oracle.oracle r) (asg i) <> expected.(i)
+            then
+              failwith
+                (Printf.sprintf "client %d: wrong result for input %d" k i)
+          done
+        with e ->
+          Mutex.lock emu;
+          errors := Printexc.to_string e :: !errors;
+          Mutex.unlock emu
+      in
+      let (), dt =
+        timed (fun () ->
+            List.iter Thread.join
+              (List.mapi (fun k r -> Thread.create (run k r) ()) clients))
+      in
+      if !errors <> [] then Alcotest.fail (String.concat "; " !errors);
+      Alcotest.(check bool)
+        (Printf.sprintf "40 round trips without the delay (%.3f s)" dt)
+        true (dt < 1.0);
+      let count, sum = histogram_stats "gklockd.batch_fill" in
+      Alcotest.(check (float 0.001)) "every query flushed" 40.0 sum;
+      Alcotest.(check bool)
+        (Printf.sprintf "lanes shared words (%d flushes)" count)
+        true (count <= 21))
 
 (* ----- structured errors for unknown designs ----- *)
 
@@ -789,6 +970,10 @@ let suites =
         qc_payload_boundary;
         tc "oversized length rejected" `Quick test_oversized;
         tc "payload CRC checked" `Quick test_crc_mismatch;
+        tc "crc32 known answers" `Quick test_crc_known_answers;
+        qc_crc_vs_bitwise;
+        tc "crc32 rejects an out-of-range slice" `Quick test_crc_out_of_range;
+        tc "golden Query frame" `Quick test_golden_frame;
         tc "unknown type byte rejected" `Quick test_unknown_type;
         tc "bad magic rejected" `Quick test_bad_magic;
       ] );
@@ -802,6 +987,12 @@ let suites =
         tc "registry verdict parity over the wire" `Slow test_registry_parity;
         tc "quota exhaustion inside a coalesced word" `Slow
           test_quota_mid_word;
+        tc "lone client flushes without the delay" `Quick
+          test_lone_client_flushes_early;
+        tc "a silent connection keeps the delay" `Slow
+          test_silent_connection_keeps_delay;
+        tc "two closed-loop clients share words" `Quick
+          test_two_closed_loop_clients;
         tc "unknown design is a structured error" `Quick test_unknown_design;
         tc "concurrent batches share one oracle safely" `Slow
           test_concurrent_batches;

@@ -6,9 +6,8 @@ type outcome = {
   exact : bool;
 }
 
-(* The DIP miter plus a "candidate" store holding only the accumulated
-   I/O constraints, from which the current best key is extracted between
-   iterations. *)
+(* The DIP miter; the current best key is read from its solver with the
+   miter clause switched off ([Dip_miter.key]) between iterations. *)
 let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
     ?seed ~budget ~locked ~key_inputs ~oracle () =
   if Netlist.ffs locked <> [] then
@@ -29,12 +28,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
   let rng = Random.State.make [| seed; 0x4150 |] in
   let m = Dip_miter.create locked ~key_inputs in
   let x_names = Dip_miter.x_names m in
-  let cand = Dip_miter.store m in
-  let add_io_constraint dip outs =
-    let io = Dip_miter.io m dip outs in
-    Dip_miter.constrain m io;
-    Dip_miter.add cand io
-  in
+  let add_io_constraint dip outs = Dip_miter.constrain m (Dip_miter.io m dip outs) in
   let random_dip () = List.map (fun n -> (n, Random.State.bool rng)) x_names in
   let locked_o = Oracle.of_netlist locked in
   let differs = Oracle.differs locked ~missing:false in
@@ -68,7 +62,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
   in
   let fallback = List.map (fun k -> (k, false)) key_inputs in
   let exhausted dips =
-    let key = Option.value (Dip_miter.key cand) ~default:fallback in
+    let key = Option.value (Dip_miter.key m) ~default:fallback in
     let error_rate =
       (* a deadline or query cap may already be spent: report the
          pessimistic bound rather than burn more budget *)
@@ -82,7 +76,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
     Budget.check budget;
     match Dip_miter.solve m ~iter:dips with
     | Solver.Unsat ->
-      let key = Option.value (Dip_miter.key cand) ~default:fallback in
+      let key = Option.value (Dip_miter.key m) ~default:fallback in
       { key; error_rate = 0.0; dips; random_queries = !queries; exact = true }
     | Solver.Sat ->
       (* charge the iteration only once a DIP exists (see Sat_attack);
@@ -97,7 +91,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
           add_io_constraint dip (Oracle.query oracle dip));
       let dips = dips + 1 in
       if dips mod check_every = 0 then begin
-        match Dip_miter.key cand with
+        match Dip_miter.key m with
         | None -> loop dips
         | Some key ->
           let err = estimate key in

@@ -2,6 +2,7 @@ type t = {
   locked : Netlist.t;
   key_inputs : string list;
   solver : Solver.t;
+  guard : Lit.t;  (* the miter clause binds only under it *)
   x_pis : int array;
   x_names : string list;
   x_vars : int array;  (* aligned with [x_pis] *)
@@ -9,6 +10,7 @@ type t = {
   k2 : (string, int) Hashtbl.t;
   outputs : (string * int) array;
   out_index : (string, int) Hashtbl.t;  (* output name -> position *)
+  mutable dip_conflicts : int;  (* conflicts of the DIP searches *)
 }
 
 (* One I/O constraint: the X input pins [x] and the output pins [y]. *)
@@ -39,15 +41,28 @@ let create locked ~key_inputs =
       Hashtbl.replace k1 k (Solver.new_var solver);
       Hashtbl.replace k2 k (Solver.new_var solver))
     key_inputs;
-  let copy keys =
+  let vars1 =
     Tseitin.encode solver locked ~shared:(fun id ->
-        match input_var locked keys id with
+        match input_var locked k1 id with
         | Some v -> Some v
         | None -> input_var locked x_tbl id)
   in
-  let vars1 = copy k1 in
-  let vars2 = copy k2 in
-  Tseitin.miter solver
+  (* The key inputs' forward cone: the only nodes whose value can differ
+     between the copies.  The second copy takes every other node's
+     variable from the first, so it encodes the cone alone. *)
+  let cone =
+    Array.init (Netlist.num_nodes locked) (fun id -> input_var locked k1 id <> None)
+  in
+  Array.iter
+    (fun id ->
+      cone.(id) <- Array.exists (fun f -> cone.(f)) (Netlist.node locked id).Netlist.fanins)
+    (Netlist.comb_topo_array locked);
+  let vars2 =
+    Tseitin.encode solver locked ~shared:(fun id ->
+        if cone.(id) then input_var locked k2 id else Some vars1.(id))
+  in
+  let guard = Lit.pos (Solver.new_var solver) in
+  Tseitin.miter ~guard solver
     (List.map (fun (_, d) -> (vars1.(d), vars2.(d))) (Netlist.outputs locked));
   let outputs = Array.of_list (Netlist.outputs locked) in
   let out_index = Hashtbl.create (Array.length outputs) in
@@ -56,6 +71,7 @@ let create locked ~key_inputs =
     locked;
     key_inputs;
     solver;
+    guard;
     x_pis = Array.of_list x_pis;
     x_names;
     x_vars = Array.of_list (List.map (Hashtbl.find x_tbl) x_names);
@@ -63,6 +79,7 @@ let create locked ~key_inputs =
     k2;
     outputs;
     out_index;
+    dip_conflicts = 0;
   }
 
 let x_names t = t.x_names
@@ -81,19 +98,33 @@ let counted_span name ~args counts f =
 
 let solve t ~iter =
   let s = t.solver in
-  let c0 = Solver.conflicts s and p0 = Solver.propagations s in
-  counted_span "attack.solve"
-    ~args:[ ("iter", Cjson.Int iter) ]
-    (fun () ->
-      [
-        ("conflicts", Cjson.Int (Solver.conflicts s - c0));
-        ("propagations", Cjson.Int (Solver.propagations s - p0));
-      ])
-    (fun () -> Solver.solve s)
+  let c0 = Solver.conflicts s and p0 = Solver.propagations s and l0 = Solver.learnts s in
+  let r =
+    counted_span "attack.solve"
+      ~args:[ ("iter", Cjson.Int iter) ]
+      (fun () ->
+        [
+          ("conflicts", Cjson.Int (Solver.conflicts s - c0));
+          ("propagations", Cjson.Int (Solver.propagations s - p0));
+          ("learnts", Cjson.Int (Solver.learnts s - l0));
+        ])
+      (fun () -> Solver.solve ~assumptions:[ t.guard ] s)
+  in
+  t.dip_conflicts <- t.dip_conflicts + Solver.conflicts s - c0;
+  r
 
 let dip t = List.mapi (fun i n -> (n, Solver.value t.solver t.x_vars.(i))) t.x_names
 
-let conflicts t = Solver.conflicts t.solver
+let conflicts t = t.dip_conflicts
+
+let key t =
+  match Solver.solve ~assumptions:[ Lit.negate t.guard ] t.solver with
+  | Solver.Sat ->
+    Some
+      (List.map
+         (fun k -> (k, Solver.value t.solver (Hashtbl.find t.k1 k)))
+         t.key_inputs)
+  | Solver.Unsat -> None
 
 let io t dip reply =
   let vals = Array.make (Array.length t.outputs) (-1) in
@@ -114,13 +145,12 @@ let io t dip reply =
         t.outputs;
   }
 
-let assert_io s locked keys io =
-  Tseitin.assert_io s locked ~shared:(input_var locked keys) ~inputs:io.x
-    ~outputs:io.y
-
 let constrain t io =
-  assert_io t.solver t.locked t.k1 io;
-  assert_io t.solver t.locked t.k2 io
+  List.iter
+    (fun keys ->
+      Tseitin.assert_io t.solver t.locked ~shared:(input_var t.locked keys)
+        ~inputs:io.x ~outputs:io.y)
+    [ t.k1; t.k2 ]
 
 let iteration t ~args f =
   let s = t.solver in
@@ -132,22 +162,3 @@ let iteration t ~args f =
         ("clauses", Cjson.Int (Solver.num_clauses s - c0));
       ])
     f
-
-type store = { miter : t; st_solver : Solver.t; keys : (string, int) Hashtbl.t }
-
-let store t =
-  let s = Solver.create () in
-  let keys = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace keys k (Solver.new_var s)) t.key_inputs;
-  { miter = t; st_solver = s; keys }
-
-let add st io = assert_io st.st_solver st.miter.locked st.keys io
-
-let key st =
-  match Solver.solve st.st_solver with
-  | Solver.Sat ->
-    Some
-      (List.map
-         (fun k -> (k, Solver.value st.st_solver (Hashtbl.find st.keys k)))
-         st.miter.key_inputs)
-  | Solver.Unsat -> None

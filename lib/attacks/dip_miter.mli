@@ -1,6 +1,6 @@
 (** The DIP miter that {!Sat_attack} and {!Appsat} share.
 
-    Two full {!Tseitin.encode} copies of the locked netlist over shared X
+    Two {!Tseitin.encode} copies of the locked netlist over shared X
     input variables, each with its own key vector, required by
     {!Tseitin.miter} to disagree on some output: a model is a
     distinguishing input pattern (DIP).  Each DIP and the chip's reply
@@ -8,10 +8,18 @@
     {!Tseitin.assert_io} under the DIP's X values, so a constraint costs
     only the key cone that the DIP leaves undecided.
 
-    The miter copies stay full: their X inputs are free, so nothing
-    folds.  A first solve therefore depends on the miter alone, and on a
-    GK lock (the paper's Sec. VI) that first solve is the whole attack:
-    UNSAT, no DIP, no constraint. *)
+    Only the key inputs' forward cone can differ between the copies, so
+    the second copy is that cone alone: every node outside it takes the
+    first copy's variable and adds no clauses, and an output outside it
+    drops out of the miter.  The miter is equisatisfiable with one over
+    two full copies, and every DIP it returns is a DIP of that one.  On
+    a GK lock (the paper's Sec. VI) the first solve is still the whole
+    attack (UNSAT, no DIP, no constraint), but it no longer has to prove
+    the copies' key-independent logic equal.
+
+    The miter clause is guarded by an activation literal.  {!solve}
+    assumes it; {!key} solves the same solver under its negation, where
+    only the I/O constraints bind the key vectors. *)
 
 type t
 
@@ -27,14 +35,23 @@ val create : Netlist.t -> key_inputs:string list -> t
 val x_names : t -> string list
 
 (** [solve t ~iter] searches for the next DIP, in an [attack.solve] span
-    that closes with the search's [conflicts] and [propagations]. *)
+    that closes with the search's [conflicts], [propagations] and
+    [learnts]. *)
 val solve : t -> iter:int -> Solver.result
 
 (** The DIP of the last [Sat] answer of {!solve}. *)
 val dip : t -> (string * bool) list
 
-(** CDCL conflicts of the miter solver so far. *)
+(** CDCL conflicts of the DIP searches ({!solve}) so far. *)
 val conflicts : t -> int
+
+(** [key t] solves the miter's solver under the guard's negation, so
+    only the I/O constraints bind the keys, and returns the first key
+    vector of the model, in [key_inputs] order: a key consistent with
+    every DIP and reply so far.  [None] if there is none (the chip's
+    replies contradict the netlist).  Its conflicts do not count in
+    {!conflicts}, and it runs in no span.  Invalidates {!dip}. *)
+val key : t -> Key.assignment option
 
 (** One DIP and the chip's reply to it, as the encoder's pins. *)
 type io
@@ -51,16 +68,3 @@ val constrain : t -> io -> unit
     [attack.iteration] span that closes with the [vars] and [clauses] it
     added to the miter solver (also when [f] raises). *)
 val iteration : t -> args:(string * Cjson.t) list -> (unit -> unit) -> unit
-
-(** A key store: a solver holding one key vector and I/O constraints
-    only, from which a key consistent with every constraint is read. *)
-type store
-
-val store : t -> store
-
-(** [add store io] asserts [io] on the store's key vector. *)
-val add : store -> io -> unit
-
-(** A key satisfying every constraint added so far, in [key_inputs]
-    order; [None] if there is none. *)
-val key : store -> Key.assignment option

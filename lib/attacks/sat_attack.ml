@@ -32,26 +32,17 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
     { status = Budget_exhausted; iterations = 0; dips = []; conflicts = 0 }
   | () ->
   let m = Dip_miter.create locked ~key_inputs in
-  (* (DIP, its I/O pins), latest first *)
+  (* latest first *)
   let dips = ref [] in
   let extract_key () =
-    (* The K1 vector of a model of all accumulated constraints, read from
-       a fresh solver holding only the constraint copies. *)
-    let store = Dip_miter.store m in
-    List.iter (fun (_, io) -> Dip_miter.add store io) (List.rev !dips);
-    match Dip_miter.key store with
+    match Dip_miter.key m with
     | Some key -> key
     | None ->
       (* Impossible unless the oracle is inconsistent with the netlist. *)
       List.map (fun k -> (k, false)) key_inputs
   in
   let finish status iter =
-    {
-      status;
-      iterations = iter;
-      dips = List.rev_map fst !dips;
-      conflicts = Dip_miter.conflicts m;
-    }
+    { status; iterations = iter; dips = List.rev !dips; conflicts = Dip_miter.conflicts m }
   in
   let rec loop iter =
     Budget.check budget;
@@ -74,9 +65,8 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
         ~args:[ ("iter", Cjson.Int iter); ("dips", Cjson.Int (List.length !dips)) ]
         (fun () ->
           let dip = Dip_miter.dip m in
-          let io = Dip_miter.io m dip (Oracle.query oracle dip) in
-          dips := (dip, io) :: !dips;
-          Dip_miter.constrain m io);
+          dips := dip :: !dips;
+          Dip_miter.constrain m (Dip_miter.io m dip (Oracle.query oracle dip)));
       loop (iter + 1)
   in
   (* On mid-iteration exhaustion the iteration was already charged

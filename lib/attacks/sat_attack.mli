@@ -32,7 +32,9 @@ type outcome = {
   status : status;
   iterations : int;              (** DIPs consumed *)
   dips : (string * bool) list list;  (** in discovery order *)
-  conflicts : int;               (** CDCL conflicts over the whole attack *)
+  conflicts : int;
+      (** CDCL conflicts of the attack's DIP searches (the final key
+          read is not counted) *)
 }
 
 (** [oracle_of_netlist net] wraps a combinational netlist as the oracle

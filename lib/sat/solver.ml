@@ -105,6 +105,7 @@ type t = {
   mutable n_units : int;
   mutable n_conflicts : int;
   mutable n_propagations : int;
+  mutable n_learnts : int;
   mutable model : bool array;
   mutable have_model : bool;
   mutable seen : bool array;          (* scratch for analyze *)
@@ -136,6 +137,7 @@ let create () =
     n_units = 0;
     n_conflicts = 0;
     n_propagations = 0;
+    n_learnts = 0;
     model = [||];
     have_model = false;
     seen = [||];
@@ -388,6 +390,7 @@ let add_unit s l =
   s.n_units <- s.n_units + 1
 
 let record_learnt s arr =
+  s.n_learnts <- s.n_learnts + 1;
   if Array.length arr = 1 then begin
     add_unit s arr.(0);
     enqueue s arr.(0) (-1)
@@ -563,3 +566,4 @@ let value s v =
 
 let conflicts s = s.n_conflicts
 let propagations s = s.n_propagations
+let learnts s = s.n_learnts

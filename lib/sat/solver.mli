@@ -53,3 +53,9 @@ val conflicts : t -> int
 
 (** Number of unit propagations performed so far. *)
 val propagations : t -> int
+
+(** Number of learnt clauses recorded so far, units included: one per
+    conflict that conflict analysis turned into a clause (a conflict
+    under the assumptions alone learns nothing).  A counter only; it
+    does not steer the search. *)
+val learnts : t -> int

@@ -71,10 +71,18 @@ let encode_with sink net ~shared =
   reject_ffs net;
   let n = Netlist.num_nodes net in
   let vars = Array.make n (-1) in
+  (* nodes whose variable [shared] supplied: already constrained *)
+  let supplied = Array.make n false in
   let var_of id =
     if vars.(id) >= 0 then vars.(id)
     else begin
-      let v = match shared id with Some v -> v | None -> sink.fresh () in
+      let v =
+        match shared id with
+        | Some v ->
+          supplied.(id) <- true;
+          v
+        | None -> sink.fresh ()
+      in
       vars.(id) <- v;
       v
     end
@@ -82,27 +90,29 @@ let encode_with sink net ~shared =
   let encode_node id =
     let nd = Netlist.node net id in
     let o = Lit.pos (var_of id) in
-    let ins = Array.map (fun f -> Lit.pos (var_of f)) nd.Netlist.fanins in
-    match nd.Netlist.kind with
-    | Netlist.Input -> ()
-    | Netlist.Dead -> ()
-    | Netlist.Const b -> sink.clause [ (if b then o else Lit.negate o) ]
-    | Netlist.Ff -> assert false
-    | Netlist.Gate fn -> (
-      match fn with
-      | Cell.Buf ->
-        sink.clause [ Lit.negate o; ins.(0) ];
-        sink.clause [ o; Lit.negate ins.(0) ]
-      | Cell.Not ->
-        sink.clause [ Lit.negate o; Lit.negate ins.(0) ];
-        sink.clause [ o; ins.(0) ]
-      | Cell.And -> and_clauses sink o ins true
-      | Cell.Nand -> and_clauses sink o ins false
-      | Cell.Or -> or_clauses sink o ins true
-      | Cell.Nor -> or_clauses sink o ins false
-      | Cell.Xor | Cell.Xnor -> parity_clauses sink o ins (fn = Cell.Xor)
-      | Cell.Mux -> mux_clauses sink o ins.(0) ins.(1) ins.(2))
-    | Netlist.Lut truth -> lut_clauses sink o ins truth
+    if not supplied.(id) then begin
+      let ins = Array.map (fun f -> Lit.pos (var_of f)) nd.Netlist.fanins in
+      match nd.Netlist.kind with
+      | Netlist.Input -> ()
+      | Netlist.Dead -> ()
+      | Netlist.Const b -> sink.clause [ (if b then o else Lit.negate o) ]
+      | Netlist.Ff -> assert false
+      | Netlist.Gate fn -> (
+        match fn with
+        | Cell.Buf ->
+          sink.clause [ Lit.negate o; ins.(0) ];
+          sink.clause [ o; Lit.negate ins.(0) ]
+        | Cell.Not ->
+          sink.clause [ Lit.negate o; Lit.negate ins.(0) ];
+          sink.clause [ o; ins.(0) ]
+        | Cell.And -> and_clauses sink o ins true
+        | Cell.Nand -> and_clauses sink o ins false
+        | Cell.Or -> or_clauses sink o ins true
+        | Cell.Nor -> or_clauses sink o ins false
+        | Cell.Xor | Cell.Xnor -> parity_clauses sink o ins (fn = Cell.Xor)
+        | Cell.Mux -> mux_clauses sink o ins.(0) ins.(1) ins.(2))
+      | Netlist.Lut truth -> lut_clauses sink o ins truth
+    end
   in
   (* Sources first (so shared vars bind), then gates in dependency order. *)
   for id = 0 to n - 1 do
@@ -123,17 +133,22 @@ let solver_sink solver =
 
 let encode solver net ~shared = encode_with (solver_sink solver) net ~shared
 
-let miter solver pairs =
+let miter ?guard solver pairs =
   let sink = solver_sink solver in
   let diffs =
-    List.map
+    List.filter_map
       (fun (a, b) ->
-        let d = Lit.pos (Solver.new_var solver) in
-        xor_clauses sink d (Lit.pos a) (Lit.pos b) true;
-        d)
+        if a = b then None
+        else begin
+          let d = Lit.pos (Solver.new_var solver) in
+          xor_clauses sink d (Lit.pos a) (Lit.pos b) true;
+          Some d
+        end)
       pairs
   in
-  sink.clause diffs
+  match guard with
+  | None -> sink.clause diffs
+  | Some g -> sink.clause (Lit.negate g :: diffs)
 
 let encode_simple solver net = encode solver net ~shared:(fun _ -> None)
 

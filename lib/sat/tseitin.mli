@@ -3,23 +3,36 @@
     Each node gets one solver variable; every gate contributes the standard
     constraint clauses.  Sharing is explicit: the [shared] callback lets the
     SAT attack put two copies of a locked netlist over the same primary
-    input variables while keeping their key variables distinct. *)
+    input variables while keeping their key variables distinct, and lets
+    the second copy reuse every node of the first that the keys cannot
+    reach. *)
 
 (** [encode solver net ~shared] adds clauses for every live node of the
     combinational netlist [net] and returns the node-id → variable map.
-    [shared id] may return an existing solver variable to use for node [id]
-    (only sensible for [Input] nodes); otherwise fresh variables are
-    allocated.  Constants are pinned with unit clauses.
+    [shared id] may return an existing solver variable to use for node
+    [id]; otherwise a fresh variable is allocated and the node's gate
+    clauses are added over its fanins' variables.  A node whose variable
+    [shared] supplies gets no clauses: the caller has already constrained
+    that variable, for instance as the same node of an earlier copy over
+    the same fanins.  An [Input] node has no clauses either way.
+    Constants are pinned with unit clauses.
 
     @raise Invalid_argument if [net] still contains flip-flops. *)
 val encode : Solver.t -> Netlist.t -> shared:(int -> int option) -> int array
 
-(** [miter solver pairs] asserts that at least one pair of variables
-    differs: for each [(a, b)] in order it allocates a fresh [d] with
-    [d <-> a xor b], then adds the clause over every [d].  The SAT attack
-    and its relatives pass the outputs of two circuit copies.  With no
-    pairs the added clause is empty, so the solver becomes UNSAT. *)
-val miter : Solver.t -> (int * int) list -> unit
+(** [miter ?guard solver pairs] asserts that at least one pair of
+    variables differs: for each [(a, b)] in order with [a <> b] it
+    allocates a fresh [d] with [d <-> a xor b], then adds the clause over
+    every [d].  A pair of one variable can never differ and is dropped.
+    The SAT attack and its relatives pass the outputs of two circuit
+    copies.  With no pairs left the added clause is empty, so the solver
+    becomes UNSAT.
+
+    With [guard] the clause also holds [not guard]: it binds only while
+    [guard] is assumed true, and solving under [not guard] leaves the rest
+    of the formula free of it.  With no pairs left it is then the unit
+    [not guard], and only a solve under [guard] is UNSAT. *)
+val miter : ?guard:Lit.t -> Solver.t -> (int * int) list -> unit
 
 (** [encode_simple solver net] is {!encode} with no sharing. *)
 val encode_simple : Solver.t -> Netlist.t -> int array

@@ -159,6 +159,75 @@ let gk_unsat_at_first_law seed =
       Sat_attack.verify_key ~locked:locked_comb ~key_inputs:keys ~oracle k > 0
     | Sat_attack.Key_recovered _ | Sat_attack.Budget_exhausted -> false)
 
+(* The paper's Sec. VI claim as an invariant on all seven benchmarks,
+   with the end-to-end gk_sat workload's checks: after GK-8 locking and
+   KEYGEN stripping the SAT attack finds no DIP, and on the timing-true
+   design the correct key corrupts no sample while the key the attack
+   leaves (k1 = k2 = b at every GK, the KEYGEN selection that outputs the
+   constant b) corrupts some.  A sample is a primary output or a data
+   flip-flop, matched by name, after two warm-up cycles. *)
+let test_gk8_every_benchmark () =
+  let seed = 1 and cycles = 24 in
+  List.iter
+    (fun spec ->
+      let bname = spec.Benchmarks.bname in
+      let net = Benchmarks.load spec in
+      let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+      let d = Insertion.lock ~seed net ~clock_ps ~n_gks:8 in
+      let stripped, keys = Insertion.strip_keygens d in
+      let locked = fst (Combinationalize.run stripped) in
+      let o =
+        Attack.run ~seed ~name:"sat" ~locked ~key_inputs:keys
+          ~oracle:(Oracle.of_netlist (fst (Combinationalize.run net)))
+          ()
+      in
+      Alcotest.(check int) (bname ^ ": no DIP") 0 o.Attack.iterations;
+      let left =
+        match o.Attack.verdict with
+        | Attack.No_dip { key; mismatches } when mismatches > 0 -> key
+        | v -> Alcotest.failf "%s: verdict %s, wanted a refuted no_dip" bname (Attack.verdict_name v)
+      in
+      let sim = { Timing_sim.clock_ps; cycles } in
+      let stim n = Stimuli.edge_aligned ~seed n ~clock_ps ~cycles in
+      let ffs n (r : Timing_sim.result) =
+        Array.to_list
+          (Array.mapi
+             (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
+             r.Timing_sim.ff_ids)
+      in
+      let base = Timing_sim.run ~drive:(stim net) ~captures_from:(fun _ -> 1) net sim in
+      let corrupted key =
+        let r =
+          Timing_sim.run
+            ~drive:(Insertion.timing_drive ~other:(stim d.Insertion.lnet) d key)
+            ~captures_from:(Insertion.capture_policy d) d.Insertion.lnet sim
+        in
+        let got = ffs d.Insertion.lnet r in
+        List.fold_left
+          (fun n (name, want) ->
+            match List.assoc_opt name got with
+            | None -> n
+            | Some v ->
+              let m = ref n in
+              Array.iteri (fun k b -> if k >= 2 && b <> v.(k) then incr m) want;
+              !m)
+          (fst (Stimuli.po_agreement ~skip:2 base r))
+          (ffs net base)
+      in
+      let leftover =
+        List.concat
+          (List.mapi
+             (fun i p ->
+               let b = List.assoc (Printf.sprintf "gkkey%d" i) left in
+               [ (p.Insertion.p_k1_name, b); (p.Insertion.p_k2_name, b) ])
+             d.Insertion.placements)
+      in
+      Alcotest.(check int) (bname ^ ": correct key corrupts nothing") 0
+        (corrupted d.Insertion.correct_key);
+      Alcotest.(check bool) (bname ^ ": leftover key corrupts samples") true
+        (corrupted leftover > 0))
+    Benchmarks.specs
+
 (* ----- Signal probabilities ----- *)
 
 let test_signal_prob_basics () =
@@ -450,6 +519,8 @@ let suites =
         qcheck ~count:10 "recovers MUX keys" seed_arb sat_recovers_mux_law;
         qcheck ~count:10 "GK: UNSAT at first DIP, key wrong on chip" seed_arb
           gk_unsat_at_first_law;
+        tc "GK-8 on every benchmark: no DIP, leftover key corrupts" `Quick
+          test_gk8_every_benchmark;
       ] );
     ( "attacks.signal_prob",
       [

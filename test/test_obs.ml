@@ -201,6 +201,11 @@ let test_trace_attack_iteration_spans () =
     (List.fold_left ( + ) 0 solve_conflicts);
   Alcotest.(check bool) "propagation deltas recorded" true
     (List.for_all (fun p -> p >= 0) (end_args path "attack.solve" "propagations"));
+  Alcotest.(check bool) "learnt deltas recorded, at most one per conflict" true
+    (List.for_all2
+       (fun l c -> l >= 0 && l <= c)
+       (end_args path "attack.solve" "learnts")
+       solve_conflicts);
   List.iter
     (fun field ->
       let added = end_args path "attack.iteration" field in

@@ -267,12 +267,18 @@ let random_3sat ~seed ~nv ~nc =
   done;
   s
 
-(* The SAT attack's DIP loop, written out against Solver and Tseitin:
-   two copies of [locked] over shared X variables and distinct key
-   vectors, a miter over their outputs, and per DIP one I/O-constraint
-   copy per key vector.  Returns the row for the final solver state. *)
-let dip_loop_row name locked key_inputs chip =
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true chip in
+(* The SAT attack's DIP miter, written out against Solver and Tseitin:
+   two full copies of [locked] over shared X variables and distinct key
+   vectors, and a miter over their outputs.  [fm_constrain dip outs]
+   adds one full I/O-constraint copy per key vector. *)
+type full_miter = {
+  fm_solver : Solver.t;
+  fm_xs : (int * int) list;  (* X input id, variable *)
+  fm_dip : unit -> (string * bool) list;  (* the model's X values *)
+  fm_constrain : (string * bool) list -> (string * bool) list -> unit;
+}
+
+let full_miter locked key_inputs =
   let s = Solver.create () in
   let input_name pi = (Netlist.node locked pi).Netlist.name in
   let x_pis, key_pis =
@@ -290,23 +296,38 @@ let dip_loop_row name locked key_inputs chip =
   let v1 = encode (xs @ k1) in
   let v2 = encode (xs @ k2) in
   Tseitin.miter s (List.map (fun (_, d) -> (v1.(d), v2.(d))) (Netlist.outputs locked));
+  let constrain dip outs =
+    List.iter
+      (fun keys ->
+        let vars = encode keys in
+        List.iter2
+          (fun (pi, _) (_, b) -> ignore (Solver.add_clause s [ Lit.make vars.(pi) b ]))
+          xs dip;
+        List.iter
+          (fun (po, d) ->
+            ignore (Solver.add_clause s [ Lit.make vars.(d) (List.assoc po outs) ]))
+          (Netlist.outputs locked))
+      [ k1; k2 ]
+  in
+  {
+    fm_solver = s;
+    fm_xs = xs;
+    fm_dip = (fun () -> List.map (fun (pi, v) -> (input_name pi, Solver.value s v)) xs);
+    fm_constrain = constrain;
+  }
+
+(* The DIP loop over [full_miter].  Returns the row for the final solver
+   state. *)
+let dip_loop_row name locked key_inputs chip =
+  let oracle = Sat_attack.oracle_of_netlist ~partial:true chip in
+  let fm = full_miter locked key_inputs in
+  let s = fm.fm_solver in
   let rec loop dips =
     match Solver.solve s with
     | Solver.Unsat -> (dips, Solver.Unsat)
     | Solver.Sat ->
-      let dip = List.map (fun (pi, v) -> (input_name pi, Solver.value s v)) xs in
-      let outs = oracle dip in
-      List.iter
-        (fun keys ->
-          let vars = encode keys in
-          List.iter2
-            (fun (pi, _) (_, b) -> ignore (Solver.add_clause s [ Lit.make vars.(pi) b ]))
-            xs dip;
-          List.iter
-            (fun (po, d) ->
-              ignore (Solver.add_clause s [ Lit.make vars.(d) (List.assoc po outs) ]))
-            (Netlist.outputs locked))
-        [ k1; k2 ];
+      let dip = fm.fm_dip () in
+      fm.fm_constrain dip (oracle dip);
       loop (dips + 1)
   in
   let dips, r = loop 0 in
@@ -413,13 +434,15 @@ let xor8 () =
 
 (* The solver's clients, through their public entry points: outcomes
    that depend on which model each solve returns.  gk2-tiny is one miter
-   solve, so it pins the kernel and Tseitin.encode; the sarlock4 DIP
-   loops also pin the I/O constraint encoding (Tseitin.assert_io), so
-   they move only when an attack's formula changes on purpose. *)
+   solve, so it pins the kernel, Tseitin.encode and the DIP miter's
+   formula (the key-cone copy and its guard); the sarlock4 DIP loops also
+   pin the I/O constraint encoding (Tseitin.assert_io) and the key read
+   from the miter's solver.  Each moves only when an attack's formula
+   changes on purpose. *)
 let expected_attack_rows =
   [
-    "gk2-tiny sat iterations=0 conflicts=125";
-    "sarlock4 sat iterations=15 conflicts=140";
+    "gk2-tiny sat iterations=0 conflicts=18";
+    "sarlock4 sat iterations=15 conflicts=37";
     "sarlock4 appsat dips=12 queries=150 key=sk0=1 sk1=0 sk2=0 sk3=1";
     "xor8 sensitization patterns=4 recovered=xk2=0 xk7=1";
     "xor8 equiv witness=0100111111";
@@ -570,6 +593,7 @@ let test_tseitin_miter () =
   let s = Solver.create () in
   let a = Solver.new_var s and b = Solver.new_var s and c = Solver.new_var s in
   Tseitin.miter s [ (a, a); (b, c) ];
+  Alcotest.(check int) "one difference variable: (a, a) dropped" 4 (Solver.num_vars s);
   Alcotest.(check bool) "some pair differs" true (Solver.solve s = Solver.Sat);
   Alcotest.(check bool) "b <> c" true (Solver.value s b <> Solver.value s c);
   ignore (Solver.add_clause s [ Lit.pos b ]);
@@ -577,7 +601,59 @@ let test_tseitin_miter () =
   Alcotest.(check bool) "no pair can differ" true (Solver.solve s = Solver.Unsat);
   let empty = Solver.create () in
   Tseitin.miter empty [];
-  Alcotest.(check bool) "no pairs" true (Solver.solve empty = Solver.Unsat)
+  Alcotest.(check bool) "no pairs" true (Solver.solve empty = Solver.Unsat);
+  let shared = Solver.create () in
+  let a = Solver.new_var shared in
+  Tseitin.miter shared [ (a, a) ];
+  Alcotest.(check int) "only a shared pair: no variable" 1 (Solver.num_vars shared);
+  Alcotest.(check bool) "only a shared pair: UNSAT" true
+    (Solver.solve shared = Solver.Unsat)
+
+(* With a guard the miter clause binds under the guard only. *)
+let test_tseitin_miter_guard () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and b = Solver.new_var s in
+  let g = Lit.pos (Solver.new_var s) in
+  Tseitin.miter ~guard:g s [ (a, b) ];
+  ignore (Solver.add_clause s [ Lit.pos a ]);
+  ignore (Solver.add_clause s [ Lit.pos b ]);
+  Alcotest.(check bool) "guarded: a = b refutes it" true
+    (Solver.solve ~assumptions:[ g ] s = Solver.Unsat);
+  Alcotest.(check bool) "switched off: SAT" true
+    (Solver.solve ~assumptions:[ Lit.negate g ] s = Solver.Sat);
+  let none = Solver.create () in
+  let a = Solver.new_var none in
+  let g = Lit.pos (Solver.new_var none) in
+  Tseitin.miter ~guard:g none [ (a, a) ];
+  Alcotest.(check bool) "no pairs, guarded: UNSAT" true
+    (Solver.solve ~assumptions:[ g ] none = Solver.Unsat);
+  Alcotest.(check bool) "no pairs, switched off: SAT" true
+    (Solver.solve ~assumptions:[ Lit.negate g ] none = Solver.Sat)
+
+(* A second copy that takes a gate's variable from the first adds no
+   clauses for it, only for the gates over it that it encodes afresh. *)
+let test_tseitin_shared_gate () =
+  let net = Netlist.create "sh" in
+  let a = Netlist.add_input net "a" and k = Netlist.add_input net "k" in
+  let g = Netlist.add_gate net Cell.Not [| a |] in
+  let h = Netlist.add_gate net Cell.And [| g; k |] in
+  Netlist.add_output net "h" h;
+  let s = Solver.create () in
+  let v1 = Tseitin.encode_simple s net in
+  let vars0 = Solver.num_vars s and clauses0 = Solver.num_clauses s in
+  let v2 =
+    Tseitin.encode s net ~shared:(fun id ->
+        if id = a || id = g then Some v1.(id) else None)
+  in
+  Alcotest.(check int) "the shared gate keeps the first copy's variable" v1.(g) v2.(g);
+  Alcotest.(check int) "fresh variables: k and h" (vars0 + 2) (Solver.num_vars s);
+  Alcotest.(check int) "clauses: h's AND only" (clauses0 + 3) (Solver.num_clauses s);
+  List.iter
+    (fun (va, vk) ->
+      let pins = [ Lit.make v1.(a) va; Lit.make v2.(k) vk ] in
+      Alcotest.(check bool) "SAT" true (Solver.solve ~assumptions:pins s = Solver.Sat);
+      Alcotest.(check bool) "h = not a and k" ((not va) && vk) (Solver.value s v2.(h)))
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 (* ----- folded I/O constraints (Tseitin.assert_io) ----- *)
 
@@ -616,10 +692,12 @@ let folded_disagreements locked ~keys ~x ~y =
       sat folded kf <> engine || sat full kfull <> engine)
     (List.init (1 lsl Array.length keys) Fun.id)
 
-(* Seeded Netlist_gen circuits (half of them adversarial: LUTs, MUXes,
-   constants, wide gates, repeated fanins) locked with up to 6 key bits;
-   a random DIP; the chip's outputs, or the same with one bit flipped. *)
-let folded_law seed =
+(* A seeded Netlist_gen circuit (half of them adversarial: LUTs, MUXes,
+   constants, wide gates, repeated fanins), combinationalized, and its
+   XOR, SARLock or MUX lock with 1 to 6 key bits; [None] when the circuit
+   is too small to host the lock.  Also returns the seed's generator for
+   further draws. *)
+let locked_case seed =
   let rng = Random.State.make [| seed; 0x464f |] in
   let chip = fst (Combinationalize.run (Netlist_gen.net rng)) in
   let n_keys = 1 + Random.State.int rng 6 in
@@ -630,8 +708,15 @@ let folded_law seed =
     | _ -> Mux_lock.lock
   in
   match lock ~seed chip ~n_keys with
-  | exception Invalid_argument _ -> true (* too small to host the lock *)
-  | lk ->
+  | exception Invalid_argument _ -> None
+  | lk -> Some (rng, chip, lk)
+
+(* A [locked_case]; a random DIP; the chip's outputs, or the same with one
+   bit flipped. *)
+let folded_law seed =
+  match locked_case seed with
+  | None -> true
+  | Some (rng, chip, lk) ->
     let locked = lk.Locked.net in
     let keys =
       Array.of_list
@@ -658,6 +743,40 @@ let folded_law seed =
       y.(i) <- (fst y.(i), not (snd y.(i)))
     end;
     folded_disagreements locked ~keys ~x ~y = []
+
+(* The key-cone DIP miter against the full-copy reference, over a whole
+   DIP loop on a [locked_case]: the first search agrees with the
+   reference's, the first DIP pinned into the reference leaves it SAT (a
+   DIP of the full-copy miter), the reference under the same I/O
+   constraints is UNSAT when the loop ends, and the final key matches
+   the chip on random samples. *)
+let key_cone_miter_law seed =
+  match locked_case seed with
+  | None -> true
+  | Some (_, chip, lk) ->
+    let locked = lk.Locked.net and key_inputs = lk.Locked.key_inputs in
+    let oracle = Oracle.of_netlist ~partial:true chip in
+    let m = Dip_miter.create locked ~key_inputs in
+    let fm = full_miter locked key_inputs in
+    let pins dip = List.map2 (fun (_, v) (_, b) -> Lit.make v b) fm.fm_xs dip in
+    let rec loop iter =
+      match Dip_miter.solve m ~iter with
+      | Solver.Unsat -> (
+        Solver.solve fm.fm_solver = Solver.Unsat
+        &&
+        match Dip_miter.key m with
+        | Some key -> Sat_attack.verify_key_o ~locked ~key_inputs ~oracle key = 0
+        | None -> false)
+      | Solver.Sat ->
+        let dip = Dip_miter.dip m in
+        (iter > 0 || Solver.solve ~assumptions:(pins dip) fm.fm_solver = Solver.Sat)
+        &&
+        let reply = Oracle.query oracle dip in
+        Dip_miter.constrain m (Dip_miter.io m dip reply);
+        fm.fm_constrain dip reply;
+        loop (iter + 1)
+    in
+    loop 0
 
 (* Every gate function, wide parities and LUTs over fanins drawn (with
    repetition) from a 0 input, a 1 input and two key bits: constant
@@ -837,6 +956,8 @@ let suites =
         tc "rejects flip-flops" `Quick test_tseitin_rejects_ffs;
         tc "to_cnf" `Quick test_to_cnf;
         tc "miter" `Quick test_tseitin_miter;
+        tc "miter guard" `Quick test_tseitin_miter_guard;
+        tc "shared gate adds no clauses" `Quick test_tseitin_shared_gate;
         qcheck ~count:50 "encoding matches eval"
           (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 500))
           tseitin_vs_eval_law;
@@ -844,6 +965,8 @@ let suites =
         tc "assert_io: constant output vs oracle" `Quick test_assert_io_constant_output;
         qcheck ~count:200 "assert_io = encode + pins = engine" Netlist_gen.arb_seed
           folded_law;
+        qcheck ~count:400 "key-cone DIP miter = full-copy miter" Netlist_gen.arb_seed
+          key_cone_miter_law;
       ] );
     ( "sat.equiv",
       [

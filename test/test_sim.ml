@@ -397,6 +397,289 @@ let test_timing_guards () =
     (Invalid_argument "Timing_sim.run: clock period shorter than FF timing arcs")
     (fun () -> ignore (Timing_sim.run n { Timing_sim.clock_ps = 200; cycles = 1 }))
 
+(* ----- Event identity: pinned runs every kernel must reproduce ----- *)
+
+(* A node's recorded waveform. *)
+let node_wave (r : Timing_sim.result) id = r.Timing_sim.waves.(id)
+
+let m_events = Obs.Metrics.counter "sim.events_popped"
+let m_trans = Obs.Metrics.counter "sim.transitions"
+let m_pulses = Obs.Metrics.counter "sim.glitch_pulses"
+
+let samples_string a = String.init (Array.length a) (fun i -> Logic.to_char a.(i))
+
+(* Long strings are pinned by the first 12 hex digits of their MD5. *)
+let pin s =
+  if String.length s <= 40 then s
+  else "md5:" ^ String.sub (Digest.to_hex (Digest.string s)) 0 12
+
+(* One run reduced to what the simulator promises: the events it popped,
+   the transitions it made, every violation, every FF and PO sample, every
+   node's waveform and, with tracing on, the Eq. 2 pulses on FF D pins. *)
+let identity_row ?drive ?captures_from net cfg =
+  let run () = Timing_sim.run ?drive ?captures_from net cfg in
+  let e0 = Obs.Metrics.value m_events and t0 = Obs.Metrics.value m_trans in
+  let r = run () in
+  let events = Obs.Metrics.value m_events - e0
+  and trans = Obs.Metrics.value m_trans - t0 in
+  let path = Filename.temp_file "gklock_pin" ".jsonl" in
+  let p0 = Obs.Metrics.value m_pulses in
+  Obs.Trace.enable ~file:path ();
+  let traced = Fun.protect ~finally:Obs.Trace.disable run in
+  let pulses = Obs.Metrics.value m_pulses - p0 in
+  Sys.remove path;
+  let viol =
+    String.concat ";"
+      (List.map
+         (fun v ->
+           Printf.sprintf "%s@%d%c%d" v.Timing_sim.v_ff_name v.Timing_sim.v_cycle
+             (match v.Timing_sim.v_kind with
+             | Timing_sim.Setup_violation -> 's'
+             | Timing_sim.Hold_violation -> 'h')
+             v.Timing_sim.v_time)
+         r.Timing_sim.violations)
+  in
+  let ffs (r : Timing_sim.result) =
+    String.concat "|" (Array.to_list (Array.map samples_string r.Timing_sim.ff_samples))
+  in
+  let pos (r : Timing_sim.result) =
+    String.concat "|"
+      (List.map (fun (po, s) -> po ^ "=" ^ samples_string s) r.Timing_sim.po_samples)
+  in
+  if ffs traced <> ffs r || pos traced <> pos r then
+    Alcotest.fail "tracing changed the samples";
+  let waves =
+    String.concat "\n"
+      (List.init (Netlist.num_nodes net) (fun id ->
+           Format.asprintf "%a" Waveform.pp (node_wave r id)))
+  in
+  Printf.sprintf "events=%d trans=%d viol=%d:%s ff=%s po=%s waves=%s pulses=%d" events
+    trans
+    (List.length r.Timing_sim.violations)
+    (pin viol) (pin (ffs r)) (pin (pos r)) (pin waves) pulses
+
+let identity_cycles = 24
+
+(* GK-8 at lock seed 1 on a benchmark, through the same drive and capture
+   policy as the paper's key checks: the unlocked baseline, the correct
+   key, a leftover key (k1 = k2 = b, a constant GK key) and the opposite
+   delay branch on every GK (mistimed glitches: violations). *)
+let gk8_rows bname =
+  let spec = Option.get (Benchmarks.find_spec bname) in
+  let net = Benchmarks.load spec in
+  let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+  let cfg = { Timing_sim.clock_ps; cycles = identity_cycles } in
+  let stim n = Stimuli.edge_aligned ~seed:1 n ~clock_ps ~cycles:identity_cycles in
+  let d = Insertion.lock ~seed:1 net ~clock_ps ~n_gks:8 in
+  let locked key =
+    identity_row
+      ~drive:(Insertion.timing_drive ~other:(stim d.Insertion.lnet) d key)
+      ~captures_from:(Insertion.capture_policy d) d.Insertion.lnet cfg
+  in
+  let leftover =
+    List.concat
+      (List.mapi
+         (fun i p ->
+           let b = i mod 2 = 1 in
+           [ (p.Insertion.p_k1_name, b); (p.Insertion.p_k2_name, b) ])
+         d.Insertion.placements)
+  in
+  [
+    ("baseline", identity_row ~drive:(stim net) ~captures_from:(fun _ -> 1) net cfg);
+    ("correct", locked d.Insertion.correct_key);
+    ("leftover", locked leftover);
+    ("mistimed", locked (List.map (fun (k, b) -> (k, not b)) d.Insertion.correct_key));
+  ]
+
+(* Key inputs held at their bits, every other input edge-aligned. *)
+let keyed_drive net ~clock_ps key pi =
+  match List.assoc_opt (Netlist.node net pi).Netlist.name key with
+  | Some b -> Timing_sim.Const b
+  | None -> Stimuli.edge_aligned ~seed:1 net ~clock_ps ~cycles:identity_cycles pi
+
+let s1238_clock () =
+  let spec = Option.get (Benchmarks.find_spec "s1238") in
+  let net = Benchmarks.load spec in
+  (net, Sta.clock_for net ~margin:spec.Benchmarks.clk_margin)
+
+let xor_row () =
+  let net, clock_ps = s1238_clock () in
+  let lk = Xor_lock.lock ~seed:1 net ~n_keys:8 in
+  let wrong = List.map (fun (k, b) -> (k, not b)) lk.Locked.correct_key in
+  List.map
+    (fun (label, key) ->
+      ( label,
+        identity_row
+          ~drive:(keyed_drive lk.Locked.net ~clock_ps key)
+          lk.Locked.net
+          { Timing_sim.clock_ps; cycles = identity_cycles } ))
+    [ ("correct", lk.Locked.correct_key); ("wrong", wrong) ]
+
+let hybrid_row () =
+  let net, clock_ps = s1238_clock () in
+  let h = Hybrid.lock ~seed:1 net ~clock_ps ~n_gks:4 ~n_xors:8 in
+  let d = h.Hybrid.design in
+  let lnet = d.Insertion.lnet in
+  identity_row
+    ~drive:
+      (Insertion.timing_drive
+         ~other:(keyed_drive lnet ~clock_ps h.Hybrid.all_correct_key)
+         d h.Hybrid.all_correct_key)
+    ~captures_from:(Insertion.capture_policy d) lnet
+    { Timing_sim.clock_ps; cycles = identity_cycles }
+
+(* Mid-cycle input pulses, so setup and hold windows get hit. *)
+let pulse_drive ~seed ~clock_ps ~cycles pi =
+  let rng = Random.State.make [| seed; pi |] in
+  let trans =
+    List.init (3 * cycles) (fun _ ->
+        (Random.State.int rng (cycles * clock_ps), Logic.of_bool (Random.State.bool rng)))
+  in
+  Timing_sim.Wave (Waveform.make ~initial:(Logic.of_bool (Random.State.bool rng)) trans)
+
+(* A 3-input LUT between two flip-flops and an input. *)
+let lut_row () =
+  let n = Netlist.create "lut" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  let q = Netlist.add_ff n ~name:"q" a in
+  let l =
+    Netlist.add_lut n ~name:"l"
+      ~truth:[| false; true; true; false; true; false; false; true |]
+      [| a; b; q |]
+  in
+  let r = Netlist.add_ff n ~name:"r" l in
+  Netlist.set_fanin n ~node_id:q ~pin:0 ~driver:(Netlist.add_gate n Cell.Xor [| a; r |]);
+  Netlist.add_output n "y" l;
+  Netlist.add_output n "z" r;
+  identity_row ~drive:(pulse_drive ~seed:3 ~clock_ps:2000 ~cycles:6) n
+    { Timing_sim.clock_ps = 2000; cycles = 6 }
+
+(* One gate reading the same driver on two pins: every change of [a]
+   schedules the gate twice. *)
+let dup_pin_row () =
+  let n = Netlist.create "dup" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  let g = Netlist.add_gate n ~name:"g" Cell.And [| a; b; a |] in
+  let f = Netlist.add_ff n ~name:"f" g in
+  Netlist.add_output n "y" g;
+  Netlist.add_output n "q" f;
+  identity_row ~drive:(pulse_drive ~seed:4 ~clock_ps:2000 ~cycles:6) n
+    { Timing_sim.clock_ps = 2000; cycles = 6 }
+
+let check_rows name expected got =
+  List.iter2
+    (fun (label, want) (label', row) ->
+      Alcotest.(check string) "row label" label label';
+      Alcotest.(check string) (name ^ " " ^ label) want row)
+    expected got
+
+let test_identity_gk8_s1238 () =
+  check_rows "s1238"
+    [
+      ( "baseline",
+        "events=5684 trans=2585 viol=0: ff=md5:4a1a5e481eb3 po=md5:23f9281c5979 \
+         waves=md5:eb51a700c90d pulses=25" );
+      ( "correct",
+        "events=9941 trans=6425 viol=0: ff=md5:fd79d2eba36d po=md5:23f9281c5979 \
+         waves=md5:c6c94d725e6c pulses=446" );
+      ( "leftover",
+        "events=5900 trans=3633 viol=0: ff=md5:8623d93e1dfa po=md5:390772eb445d \
+         waves=md5:6b4ab3fa26de pulses=14" );
+      ( "mistimed",
+        "events=9596 trans=5954 viol=87:md5:c8f6aabde95e ff=md5:f965207315cb \
+         po=md5:f7c6f9d41c42 waves=md5:97c7fb036e57 pulses=252" );
+    ]
+    (gk8_rows "s1238")
+
+let test_identity_gk8_s5378 () =
+  check_rows "s5378"
+    [
+      ( "baseline",
+        "events=16906 trans=7319 viol=0: ff=md5:72a14f031885 po=md5:cc56324e8477 \
+         waves=md5:8da136e10dd1 pulses=1604" );
+      ( "correct",
+        "events=21321 trans=11253 viol=0: ff=md5:7043124126bb po=md5:cc56324e8477 \
+         waves=md5:e2b950a567fe pulses=2034" );
+      ( "leftover",
+        "events=20192 trans=10117 viol=0: ff=md5:3fbe1aa13399 po=md5:847a3f1e8054 \
+         waves=md5:b384453c8165 pulses=1900" );
+      ( "mistimed",
+        "events=18607 trans=9620 viol=90:md5:ae0baf81e566 ff=md5:877185926458 \
+         po=md5:afde2ec2ab04 waves=md5:5354f56d8dd5 pulses=731" );
+    ]
+    (gk8_rows "s5378")
+
+let test_identity_xor () =
+  check_rows "xor-8 s1238"
+    [
+      ( "correct",
+        "events=6096 trans=2849 viol=0: ff=md5:4983fba31623 po=md5:90562c101c41 \
+         waves=md5:0478902997c1 pulses=34" );
+      ( "wrong",
+        "events=8251 trans=3975 viol=0: ff=md5:0bcd1da50324 po=md5:7ecd0d675b9c \
+         waves=md5:876d9032eb22 pulses=185" );
+    ]
+    (xor_row ())
+
+let test_identity_hybrid () =
+  check_rows "gk-4 + xor-8 s1238"
+    [
+      ( "correct",
+        "events=7909 trans=4557 viol=0: ff=md5:bbb4f5e0a83b po=md5:23f9281c5979 \
+         waves=md5:c13f26ef522e pulses=228" );
+    ]
+    [ ("correct", hybrid_row ()) ]
+
+let test_identity_lut () =
+  check_rows "lut"
+    [
+      ( "row",
+        "events=59 trans=50 viol=0: ff=001110|001001 po=y=001001|z=000100 \
+         waves=md5:3feee0f0da3b pulses=27" );
+    ]
+    [ ("row", lut_row ()) ]
+
+let test_identity_dup_pin () =
+  check_rows "dup pin"
+    [
+      ( "row",
+        "events=53 trans=32 viol=1:f@0h2040 ff=x11000 po=y=111000|q=0x1100 \
+         waves=md5:ab2e3e28c924 pulses=8" );
+    ]
+    [ ("row", dup_pin_row ()) ]
+
+(* The waveforms agree with the sample path, which reads the same
+   transitions another way: each PO sample is its driver's wave at the
+   edge, and each FF sample taken without a violation is its D pin's. *)
+let waves_match_samples_law seed =
+  let rng = Random.State.make [| seed; 0x5A |] in
+  let net = Netlist_gen.net rng in
+  let clock_ps = 3000 and cycles = 5 in
+  let r =
+    Timing_sim.run ~drive:(pulse_drive ~seed ~clock_ps ~cycles) net
+      { Timing_sim.clock_ps; cycles }
+  in
+  let at id k = Waveform.value_at (node_wave r id) ((k + 1) * clock_ps) in
+  let violated ff k =
+    List.exists
+      (fun v -> v.Timing_sim.v_ff = ff && v.Timing_sim.v_cycle = k)
+      r.Timing_sim.violations
+  in
+  List.for_all
+    (fun (po, driver) ->
+      let s = List.assoc po r.Timing_sim.po_samples in
+      Array.for_all Fun.id (Array.mapi (fun k v -> Logic.equal v (at driver k)) s))
+    (Netlist.outputs net)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i ff ->
+            let d = (Netlist.node net ff).Netlist.fanins.(0) in
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun k v -> violated ff k || Logic.equal v (at d k))
+                 r.Timing_sim.ff_samples.(i)))
+          r.Timing_sim.ff_ids)
+
 let suites =
   [
     ( "sim.logic",
@@ -445,5 +728,13 @@ let suites =
         qcheck ~count:25 "matches cycle sim on stable inputs"
           (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 500))
           timing_matches_cycle_law;
+        tc "event identity: GK-8 s1238" `Quick test_identity_gk8_s1238;
+        tc "event identity: GK-8 s5378" `Quick test_identity_gk8_s5378;
+        tc "event identity: XOR-8 s1238" `Quick test_identity_xor;
+        tc "event identity: GK-4 + XOR-8 s1238" `Quick test_identity_hybrid;
+        tc "event identity: LUT" `Quick test_identity_lut;
+        tc "event identity: same driver on two pins" `Quick test_identity_dup_pin;
+        qcheck ~count:200 "waves agree with the samples" Netlist_gen.arb_seed
+          waves_match_samples_law;
       ] );
   ]

@@ -1,6 +1,7 @@
 (* Micro-benchmarks for the bit-parallel evaluation engine: one pattern
    ([Netlist.eval_comb]), one word and an 8-word block through
-   [Netlist.Engine.eval_block], on three seed benchmarks.  Prints a
+   [Netlist.Engine.eval_block], on three seed benchmarks; and the
+   event-driven [Timing_sim] on GK-8 locked designs.  Prints a
    human-readable table and writes machine-readable results to
    BENCH_eval.json (or the path given as the last argument) so later PRs
    can track the perf trajectory:
@@ -154,6 +155,75 @@ let check_equivalence specs =
         spec.Benchmarks.bname Netlist.Engine.word_bits n)
     specs
 
+(* ----- timing simulation: GK-8 under the correct key ----- *)
+
+type sim_row = {
+  s_name : string;
+  s_events : int;  (* events one run pops: exact, gated like a verdict *)
+  s_events_per_sec : float;
+  s_minor_words_per_event : float;
+}
+
+let sim_cycles = 24
+
+let m_events = Obs.Metrics.counter "sim.events_popped"
+
+(* The paper's key check as gk_sat runs it: GK-8 at lock seed 1, the
+   correct key, 24 cycles of edge-aligned stimulus.  The run must first
+   reproduce the unlocked design's PO and FF samples after two warm-up
+   cycles. *)
+let bench_timing_sim ~min_time bname =
+  let spec = Option.get (Benchmarks.find_spec bname) in
+  let net = Benchmarks.load spec in
+  let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+  let cfg = { Timing_sim.clock_ps; cycles = sim_cycles } in
+  let stim n = Stimuli.edge_aligned ~seed:1 n ~clock_ps ~cycles:sim_cycles in
+  let d = Insertion.lock ~seed:1 net ~clock_ps ~n_gks:8 in
+  let lnet = d.Insertion.lnet in
+  let run () =
+    Timing_sim.run
+      ~drive:(Insertion.timing_drive ~other:(stim lnet) d d.Insertion.correct_key)
+      ~captures_from:(Insertion.capture_policy d) lnet cfg
+  in
+  let base = Timing_sim.run ~drive:(stim net) ~captures_from:(fun _ -> 1) net cfg in
+  let e0 = Obs.Metrics.value m_events in
+  let r = run () in
+  let events = Obs.Metrics.value m_events - e0 in
+  let ffs n (r : Timing_sim.result) =
+    Array.to_list
+      (Array.mapi
+         (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
+         r.Timing_sim.ff_ids)
+  in
+  let locked_ffs = ffs lnet r in
+  let ff_mismatches =
+    List.fold_left
+      (fun acc (name, want) ->
+        match List.assoc_opt name locked_ffs with
+        | None -> acc
+        | Some got ->
+          let m = ref acc in
+          Array.iteri (fun k v -> if k >= 2 && v <> got.(k) then incr m) want;
+          !m)
+      0 (ffs net base)
+  in
+  let po_mismatches = fst (Stimuli.po_agreement ~skip:2 base r) in
+  if ff_mismatches + po_mismatches > 0 then
+    failwith
+      (Printf.sprintf "%s: GK-8 under the correct key differs from the unlocked design \
+                       (%d FF, %d PO samples)"
+         bname ff_mismatches po_mismatches);
+  let reps, elapsed = time_reps ~min_time (fun () -> ignore (run ())) in
+  let w0 = Gc.minor_words () in
+  ignore (run ());
+  let words = Gc.minor_words () -. w0 in
+  {
+    s_name = bname;
+    s_events = events;
+    s_events_per_sec = float_of_int (reps * events) /. elapsed;
+    s_minor_words_per_event = words /. float_of_int events;
+  }
+
 (* ----- output ----- *)
 
 let json_of_row r =
@@ -164,6 +234,12 @@ let json_of_row r =
     r.r_name r.r_cells r.r_scalar_pps r.r_word_pps r.r_block_pps
     (r.r_block_pps /. r.r_word_pps)
     r.r_strash_reduction
+
+let json_of_sim_row r =
+  Printf.sprintf
+    "    {\"name\": %S, \"cycles\": %d, \"events\": %d, \"events_per_sec\": %.1f, \
+     \"minor_words_per_event\": %.2f}"
+    r.s_name sim_cycles r.s_events r.s_events_per_sec r.s_minor_words_per_event
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -199,6 +275,14 @@ let () =
              r.r_name
              (r.r_block_pps /. r.r_word_pps)))
     rows;
+  let sim_rows = List.map (bench_timing_sim ~min_time) [ "s5378"; "s13207" ] in
+  Printf.printf "\n%-8s %8s %13s %10s   (Timing_sim, GK-8, correct key, %d cycles)\n"
+    "bench" "events" "events/s" "words/ev" sim_cycles;
+  List.iter
+    (fun r ->
+      Printf.printf "%-8s %8d %13.0f %10.2f\n" r.s_name r.s_events r.s_events_per_sec
+        r.s_minor_words_per_event)
+    sim_rows;
   let doc =
     Printf.sprintf
       "{\n\
@@ -208,10 +292,14 @@ let () =
       \  \"block_words\": %d,\n\
       \  \"benchmarks\": [\n\
        %s\n\
+      \  ],\n\
+      \  \"timing_sim\": [\n\
+       %s\n\
       \  ]\n\
        }\n"
       smoke Netlist.Engine.word_bits block_words
       (String.concat ",\n" (List.map json_of_row rows))
+      (String.concat ",\n" (List.map json_of_sim_row sim_rows))
   in
   (* round-trip the hand-rolled printer through the repo's JSON parser *)
   (match Cjson.of_string doc with

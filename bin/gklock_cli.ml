@@ -355,8 +355,7 @@ let cycles_arg =
   Arg.(value & opt int 16 & info [ "cycles" ] ~docv:"N" ~doc)
 
 let vcd_arg =
-  let doc = "Also dump the named signals' waveforms (all nets when the list \
-             is empty) to $(docv) in VCD format." in
+  let doc = "Also dump every net's waveform to $(docv) in VCD format." in
   Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE" ~doc)
 
 let sim_cmd =

@@ -168,7 +168,7 @@ let check_gk_eq2 ~seed =
            [ (t0, if rising then Logic.T else Logic.F) ])
   in
   let r = Timing_sim.run ~drive net { Timing_sim.clock_ps; cycles = 1 } in
-  let wave = r.Timing_sim.waves.(gk.Gk.out) in
+  let wave = Timing_sim.wave r gk.Gk.out in
   (* Eq. 2 counts the glitch from the key transition to the settled
      output: the pulse must open when the select flips (t0 + Dmux) and
      close at t0 + D_path + D_mux exactly. *)

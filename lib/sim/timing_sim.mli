@@ -37,13 +37,21 @@ type violation = {
   v_time : int;          (** time of the offending D transition *)
 }
 
+(** Every transition of a run, oldest first, in one growable log: per
+    entry its time, its value and the index of the same node's previous
+    entry, with each node's newest entry at hand.  A latch walks back from
+    its D pin's newest entry through the setup/hold window to the sampled
+    value, so a capture costs O(window), not O(history).  Read a node's
+    history with {!wave}. *)
+type log
+
 type result = {
-  waves : Waveform.t array;          (** per node id *)
   ff_ids : int array;
   ff_samples : Logic.t array array;  (** ff_samples.(i).(k): FF [ff_ids.(i)] at edge k+1 *)
   violations : violation list;
   po_samples : (string * Logic.t array) list;
       (** primary outputs sampled at each active edge *)
+  log : log;  (** every transition of the run *)
 }
 
 (** [run ?init ?drive ?captures_from net config] simulates.  [init ff_id]
@@ -56,6 +64,14 @@ type result = {
     start up, so the first real capture is already glitch-covered (see
     {!Gklock_locking.Insertion}); the default 0 captures from the launch
     edge.
+
+    The run is an event loop over one {!Event_queue}: input transitions
+    are pushed first, then every latch event, then each re-evaluation a
+    transition schedules — one per fanin pin of each consumer, so a gate
+    reading a driver on two pins is scheduled twice.  The [sim.run] span
+    ends with the run's [events_popped], [transitions] and [violations],
+    plus [glitch_pulses] when tracing (the FF D-pin pulses of Eq. 2, each
+    also a [sim.glitch] instant).
     @raise Invalid_argument on a non-positive clock or cycle count. *)
 val run :
   ?init:(int -> bool) ->
@@ -65,6 +81,12 @@ val run :
   config ->
   result
 
-(** [wave_of result net name] looks a recorded waveform up by node name.
+(** [wave result id] is node [id]'s waveform, built from the log when
+    called: its value at t = 0 and every transition, normalized as
+    {!Waveform.make} does (a same-time excursion collapses).  Nothing
+    builds waveforms a caller does not ask for. *)
+val wave : result -> int -> Waveform.t
+
+(** [wave_of result net name] is {!wave} looked up by node name.
     @raise Not_found for unknown names. *)
 val wave_of : result -> Netlist.t -> string -> Waveform.t

@@ -1,11 +1,14 @@
-(* Short identifier codes: printable ASCII 33..126, then two-character
-   codes — the standard scheme. *)
+(* Short identifier codes in bijective base 94 over printable ASCII
+   33..126: "!" .. "~", then "!!" .. "~~", then "!!!" and so on — one
+   character for the first 94 signals, two for the next 94², the standard
+   scheme, with as many characters as the signal count needs. *)
 let code i =
   let base = 94 in
-  if i < base then String.make 1 (Char.chr (33 + i))
-  else
-    String.make 1 (Char.chr (33 + (i / base - 1)))
-    ^ String.make 1 (Char.chr (33 + (i mod base)))
+  let rec digits i acc =
+    let acc = Char.chr (33 + (i mod base)) :: acc in
+    if i < base then acc else digits ((i / base) - 1) acc
+  in
+  String.of_seq (List.to_seq (digits i []))
 
 let char_of = function
   | Logic.F -> '0'
@@ -79,23 +82,18 @@ let of_result net result ~signals =
     (fun i name -> Printf.bprintf buf "$var wire 1 %s %s $end\n" (code i) name)
     var_names;
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
+  let waves = List.map (fun (_, id) -> Timing_sim.wave result id) ids in
   (* initial values *)
   Buffer.add_string buf "#0\n";
   List.iteri
-    (fun i (_, id) ->
-      Printf.bprintf buf "%c%s\n"
-        (char_of (Waveform.initial result.Timing_sim.waves.(id)))
-        (code i))
-    ids;
+    (fun i w -> Printf.bprintf buf "%c%s\n" (char_of (Waveform.initial w)) (code i))
+    waves;
   (* merge all transitions in time order *)
   let events =
     List.concat
       (List.mapi
-         (fun i (_, id) ->
-           List.map
-             (fun (t, v) -> (t, i, v))
-             (Waveform.transitions result.Timing_sim.waves.(id)))
-         ids)
+         (fun i w -> List.map (fun (t, v) -> (t, i, v)) (Waveform.transitions w))
+         waves)
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
   let current_time = ref (-1) in

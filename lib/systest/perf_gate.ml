@@ -49,6 +49,18 @@ let metrics_of ~file j =
           ]
           [ "block_speedup_vs_word"; "strash_reduction" ])
       (rows_of j "benchmarks")
+    (* the timing simulator's popped events are a property of the design
+       and the stimulus, not of the machine: exact, like a verdict *)
+    @ List.filter_map
+        (fun row ->
+          match (Cjson.mem_str "name" row, Cjson.mem_int "events" row) with
+          | Some name, Some events ->
+            Some
+              ( Printf.sprintf "eval.timing_sim.%s.events" name,
+                Verdict,
+                `Verdict (string_of_int events) )
+          | _ -> None)
+        (rows_of j "timing_sim")
   | `Attacks ->
     List.concat_map
       (fun row ->

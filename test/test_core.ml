@@ -39,10 +39,11 @@ let test_stimuli_edge_aligned () =
     Alcotest.(check bool) "seeds differ" true differs
 
 let test_stimuli_po_agreement () =
+  let empty = Timing_sim.run (Netlist.create "t") { Timing_sim.clock_ps = 1000; cycles = 1 } in
   let mk samples =
     {
-      Timing_sim.waves = [||];
-      ff_ids = [||];
+      empty with
+      Timing_sim.ff_ids = [||];
       ff_samples = [||];
       violations = [];
       po_samples = [ ("y", Array.of_list samples) ];

@@ -214,6 +214,53 @@ let test_trace_attack_iteration_spans () =
     [ "vars"; "clauses" ];
   Sys.remove path
 
+(* Each sim.run span ends with its run's counts; summed over a traced run
+   they are exactly what the counters moved by. *)
+let test_trace_sim_run_counts () =
+  let spec = Option.get (Benchmarks.find_spec "s1238") in
+  let net = Benchmarks.load spec in
+  let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+  let cfg = { Timing_sim.clock_ps; cycles = 8 } in
+  let d = Insertion.lock ~seed:1 net ~clock_ps ~n_gks:8 in
+  let stim = Stimuli.edge_aligned ~seed:1 d.Insertion.lnet ~clock_ps ~cycles:8 in
+  let counters =
+    List.map
+      (fun (field, name) -> (field, Obs.Metrics.counter name))
+      [
+        ("events_popped", "sim.events_popped");
+        ("transitions", "sim.transitions");
+        ("violations", "sim.violations");
+        ("glitch_pulses", "sim.glitch_pulses");
+      ]
+  in
+  let before = List.map (fun (f, c) -> (f, Obs.Metrics.value c)) counters in
+  let path = tmp_file ".jsonl" in
+  Obs.Trace.enable ~file:path ();
+  List.iter
+    (fun key ->
+      ignore
+        (Timing_sim.run
+           ~drive:(Insertion.timing_drive ~other:stim d key)
+           ~captures_from:(Insertion.capture_policy d) d.Insertion.lnet cfg))
+    [ d.Insertion.correct_key; List.map (fun (k, b) -> (k, not b)) d.Insertion.correct_key ];
+  Obs.Trace.disable ();
+  (match Obs.Trace.validate_file path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("sim trace should validate: " ^ e));
+  List.iter
+    (fun (field, c) ->
+      let ends = end_args path "sim.run" field in
+      Alcotest.(check int) (field ^ " on both sim.run spans") 2
+        (List.length (List.filter (fun v -> v >= 0) ends));
+      Alcotest.(check int) (field ^ " sums to the counter's delta")
+        (Obs.Metrics.value c - List.assoc field before)
+        (List.fold_left ( + ) 0 ends))
+    counters;
+  Alcotest.(check bool) "the mistimed key violates" true
+    (List.nth (end_args path "sim.run" "violations") 1 > 0);
+  Alcotest.(check int) "no sim.stats instant" 0 (count_lines_with path [ {|"sim.stats"|} ]);
+  Sys.remove path
+
 (* ----- Budget: zero/expired deadline (regression) ----- *)
 
 let test_budget_zero_deadline_structured () =
@@ -322,28 +369,63 @@ let test_vcd_escapes_identifiers () =
   Alcotest.(check bool) "collision got a suffix" true
     (List.mem "a_b" sorted && List.mem "a_b_2" sorted)
 
+(* Identifier codes past the two-character range: 21,100 nets reach
+   index 21,056, where the old scheme raised on Char.chr after emitting
+   DEL (index 8,930) and bytes above 126. *)
+let test_vcd_identifiers_past_two_chars () =
+  let n = Netlist.create "wide" in
+  let ins = Array.init 100 (fun i -> Netlist.add_input n (Printf.sprintf "i%d" i)) in
+  for k = 0 to 20_999 do
+    ignore (Netlist.add_gate n Cell.And [| ins.(k mod 100); ins.((k + 1) mod 100) |])
+  done;
+  let r = Timing_sim.run n { Timing_sim.clock_ps = 5000; cycles = 1 } in
+  let codes =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "$var" :: _ :: _ :: code :: _ -> Some code
+        | _ -> None)
+      (String.split_on_char '\n' (Vcd.of_result n r ~signals:[]))
+  in
+  Alcotest.(check int) "one identifier per net" 21_100 (List.length codes);
+  Alcotest.(check bool) "printable: characters 33..126 only" true
+    (List.for_all
+       (fun c -> c <> "" && String.for_all (fun ch -> ch >= '!' && ch <= '~') c)
+       codes);
+  Alcotest.(check int) "distinct" 21_100 (List.length (List.sort_uniq compare codes));
+  let code = Array.of_list codes in
+  List.iter
+    (fun (i, want) -> Alcotest.(check string) (Printf.sprintf "code %d" i) want code.(i))
+    [ (0, "!"); (93, "~"); (94, "!!"); (95, "!\""); (8_929, "~~"); (8_930, "!!!") ]
+
 (* ----- Event queue: same-time FIFO (regression) ----- *)
 
 let test_event_queue_same_time_fifo () =
   let q = Event_queue.create () in
+  let pop_min q =
+    if Event_queue.is_empty q then None
+    else
+      let t = Event_queue.min_time q in
+      Some (t, Event_queue.pop q)
+  in
   Event_queue.add q ~time:5 0;
   Event_queue.add q ~time:3 100;
   for i = 1 to 49 do
     Event_queue.add q ~time:5 i
   done;
   Event_queue.add q ~time:7 200;
-  (match Event_queue.pop_min q with
+  (match pop_min q with
   | Some (3, 100) -> ()
   | _ -> Alcotest.fail "earliest time first");
   for i = 0 to 49 do
-    match Event_queue.pop_min q with
+    match pop_min q with
     | Some (5, j) when j = i -> ()
     | Some (t, j) ->
       Alcotest.fail
         (Printf.sprintf "same-time pop %d returned (%d, %d)" i t j)
     | None -> Alcotest.fail "queue drained early"
   done;
-  (match Event_queue.pop_min q with
+  (match pop_min q with
   | Some (7, 200) -> ()
   | _ -> Alcotest.fail "latest time last");
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
@@ -387,6 +469,7 @@ let suites =
         tc "span closed on raise" `Quick test_trace_span_closed_on_raise;
         tc "validator rejects bad files" `Quick test_trace_validator_rejects;
         tc "attack iteration spans" `Quick test_trace_attack_iteration_spans;
+        tc "sim.run span counts" `Quick test_trace_sim_run_counts;
       ] );
     ( "obs.regressions",
       [
@@ -396,6 +479,7 @@ let suites =
         tc "oracle relaxed defaults" `Quick
           test_oracle_partial_default_consistent;
         tc "vcd identifier escaping" `Quick test_vcd_escapes_identifiers;
+        tc "vcd identifiers past 8,930 signals" `Quick test_vcd_identifiers_past_two_chars;
         tc "event queue same-time FIFO" `Quick
           test_event_queue_same_time_fifo;
         tc "sim same-time edges" `Quick test_sim_same_time_edges;

@@ -53,22 +53,26 @@ let test_logic_eval_lut () =
 
 let test_event_queue_order () =
   let q = Event_queue.create () in
-  Event_queue.add q ~time:5 "e5";
-  Event_queue.add q ~time:1 "e1";
-  Event_queue.add q ~time:3 "e3a";
-  Event_queue.add q ~time:3 "e3b";
-  Alcotest.(check (option int)) "peek" (Some 1) (Event_queue.peek_time q);
-  let order = List.init 4 (fun _ -> snd (Option.get (Event_queue.pop_min q))) in
+  let names = [| "e5"; "e1"; "e3a"; "e3b" |] in
+  Event_queue.add q ~time:5 0;
+  Event_queue.add q ~time:1 1;
+  Event_queue.add q ~time:3 2;
+  Event_queue.add q ~time:3 3;
+  Alcotest.(check int) "peek" 1 (Event_queue.min_time q);
+  let order = List.init 4 (fun _ -> names.(Event_queue.pop q)) in
   Alcotest.(check (list string)) "order + ties FIFO" [ "e1"; "e3a"; "e3b"; "e5" ] order;
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 let event_queue_sorted_law times =
   let q = Event_queue.create () in
-  List.iter (fun t -> Event_queue.add q ~time:t ()) times;
+  List.iter (fun t -> Event_queue.add q ~time:t 0) times;
   let rec drain acc =
-    match Event_queue.pop_min q with
-    | None -> List.rev acc
-    | Some (t, ()) -> drain (t :: acc)
+    if Event_queue.is_empty q then List.rev acc
+    else begin
+      let t = Event_queue.min_time q in
+      ignore (Event_queue.pop q);
+      drain (t :: acc)
+    end
   in
   drain [] = List.sort compare times
 
@@ -399,9 +403,6 @@ let test_timing_guards () =
 
 (* ----- Event identity: pinned runs every kernel must reproduce ----- *)
 
-(* A node's recorded waveform. *)
-let node_wave (r : Timing_sim.result) id = r.Timing_sim.waves.(id)
-
 let m_events = Obs.Metrics.counter "sim.events_popped"
 let m_trans = Obs.Metrics.counter "sim.transitions"
 let m_pulses = Obs.Metrics.counter "sim.glitch_pulses"
@@ -451,7 +452,7 @@ let identity_row ?drive ?captures_from net cfg =
   let waves =
     String.concat "\n"
       (List.init (Netlist.num_nodes net) (fun id ->
-           Format.asprintf "%a" Waveform.pp (node_wave r id)))
+           Format.asprintf "%a" Waveform.pp (Timing_sim.wave r id)))
   in
   Printf.sprintf "events=%d trans=%d viol=%d:%s ff=%s po=%s waves=%s pulses=%d" events
     trans
@@ -659,7 +660,7 @@ let waves_match_samples_law seed =
     Timing_sim.run ~drive:(pulse_drive ~seed ~clock_ps ~cycles) net
       { Timing_sim.clock_ps; cycles }
   in
-  let at id k = Waveform.value_at (node_wave r id) ((k + 1) * clock_ps) in
+  let at id k = Waveform.value_at (Timing_sim.wave r id) ((k + 1) * clock_ps) in
   let violated ff k =
     List.exists
       (fun v -> v.Timing_sim.v_ff = ff && v.Timing_sim.v_cycle = k)

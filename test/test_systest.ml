@@ -169,6 +169,27 @@ let test_gate_ratio_machine_independent () =
        (fun c -> c.Perf_gate.c_kind <> Perf_gate.Ratio || c.Perf_gate.c_ok)
        r.Perf_gate.g_checks)
 
+(* A miniature BENCH_eval.json with one timing_sim row. *)
+let eval_doc ~events ~eps =
+  doc_of_string
+    (Printf.sprintf
+       {|{"schema":"gklock/bench_eval/v1","benchmarks":[],
+          "timing_sim":[{"name":"s5378","cycles":24,"events":%d,
+                         "events_per_sec":%f,"minor_words_per_event":2.0}]}|}
+       events eps)
+
+let test_gate_sim_events_exact () =
+  let base = eval_doc ~events:21321 ~eps:3e6 in
+  let ids r = List.map (fun c -> c.Perf_gate.c_id) r.Perf_gate.g_checks in
+  let same = Perf_gate.compare_docs ~inject_slowdown:1000.0 [ (`Eval, base, base) ] in
+  Alcotest.(check (list string)) "events gated, events_per_sec not"
+    [ "eval.timing_sim.s5378.events" ] (ids same);
+  Alcotest.(check bool) "equal events pass whatever the speed" true same.Perf_gate.g_ok;
+  let moved =
+    Perf_gate.compare_docs [ (`Eval, base, eval_doc ~events:21322 ~eps:3e6) ]
+  in
+  Alcotest.(check bool) "one more event fails" false moved.Perf_gate.g_ok
+
 (* ----- real-binary TCP shutdown gating ----- *)
 
 let gklockd_exe = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/gklockd.exe"
@@ -237,6 +258,8 @@ let suites =
           test_gate_one_sided_is_skipped;
         Alcotest.test_case "ratios are machine-independent" `Quick
           test_gate_ratio_machine_independent;
+        Alcotest.test_case "timing_sim events are exact" `Quick
+          test_gate_sim_events_exact;
       ] );
     ( "systest_daemon",
       [

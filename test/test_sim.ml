@@ -331,7 +331,18 @@ let test_timing_violation_detection () =
   in
   Alcotest.(check int) "clean" 0 (List.length r2.Timing_sim.violations);
   Alcotest.(check char) "captures late value" '1'
-    (Logic.to_char r2.Timing_sim.ff_samples.(0).(1))
+    (Logic.to_char r2.Timing_sim.ff_samples.(0).(1));
+  (* the window is closed: a transition exactly hold after the edge
+     violates, one a picosecond later does not *)
+  let violations_at t =
+    let w = Waveform.make ~initial:Logic.F [ (t, Logic.T) ] in
+    List.length
+      (Timing_sim.run ~drive:(fun _ -> Timing_sim.Wave w) n
+         { Timing_sim.clock_ps = clock; cycles = 2 })
+        .Timing_sim.violations
+  in
+  Alcotest.(check int) "at edge + hold" 1 (violations_at (clock + Cell_lib.dff_hold_ps));
+  Alcotest.(check int) "past edge + hold" 0 (violations_at (clock + Cell_lib.dff_hold_ps + 1))
 
 let test_timing_setup_violation () =
   let n = Netlist.create "t" in
@@ -349,7 +360,18 @@ let test_timing_setup_violation () =
   in
   Alcotest.(check int) "one violation" 1 (List.length r.Timing_sim.violations);
   Alcotest.(check bool) "setup kind" true
-    ((List.hd r.Timing_sim.violations).Timing_sim.v_kind = Timing_sim.Setup_violation)
+    ((List.hd r.Timing_sim.violations).Timing_sim.v_kind = Timing_sim.Setup_violation);
+  (* exactly setup before the edge violates, a picosecond earlier does not *)
+  let sample_at t =
+    let w = Waveform.make ~initial:Logic.F [ (t, Logic.T) ] in
+    (Timing_sim.run ~drive:(fun _ -> Timing_sim.Wave w) n
+       { Timing_sim.clock_ps = clock; cycles = 1 })
+      .Timing_sim.ff_samples.(0).(0)
+  in
+  Alcotest.(check char) "at edge - setup" 'x'
+    (Logic.to_char (sample_at (clock - Cell_lib.dff_setup_ps)));
+  Alcotest.(check char) "before edge - setup" '1'
+    (Logic.to_char (sample_at (clock - Cell_lib.dff_setup_ps - 1)))
 
 let test_timing_gk_fig4 () =
   (* the exact Fig. 4 waveform: checked as data, not just rendered *)
@@ -392,6 +414,16 @@ let test_timing_po_sampling () =
   in
   let samples = List.assoc "y" r.Timing_sim.po_samples in
   Alcotest.(check string) "po samples" "011"
+    (String.init 3 (fun i -> Logic.to_char samples.(i)));
+  (* a transition takes effect at its timestamp, so one exactly on an
+     edge is sampled there *)
+  let w = Waveform.make ~initial:Logic.F [ (2000, Logic.T) ] in
+  let r =
+    Timing_sim.run ~drive:(fun _ -> Timing_sim.Wave w) n
+      { Timing_sim.clock_ps = 1000; cycles = 3 }
+  in
+  let samples = List.assoc "y" r.Timing_sim.po_samples in
+  Alcotest.(check string) "edge-aligned po samples" "011"
     (String.init 3 (fun i -> Logic.to_char samples.(i)))
 
 let test_timing_guards () =
@@ -555,15 +587,18 @@ let lut_row () =
   identity_row ~drive:(pulse_drive ~seed:3 ~clock_ps:2000 ~cycles:6) n
     { Timing_sim.clock_ps = 2000; cycles = 6 }
 
-(* One gate reading the same driver on two pins: every change of [a]
-   schedules the gate twice. *)
+(* Gates reading the same driver on two pins: every change of [a]
+   schedules each of them twice.  The MUX's select is [f], which latches
+   X on a violation; with both data pins equal it still passes [a]. *)
 let dup_pin_row () =
   let n = Netlist.create "dup" in
   let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
   let g = Netlist.add_gate n ~name:"g" Cell.And [| a; b; a |] in
   let f = Netlist.add_ff n ~name:"f" g in
+  let m = Netlist.add_gate n ~name:"m" Cell.Mux [| f; a; a |] in
   Netlist.add_output n "y" g;
   Netlist.add_output n "q" f;
+  Netlist.add_output n "m" m;
   identity_row ~drive:(pulse_drive ~seed:4 ~clock_ps:2000 ~cycles:6) n
     { Timing_sim.clock_ps = 2000; cycles = 6 }
 
@@ -644,22 +679,29 @@ let test_identity_dup_pin () =
   check_rows "dup pin"
     [
       ( "row",
-        "events=53 trans=32 viol=1:f@0h2040 ff=x11000 po=y=111000|q=0x1100 \
-         waves=md5:ab2e3e28c924 pulses=8" );
+        "events=72 trans=40 viol=1:f@0h2040 ff=x11000 po=y=111000|q=0x1100|m=111100 \
+         waves=md5:23b6dfdb49b7 pulses=8" );
     ]
     [ ("row", dup_pin_row ()) ]
 
 (* The waveforms agree with the sample path, which reads the same
    transitions another way: each PO sample is its driver's wave at the
-   edge, and each FF sample taken without a violation is its D pin's. *)
+   edge, and each FF sample taken without a violation is its D pin's.
+   Input transitions sit on a 50 ps grid, so some land exactly on edges
+   and on setup/hold window boundaries. *)
 let waves_match_samples_law seed =
   let rng = Random.State.make [| seed; 0x5A |] in
   let net = Netlist_gen.net rng in
   let clock_ps = 3000 and cycles = 5 in
-  let r =
-    Timing_sim.run ~drive:(pulse_drive ~seed ~clock_ps ~cycles) net
-      { Timing_sim.clock_ps; cycles }
+  let drive pi =
+    let rng = Random.State.make [| seed; pi; 0x50 |] in
+    Timing_sim.Wave
+      (Waveform.make ~initial:(Logic.of_bool (Random.State.bool rng))
+         (List.init (3 * cycles) (fun _ ->
+              ( 50 * Random.State.int rng (cycles * clock_ps / 50),
+                Logic.of_bool (Random.State.bool rng) ))))
   in
+  let r = Timing_sim.run ~drive net { Timing_sim.clock_ps; cycles } in
   let at id k = Waveform.value_at (Timing_sim.wave r id) ((k + 1) * clock_ps) in
   let violated ff k =
     List.exists

@@ -126,6 +126,16 @@ let rec fold_xor values fi i hi acc =
 
 let not_code v = if v = 2 then 2 else 1 - v
 
+(* Per-node int arrays packed into one: row [id] is
+   [data.(start.(id)) .. data.(start.(id + 1) - 1)]. *)
+let csr rows =
+  let n = Array.length rows in
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun id r -> start.(id + 1) <- start.(id) + Array.length r) rows;
+  let data = Array.make start.(n) 0 in
+  Array.iteri (fun id r -> Array.blit r 0 data start.(id) (Array.length r)) rows;
+  (start, data)
+
 let node_delay net id =
   let n = Netlist.node net id in
   match n.Netlist.kind with
@@ -203,39 +213,22 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
     }
   in
   (* The netlist, flattened for this run: an op and a delay per node, the
-     fanins as one CSR array, and per driver the consumers a change
-     re-evaluates — one entry per fanin pin, so a gate reading a driver on
-     two pins is scheduled twice, in [Netlist.fanout_table]'s order. *)
+     fanins, and per driver the consumers a change re-evaluates — one
+     entry per fanin pin, so a gate reading a driver on two pins is
+     scheduled twice, in [Netlist.fanout_table]'s order. *)
   let ops = Array.init n (fun id -> op_of_kind (Netlist.node net id).Netlist.kind) in
   let delays = Array.init n (node_delay net) in
-  let fi_start = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    fi_start.(id + 1) <- fi_start.(id) + Array.length (Netlist.node net id).Netlist.fanins
-  done;
-  let fi = Array.make fi_start.(n) 0 in
-  for id = 0 to n - 1 do
-    let fanins = (Netlist.node net id).Netlist.fanins in
-    Array.blit fanins 0 fi fi_start.(id) (Array.length fanins)
-  done;
-  let reevaluated c = match ops.(c) with Inert -> false | _ -> true in
-  let fanouts = Netlist.fanout_table net in
-  let fo_start = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    fo_start.(id + 1) <-
-      List.fold_left (fun k (c, _) -> if reevaluated c then k + 1 else k) fo_start.(id) fanouts.(id)
-  done;
-  let fo = Array.make fo_start.(n) 0 in
-  for id = 0 to n - 1 do
-    ignore
-      (List.fold_left
-         (fun k (c, _) ->
-           if reevaluated c then begin
-             fo.(k) <- c;
-             k + 1
-           end
-           else k)
-         fo_start.(id) fanouts.(id))
-  done;
+  let fi_start, fi = csr (Array.init n (fun id -> (Netlist.node net id).Netlist.fanins)) in
+  let fo_start, fo =
+    csr
+      (Array.map
+         (fun consumers ->
+           Array.of_list
+             (List.filter_map
+                (fun (c, _) -> match ops.(c) with Inert -> None | _ -> Some c)
+                consumers))
+         (Netlist.fanout_table net))
+  in
   let eval c =
     let lo = fi_start.(c) and hi = fi_start.(c + 1) in
     match ops.(c) with

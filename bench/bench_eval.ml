@@ -189,30 +189,12 @@ let bench_timing_sim ~min_time bname =
   let e0 = Obs.Metrics.value m_events in
   let r = run () in
   let events = Obs.Metrics.value m_events - e0 in
-  let ffs n (r : Timing_sim.result) =
-    Array.to_list
-      (Array.mapi
-         (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
-         r.Timing_sim.ff_ids)
-  in
-  let locked_ffs = ffs lnet r in
-  let ff_mismatches =
-    List.fold_left
-      (fun acc (name, want) ->
-        match List.assoc_opt name locked_ffs with
-        | None -> acc
-        | Some got ->
-          let m = ref acc in
-          Array.iteri (fun k v -> if k >= 2 && v <> got.(k) then incr m) want;
-          !m)
-      0 (ffs net base)
-  in
-  let po_mismatches = fst (Stimuli.po_agreement ~skip:2 base r) in
-  if ff_mismatches + po_mismatches > 0 then
+  let mismatches = Stimuli.state_mismatches ~skip:2 net base lnet r in
+  if mismatches > 0 then
     failwith
       (Printf.sprintf "%s: GK-8 under the correct key differs from the unlocked design \
-                       (%d FF, %d PO samples)"
-         bname ff_mismatches po_mismatches);
+                       in %d samples"
+         bname mismatches);
   let reps, elapsed = time_reps ~min_time (fun () -> ignore (run ())) in
   let w0 = Gc.minor_words () in
   ignore (run ());

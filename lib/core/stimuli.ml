@@ -32,3 +32,22 @@ let po_agreement ~skip a b =
         done)
     a.Timing_sim.po_samples;
   (!mismatches, !comparisons)
+
+let state_mismatches ~skip base_net base net r =
+  let named n (r : Timing_sim.result) =
+    Array.to_list
+      (Array.mapi
+         (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
+         r.Timing_sim.ff_ids)
+  in
+  let got = named net r in
+  List.fold_left
+    (fun acc (name, want) ->
+      match List.assoc_opt name got with
+      | None -> acc
+      | Some v ->
+        let m = ref acc in
+        Array.iteri (fun k b -> if k >= skip && not (Logic.equal b v.(k)) then incr m) want;
+        !m)
+    (fst (po_agreement ~skip base r))
+    (named base_net base)

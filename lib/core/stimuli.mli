@@ -22,3 +22,11 @@ val cycle_inputs : ?seed:int -> Netlist.t -> int -> int -> bool
     toggles).  Returns (mismatches, comparisons). *)
 val po_agreement :
   skip:int -> Timing_sim.result -> Timing_sim.result -> int * int
+
+(** [state_mismatches ~skip base_net base net r] counts the samples of
+    [r], a run of [net], that differ from [base], a run of [base_net],
+    ignoring the first [skip] cycles: the primary outputs of
+    {!po_agreement}, plus the flip-flops matched by name (a flip-flop of
+    one design only, such as a KEYGEN toggle, is not compared). *)
+val state_mismatches :
+  skip:int -> Netlist.t -> Timing_sim.result -> Netlist.t -> Timing_sim.result -> int

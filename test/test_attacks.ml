@@ -189,30 +189,12 @@ let test_gk8_every_benchmark () =
       in
       let sim = { Timing_sim.clock_ps; cycles } in
       let stim n = Stimuli.edge_aligned ~seed n ~clock_ps ~cycles in
-      let ffs n (r : Timing_sim.result) =
-        Array.to_list
-          (Array.mapi
-             (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
-             r.Timing_sim.ff_ids)
-      in
       let base = Timing_sim.run ~drive:(stim net) ~captures_from:(fun _ -> 1) net sim in
       let corrupted key =
-        let r =
-          Timing_sim.run
-            ~drive:(Insertion.timing_drive ~other:(stim d.Insertion.lnet) d key)
-            ~captures_from:(Insertion.capture_policy d) d.Insertion.lnet sim
-        in
-        let got = ffs d.Insertion.lnet r in
-        List.fold_left
-          (fun n (name, want) ->
-            match List.assoc_opt name got with
-            | None -> n
-            | Some v ->
-              let m = ref n in
-              Array.iteri (fun k b -> if k >= 2 && b <> v.(k) then incr m) want;
-              !m)
-          (fst (Stimuli.po_agreement ~skip:2 base r))
-          (ffs net base)
+        Stimuli.state_mismatches ~skip:2 net base d.Insertion.lnet
+          (Timing_sim.run
+             ~drive:(Insertion.timing_drive ~other:(stim d.Insertion.lnet) d key)
+             ~captures_from:(Insertion.capture_policy d) d.Insertion.lnet sim)
       in
       let leftover =
         List.concat

@@ -40,15 +40,7 @@ let test_stimuli_edge_aligned () =
 
 let test_stimuli_po_agreement () =
   let empty = Timing_sim.run (Netlist.create "t") { Timing_sim.clock_ps = 1000; cycles = 1 } in
-  let mk samples =
-    {
-      empty with
-      Timing_sim.ff_ids = [||];
-      ff_samples = [||];
-      violations = [];
-      po_samples = [ ("y", Array.of_list samples) ];
-    }
-  in
+  let mk samples = { empty with Timing_sim.po_samples = [ ("y", Array.of_list samples) ] } in
   let a = mk [ Logic.F; Logic.T; Logic.T; Logic.F ] in
   let b = mk [ Logic.T; Logic.T; Logic.F; Logic.F ] in
   Alcotest.(check (pair int int)) "skip 0" (2, 4)

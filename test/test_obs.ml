@@ -369,9 +369,8 @@ let test_vcd_escapes_identifiers () =
   Alcotest.(check bool) "collision got a suffix" true
     (List.mem "a_b" sorted && List.mem "a_b_2" sorted)
 
-(* Identifier codes past the two-character range: 21,100 nets reach
-   index 21,056, where the old scheme raised on Char.chr after emitting
-   DEL (index 8,930) and bytes above 126. *)
+(* Two-character codes run out at index 8,930: 21,100 nets need
+   three-character ones, and every code must stay printable. *)
 let test_vcd_identifiers_past_two_chars () =
   let n = Netlist.create "wide" in
   let ins = Array.init 100 (fun i -> Netlist.add_input n (Printf.sprintf "i%d" i)) in

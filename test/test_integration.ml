@@ -196,6 +196,39 @@ let test_full_pipeline () =
     (cells' >= cells
     && cells' <= cells + List.length (Netlist.outputs d.Insertion.lnet))
 
+(* ----- Paper artifacts, byte for byte ----- *)
+
+(* Each artifact is pinned by the MD5 of the text the CLI prints or
+   writes, so any change to a simulated event, a figure or a table shows
+   here. *)
+let check_md5 name want text =
+  Alcotest.(check string) name want (Digest.to_hex (Digest.string text))
+
+(* `gklock figs` *)
+let test_artifact_figs () =
+  check_md5 "figs" "7908f8b1f143be2d3fcfffd1556047e2"
+    (String.concat "\n"
+       [ Experiments.fig4 (); Experiments.fig6 (); Experiments.fig7 (); Experiments.fig9 () ])
+
+(* `gklock tables --table=corruption` *)
+let test_artifact_corruption () =
+  check_md5 "corruption table" "73f8b0c89688521192d663a0e13bab71"
+    (Report.corruptibility (Experiments.corruptibility ()))
+
+(* The VCD of `gklock sim BENCH --cycles N --vcd FILE`, with the CLI's
+   default clock and stimulus. *)
+let sim_vcd bname cycles =
+  let net = Benchmarks.load (Option.get (Benchmarks.find_spec bname)) in
+  let clock_ps = Sta.clock_for net ~margin:1.3 in
+  let drive = Stimuli.edge_aligned ~seed:1 net ~clock_ps ~cycles in
+  Vcd.of_result net (Timing_sim.run ~drive net { Timing_sim.clock_ps; cycles }) ~signals:[]
+
+let test_artifact_vcd_s5378 () =
+  check_md5 "s5378 vcd" "e2aef57461e41b2841a65c56357d1e02" (sim_vcd "s5378" 24)
+
+let test_artifact_vcd_s38417 () =
+  check_md5 "s38417 vcd" "15429f2836c0d9997bd204e41c9a5d13" (sim_vcd "s38417" 8)
+
 let suites =
   [
     ( "integration.tables",
@@ -219,4 +252,11 @@ let suites =
       ] );
     ("integration.corruptibility", [ tc "key classes" `Slow test_corruptibility ]);
     ("integration.pipeline", [ tc "lock/verify/attack" `Quick test_full_pipeline ]);
+    ( "integration.artifacts",
+      [
+        tc "gklock figs" `Quick test_artifact_figs;
+        tc "corruption table" `Quick test_artifact_corruption;
+        tc "sim s5378 VCD" `Quick test_artifact_vcd_s5378;
+        tc "sim s38417 VCD" `Quick test_artifact_vcd_s38417;
+      ] );
   ]

@@ -602,6 +602,47 @@ let dup_pin_row () =
   identity_row ~drive:(pulse_drive ~seed:4 ~clock_ps:2000 ~cycles:6) n
     { Timing_sim.clock_ps = 2000; cycles = 6 }
 
+(* 9,000 ps delay cells, longer than a clock period, on a flip-flop to
+   flip-flop path and after an input: their events are scheduled far
+   past the time being simulated. *)
+let long_delay_row () =
+  let n = Netlist.create "long" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  let dly x = Netlist.add_gate n ~cell:(Cell_lib.custom_delay_cell 9_000) Cell.Buf [| x |] in
+  let q = Netlist.add_ff n ~name:"q" a in
+  let r = Netlist.add_ff n ~name:"r" (dly q) in
+  Netlist.set_fanin n ~node_id:q ~pin:0 ~driver:(Netlist.add_gate n Cell.Xor [| a; r |]);
+  let y = Netlist.add_gate n ~name:"y" Cell.Xor [| dly b; r |] in
+  Netlist.add_output n "y" y;
+  Netlist.add_output n "r" r;
+  identity_row ~drive:(pulse_drive ~seed:5 ~clock_ps:4000 ~cycles:8) n
+    { Timing_sim.clock_ps = 4000; cycles = 8 }
+
+(* A zero-delay buffer from one flip-flop's Q to another's D: a latch
+   schedules an event at its own edge time. *)
+let zero_delay_row () =
+  let n = Netlist.create "zero" in
+  let a = Netlist.add_input n "a" in
+  let p = Netlist.add_ff n ~name:"p" a in
+  let z = Netlist.add_gate n ~name:"z" ~cell:(Cell_lib.custom_delay_cell 0) Cell.Buf [| p |] in
+  let q = Netlist.add_ff n ~name:"q" z in
+  Netlist.set_fanin n ~node_id:p ~pin:0 ~driver:(Netlist.add_gate n Cell.Xnor [| a; q |]);
+  Netlist.add_output n "z" z;
+  Netlist.add_output n "q" q;
+  identity_row ~drive:(pulse_drive ~seed:6 ~clock_ps:2000 ~cycles:6) n
+    { Timing_sim.clock_ps = 2000; cycles = 6 }
+
+(* No flip-flops: only input transitions and the gates they reach. *)
+let comb_row () =
+  let n = Netlist.create "comb" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  let x = Netlist.add_gate n ~name:"x" Cell.Xor [| a; b |] in
+  let y = Netlist.add_gate n ~name:"y" Cell.Nand [| x; a |] in
+  Netlist.add_output n "x" x;
+  Netlist.add_output n "y" y;
+  identity_row ~drive:(pulse_drive ~seed:7 ~clock_ps:2000 ~cycles:6) n
+    { Timing_sim.clock_ps = 2000; cycles = 6 }
+
 let check_rows name expected got =
   List.iter2
     (fun (label, want) (label', row) ->
@@ -683,6 +724,33 @@ let test_identity_dup_pin () =
          waves=md5:23b6dfdb49b7 pulses=8" );
     ]
     [ ("row", dup_pin_row ()) ]
+
+let test_identity_long_delay () =
+  check_rows "long delay"
+    [
+      ( "row",
+        "events=72 trans=59 viol=0: ff=01000100|00001000 po=y=11100111|r=00000100 \
+         waves=md5:b09f72466339 pulses=12" );
+    ]
+    [ ("row", long_delay_row ()) ]
+
+let test_identity_zero_delay () =
+  check_rows "zero delay"
+    [
+      ( "row",
+        "events=33 trans=26 viol=1:p@4s9940 ff=1110x1|11110x po=z=11110x|q=011110 \
+         waves=md5:01d9de54b4b4 pulses=7" );
+    ]
+    [ ("row", zero_delay_row ()) ]
+
+let test_identity_comb () =
+  check_rows "no flip-flops"
+    [
+      ( "row",
+        "events=59 trans=49 viol=0: ff= po=x=001111|y=110110 waves=md5:d465d5ec9189 \
+         pulses=0" );
+    ]
+    [ ("row", comb_row ()) ]
 
 (* The waveforms agree with the sample path, which reads the same
    transitions another way: each PO sample is its driver's wave at the
@@ -777,6 +845,9 @@ let suites =
         tc "event identity: GK-4 + XOR-8 s1238" `Quick test_identity_hybrid;
         tc "event identity: LUT" `Quick test_identity_lut;
         tc "event identity: same driver on two pins" `Quick test_identity_dup_pin;
+        tc "event identity: 9,000 ps delay cells" `Quick test_identity_long_delay;
+        tc "event identity: zero-delay flip-flop to flip-flop" `Quick test_identity_zero_delay;
+        tc "event identity: no flip-flops" `Quick test_identity_comb;
         qcheck ~count:200 "waves agree with the samples" Netlist_gen.arb_seed
           waves_match_samples_law;
       ] );

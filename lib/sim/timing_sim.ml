@@ -126,16 +126,6 @@ let rec fold_xor values fi i hi acc =
 
 let not_code v = if v = 2 then 2 else 1 - v
 
-(* Per-node int arrays packed into one: row [id] is
-   [data.(start.(id)) .. data.(start.(id + 1) - 1)]. *)
-let csr rows =
-  let n = Array.length rows in
-  let start = Array.make (n + 1) 0 in
-  Array.iteri (fun id r -> start.(id + 1) <- start.(id) + Array.length r) rows;
-  let data = Array.make start.(n) 0 in
-  Array.iteri (fun id r -> Array.blit r 0 data start.(id) (Array.length r)) rows;
-  (start, data)
-
 let node_delay net id =
   let n = Netlist.node net id in
   match n.Netlist.kind with
@@ -159,6 +149,9 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
   assert (clk2q >= hold);
   if clock <= setup + hold + clk2q then
     invalid_arg "Timing_sim.run: clock period shorter than FF timing arcs";
+  let n = Netlist.num_nodes net in
+  let delays = Array.init n (node_delay net) in
+  if Array.exists (fun d -> d < 0) delays then invalid_arg "Timing_sim.run: negative cell delay";
   Obs.Metrics.incr m_sim_runs;
   let sp =
     Obs.Trace.span_begin
@@ -173,7 +166,6 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
   in
   let counts = ref [] in
   Fun.protect ~finally:(fun () -> Obs.Trace.span_end ~args:!counts sp) @@ fun () ->
-  let n = Netlist.num_nodes net in
   let settled = Array.make n Logic.X in
   (* Initial settle at t = 0: three-valued topological evaluation. *)
   let drive_of = Array.make n (Const false) in
@@ -212,23 +204,47 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
       len = 0;
     }
   in
-  (* The netlist, flattened for this run: an op and a delay per node, the
-     fanins, and per driver the consumers a change re-evaluates — one
-     entry per fanin pin, so a gate reading a driver on two pins is
-     scheduled twice, in [Netlist.fanout_table]'s order. *)
+  (* The netlist, flattened for this run: an op and a delay per node,
+     then two packed arrays, each built in counting passes over the
+     nodes.  Node [id]'s fanins are [fi.(fi_start.(id)) ..
+     fi.(fi_start.(id + 1) - 1)]; a driver's row of [fo] lists the
+     consumers a change re-evaluates, one entry per fanin pin (a gate
+     reading a driver on two pins is scheduled twice), in descending
+     (consumer, pin) order, which is [Netlist.fanout_table]'s. *)
   let ops = Array.init n (fun id -> op_of_kind (Netlist.node net id).Netlist.kind) in
-  let delays = Array.init n (node_delay net) in
-  let fi_start, fi = csr (Array.init n (fun id -> (Netlist.node net id).Netlist.fanins)) in
-  let fo_start, fo =
-    csr
-      (Array.map
-         (fun consumers ->
-           Array.of_list
-             (List.filter_map
-                (fun (c, _) -> match ops.(c) with Inert -> None | _ -> Some c)
-                consumers))
-         (Netlist.fanout_table net))
-  in
+  let fi_start = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    fi_start.(id + 1) <- fi_start.(id) + Array.length (Netlist.node net id).Netlist.fanins
+  done;
+  let fi = Array.make fi_start.(n) 0 in
+  for id = 0 to n - 1 do
+    let f = (Netlist.node net id).Netlist.fanins in
+    Array.blit f 0 fi fi_start.(id) (Array.length f)
+  done;
+  let fo_start = Array.make (n + 1) 0 in
+  for c = 0 to n - 1 do
+    match ops.(c) with
+    | Inert -> ()
+    | _ ->
+      for k = fi_start.(c) to fi_start.(c + 1) - 1 do
+        fo_start.(fi.(k) + 1) <- fo_start.(fi.(k) + 1) + 1
+      done
+  done;
+  for id = 0 to n - 1 do
+    fo_start.(id + 1) <- fo_start.(id + 1) + fo_start.(id)
+  done;
+  let fo = Array.make fo_start.(n) 0 in
+  let fill = Array.sub fo_start 0 n in
+  for c = n - 1 downto 0 do
+    match ops.(c) with
+    | Inert -> ()
+    | _ ->
+      for k = fi_start.(c + 1) - 1 downto fi_start.(c) do
+        let d = fi.(k) in
+        fo.(fill.(d)) <- c;
+        fill.(d) <- fill.(d) + 1
+      done
+  done;
   let eval c =
     let lo = fi_start.(c) and hi = fi_start.(c + 1) in
     match ops.(c) with
@@ -251,8 +267,10 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
       | _ -> assert false)
     | Inert -> assert false
   in
-  (* Events are ints: [id*4 + code] sets node [id] to [code]; [i*4 + 3]
-     is flip-flop [ff_ids.(i)]'s latch, whose edge is [time - clk2q]. *)
+  (* Events are ints: [id*4 + code] sets node [id] to [code];
+     [edge_event] latches every flip-flop, in [ff_ids] order, at the active edge
+     [time - clk2q]. *)
+  let edge_event = 3 in
   let queue = Event_queue.create () in
   (* Stimulus transitions. *)
   List.iter
@@ -264,17 +282,19 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
           (fun (t, v) -> Event_queue.add queue ~time:t ((pi * 4) + code v))
           (Waveform.transitions w))
     (Netlist.inputs net);
-  (* Latch events: active edges at k * clock for k = 0..cycles, Q updates
+  (* Edge events: active edges at k * clock for k = 0..cycles, Q updates
      clk2q later.  Edge 0 launches the initial state (and in particular
      starts any KEYGEN toggle inside cycle 0); its captures are not
      recorded — recorded sample k corresponds to the edge at
-     (k+1) * clock. *)
+     (k+1) * clock.  An edge's latches run back to back in one event,
+     as one latch event per flip-flop with consecutive sequence numbers
+     would; a netlist without flip-flops has no edge events. *)
   let ff_ids = Array.of_list (Netlist.ffs net) in
-  for k = 0 to config.cycles do
-    Array.iteri
-      (fun i _ -> Event_queue.add queue ~time:((k * clock) + clk2q) ((i * 4) + 3))
-      ff_ids
-  done;
+  let n_ffs = Array.length ff_ids in
+  if n_ffs > 0 then
+    for k = 0 to config.cycles do
+      Event_queue.add queue ~time:((k * clock) + clk2q) edge_event
+    done;
   let d_pins = Array.map (fun ff -> (Netlist.node net ff).Netlist.fanins.(0)) ff_ids in
   let first_capture = Array.map captures_from ff_ids in
   let ff_samples = Array.map (fun _ -> Array.make config.cycles Logic.X) ff_ids in
@@ -327,14 +347,25 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
     end
   in
   let horizon = ((config.cycles + 1) * clock) + clk2q in
+  (* [events_popped] counts each latch as one event. *)
   let events_popped = ref 0 and pumping = ref true in
   while !pumping && not (Event_queue.is_empty queue) do
     let time = Event_queue.min_time queue in
     let ev = Event_queue.pop queue in
-    incr events_popped;
-    if time > horizon then pumping := false
-    else if ev land 3 = 3 then latch time (ev lsr 2)
-    else set_value time (ev lsr 2) (ev land 3)
+    if time > horizon then begin
+      incr events_popped;
+      pumping := false
+    end
+    else if ev = edge_event then begin
+      events_popped := !events_popped + n_ffs;
+      for i = 0 to n_ffs - 1 do
+        latch time i
+      done
+    end
+    else begin
+      incr events_popped;
+      set_value time (ev lsr 2) (ev land 3)
+    end
   done;
   let violations = List.rev !violations in
   let po_samples =

@@ -76,6 +76,106 @@ let event_queue_sorted_law times =
   in
   drain [] = List.sort compare times
 
+(* The queue's ring covers this many ps after the last popped time. *)
+let ring = 4096
+
+(* Random adds and pops against a reference list stable-sorted by (time,
+   push index).  Each add lands 0 to 3 ring lengths after the last popped
+   time, with offsets at the ring's boundaries weighted in; every pop
+   must give the reference's time and payload, the sizes must agree
+   throughout, and the queue is drained at the end. *)
+type eq_op = Add of int | Pop
+
+let eq_ops_arb =
+  let offset =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_bound (3 * ring));
+          (2, int_bound 8);
+          ( 2,
+            oneofl
+              [ ring - 2; ring - 1; ring; ring + 1; (2 * ring) - 1; 2 * ring; 3 * ring ] );
+        ])
+  in
+  let op = QCheck.Gen.(frequency [ (3, map (fun o -> Add o) offset); (2, return Pop) ]) in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map (function Add o -> "+" ^ string_of_int o | Pop -> "pop") ops))
+    QCheck.Gen.(list_size (int_bound 300) op)
+
+let event_queue_model_law ops =
+  let q = Event_queue.create () in
+  (* the reference: (time, push index) in push order *)
+  let model = ref [] and now = ref 0 and pushed = ref 0 in
+  let pop () =
+    match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+    | [] -> Event_queue.is_empty q
+    | (t, i) :: _ ->
+      let t' = Event_queue.min_time q in
+      let p = Event_queue.pop q in
+      model := List.filter (fun (_, j) -> j <> i) !model;
+      now := t;
+      t' = t && p = i
+  in
+  let step op =
+    (match op with
+    | Add o ->
+      Event_queue.add q ~time:(!now + o) !pushed;
+      model := !model @ [ (!now + o, !pushed) ];
+      incr pushed;
+      true
+    | Pop -> pop ())
+    && Event_queue.size q = List.length !model
+  in
+  let rec drain () = !model = [] || (step Pop && drain ()) in
+  List.for_all step ops && drain () && Event_queue.is_empty q
+
+(* An event that waited beyond the ring and a later push at its time pop
+   in push order. *)
+let test_event_queue_overflow_fifo () =
+  let q = Event_queue.create () in
+  Event_queue.add q ~time:0 0;
+  Event_queue.add q ~time:10_000 1;
+  Event_queue.add q ~time:7_000 2;
+  let pop () =
+    let t = Event_queue.min_time q in
+    (t, Event_queue.pop q)
+  in
+  let p0 = pop () in
+  let p1 = pop () in
+  (* the event at 10,000 now sits in the ring, ahead of this push *)
+  Event_queue.add q ~time:10_000 3;
+  let p2 = pop () in
+  let p3 = pop () in
+  Alcotest.(check (list (pair int int)))
+    "pops" [ (0, 0); (7_000, 2); (10_000, 1); (10_000, 3) ] [ p0; p1; p2; p3 ]
+
+let test_event_queue_no_past () =
+  let q = Event_queue.create () in
+  Alcotest.check_raises "negative" (Invalid_argument "Event_queue.add: time before the last pop")
+    (fun () -> Event_queue.add q ~time:(-1) 0);
+  Event_queue.add q ~time:5 0;
+  ignore (Event_queue.pop q);
+  Alcotest.check_raises "before the last pop"
+    (Invalid_argument "Event_queue.add: time before the last pop")
+    (fun () -> Event_queue.add q ~time:4 1);
+  Event_queue.add q ~time:5 2;
+  Alcotest.(check int) "at the last pop" 2 (Event_queue.pop q)
+
+let test_event_queue_size () =
+  let q = Event_queue.create () in
+  Event_queue.add q ~time:1 0;
+  Event_queue.add q ~time:(1 + (5 * ring)) 1;
+  Alcotest.(check int) "ring + heap" 2 (Event_queue.size q);
+  ignore (Event_queue.pop q);
+  Alcotest.(check int) "heap only" 1 (Event_queue.size q);
+  Alcotest.(check bool) "heap only: not empty" false (Event_queue.is_empty q);
+  ignore (Event_queue.pop q);
+  Alcotest.(check int) "drained" 0 (Event_queue.size q);
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+
 (* ----- Waveform ----- *)
 
 let test_waveform_normalize () =
@@ -432,6 +532,14 @@ let test_timing_guards () =
   Alcotest.check_raises "bad clock"
     (Invalid_argument "Timing_sim.run: clock period shorter than FF timing arcs")
     (fun () -> ignore (Timing_sim.run n { Timing_sim.clock_ps = 200; cycles = 1 }))
+
+let test_timing_negative_delay () =
+  let n = Netlist.create "t" in
+  let a = Netlist.add_input n "a" in
+  let y = Netlist.add_gate n ~cell:(Cell_lib.custom_delay_cell (-5)) Cell.Buf [| a |] in
+  Netlist.add_output n "y" y;
+  Alcotest.check_raises "negative delay" (Invalid_argument "Timing_sim.run: negative cell delay")
+    (fun () -> ignore (Timing_sim.run n { Timing_sim.clock_ps = 1000; cycles = 1 }))
 
 (* ----- Event identity: pinned runs every kernel must reproduce ----- *)
 
@@ -809,6 +917,10 @@ let suites =
       [
         tc "order" `Quick test_event_queue_order;
         qcheck "drains sorted" QCheck.(list small_nat) event_queue_sorted_law;
+        qcheck ~count:300 "matches a sorted reference list" eq_ops_arb event_queue_model_law;
+        tc "overflow and a later push: push order" `Quick test_event_queue_overflow_fifo;
+        tc "no add before the last pop" `Quick test_event_queue_no_past;
+        tc "size counts ring and heap" `Quick test_event_queue_size;
       ] );
     ( "sim.waveform",
       [
@@ -836,6 +948,7 @@ let suites =
         tc "fig4 GK waveform" `Quick test_timing_gk_fig4;
         tc "po sampling" `Quick test_timing_po_sampling;
         tc "guards" `Quick test_timing_guards;
+        tc "negative cell delay" `Quick test_timing_negative_delay;
         qcheck ~count:25 "matches cycle sim on stable inputs"
           (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 500))
           timing_matches_cycle_law;

@@ -18,11 +18,19 @@ let cycle_inputs ?(seed = 1) net cycle pi =
   let name = (Netlist.node net pi).Netlist.name in
   Hashtbl.hash (seed, cycle, name) land 1 = 1
 
+(* A name -> samples table over [bindings] in which the first binding of
+   a name wins, as with [List.assoc_opt]. *)
+let index bindings =
+  let t = Hashtbl.create 64 in
+  List.iter (fun (name, v) -> if not (Hashtbl.mem t name) then Hashtbl.add t name v) bindings;
+  t
+
 let po_agreement ~skip a b =
   let mismatches = ref 0 and comparisons = ref 0 in
+  let b_pos = index b.Timing_sim.po_samples in
   List.iter
     (fun (po, sa) ->
-      match List.assoc_opt po b.Timing_sim.po_samples with
+      match Hashtbl.find_opt b_pos po with
       | None -> ()
       | Some sb ->
         let n = min (Array.length sa) (Array.length sb) in
@@ -40,10 +48,10 @@ let state_mismatches ~skip base_net base net r =
          (fun i id -> ((Netlist.node n id).Netlist.name, r.Timing_sim.ff_samples.(i)))
          r.Timing_sim.ff_ids)
   in
-  let got = named net r in
+  let got = index (named net r) in
   List.fold_left
     (fun acc (name, want) ->
-      match List.assoc_opt name got with
+      match Hashtbl.find_opt got name with
       | None -> acc
       | Some v ->
         let m = ref acc in

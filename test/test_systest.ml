@@ -188,7 +188,38 @@ let test_gate_sim_events_exact () =
   let moved =
     Perf_gate.compare_docs [ (`Eval, base, eval_doc ~events:21322 ~eps:3e6) ]
   in
-  Alcotest.(check bool) "one more event fails" false moved.Perf_gate.g_ok
+  Alcotest.(check bool) "one more event fails" false moved.Perf_gate.g_ok;
+  (* every committed row, the largest design's included *)
+  let rows_doc rows =
+    doc_of_string
+      (Printf.sprintf {|{"schema":"gklock/bench_eval/v1","benchmarks":[],"timing_sim":[%s]}|}
+         (String.concat ","
+            (List.map
+               (fun (name, events) ->
+                 Printf.sprintf
+                   {|{"name":"%s","cycles":24,"events":%d,"events_per_sec":3e6,
+                      "minor_words_per_event":2.0}|}
+                   name events)
+               rows)))
+  in
+  let committed = [ ("s5378", 21321); ("s13207", 20355); ("s38417", 57240) ] in
+  let all = Perf_gate.compare_docs [ (`Eval, rows_doc committed, rows_doc committed) ] in
+  Alcotest.(check (list string)) "every row gated"
+    [
+      "eval.timing_sim.s5378.events"; "eval.timing_sim.s13207.events";
+      "eval.timing_sim.s38417.events";
+    ]
+    (ids all);
+  Alcotest.(check bool) "equal rows pass" true all.Perf_gate.g_ok;
+  let moved =
+    Perf_gate.compare_docs
+      [
+        ( `Eval,
+          rows_doc committed,
+          rows_doc (List.map (fun (n, e) -> (n, if n = "s38417" then e - 1 else e)) committed) );
+      ]
+  in
+  Alcotest.(check bool) "one fewer s38417 event fails" false moved.Perf_gate.g_ok
 
 (* ----- real-binary TCP shutdown gating ----- *)
 

@@ -79,12 +79,13 @@ let event_queue_sorted_law times =
 (* The queue's ring covers this many ps after the last popped time. *)
 let ring = 4096
 
-(* Random adds and pops against a reference list stable-sorted by (time,
-   push index).  Each add lands 0 to 3 ring lengths after the last popped
-   time, with offsets at the ring's boundaries weighted in; every pop
-   must give the reference's time and payload, the sizes must agree
-   throughout, and the queue is drained at the end. *)
-type eq_op = Add of int | Pop
+(* Random adds, peeks and pops against a reference list stable-sorted by
+   (time, push index).  Each add lands 0 to 3 ring lengths after the last
+   popped time, with offsets at the ring's boundaries weighted in; every
+   peek must give the reference's earliest time and every pop its time
+   and payload, the sizes must agree throughout, and the queue is drained
+   at the end. *)
+type eq_op = Add of int | Peek | Pop
 
 let eq_ops_arb =
   let offset =
@@ -98,19 +99,22 @@ let eq_ops_arb =
               [ ring - 2; ring - 1; ring; ring + 1; (2 * ring) - 1; 2 * ring; 3 * ring ] );
         ])
   in
-  let op = QCheck.Gen.(frequency [ (3, map (fun o -> Add o) offset); (2, return Pop) ]) in
+  let op =
+    QCheck.Gen.(frequency [ (3, map (fun o -> Add o) offset); (1, return Peek); (2, return Pop) ])
+  in
   QCheck.make
     ~print:(fun ops ->
       String.concat " "
-        (List.map (function Add o -> "+" ^ string_of_int o | Pop -> "pop") ops))
+        (List.map (function Add o -> "+" ^ string_of_int o | Peek -> "peek" | Pop -> "pop") ops))
     QCheck.Gen.(list_size (int_bound 300) op)
 
 let event_queue_model_law ops =
   let q = Event_queue.create () in
   (* the reference: (time, push index) in push order *)
   let model = ref [] and now = ref 0 and pushed = ref 0 in
+  let earliest () = List.stable_sort (fun (a, _) (b, _) -> compare a b) !model in
   let pop () =
-    match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+    match earliest () with
     | [] -> Event_queue.is_empty q
     | (t, i) :: _ ->
       let t' = Event_queue.min_time q in
@@ -126,6 +130,8 @@ let event_queue_model_law ops =
       model := !model @ [ (!now + o, !pushed) ];
       incr pushed;
       true
+    | Peek -> (
+      match earliest () with [] -> true | (t, _) :: _ -> Event_queue.min_time q = t)
     | Pop -> pop ())
     && Event_queue.size q = List.length !model
   in
@@ -751,6 +757,22 @@ let comb_row () =
   identity_row ~drive:(pulse_drive ~seed:7 ~clock_ps:2000 ~cycles:6) n
     { Timing_sim.clock_ps = 2000; cycles = 6 }
 
+(* An XOR and an XNOR of the same inputs and the same delay change at
+   the same time; the order in which their events pop decides whether
+   the AND that reads both glitches. *)
+let reconvergent_row () =
+  let n = Netlist.create "reconv" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  let c = Netlist.add_input n "c" in
+  let x = Netlist.add_gate n ~name:"x" Cell.Xor [| a; b |] in
+  let y = Netlist.add_gate n ~name:"y" Cell.Xnor [| a; b |] in
+  let z = Netlist.add_gate n ~name:"z" Cell.And [| x; y; c |] in
+  let f = Netlist.add_ff n ~name:"f" z in
+  Netlist.add_output n "z" z;
+  Netlist.add_output n "f" f;
+  identity_row ~drive:(pulse_drive ~seed:8 ~clock_ps:2000 ~cycles:6) n
+    { Timing_sim.clock_ps = 2000; cycles = 6 }
+
 let check_rows name expected got =
   List.iter2
     (fun (label, want) (label', row) ->
@@ -851,6 +873,15 @@ let test_identity_zero_delay () =
     ]
     [ ("row", zero_delay_row ()) ]
 
+let test_identity_reconvergent () =
+  check_rows "reconvergent"
+    [
+      ( "row",
+        "events=126 trans=83 viol=2:f@3s7951;f@3s7951 ff=000x00 po=z=000000|f=0000x0 \
+         waves=md5:44c85351fae4 pulses=0" );
+    ]
+    [ ("row", reconvergent_row ()) ]
+
 let test_identity_comb () =
   check_rows "no flip-flops"
     [
@@ -859,6 +890,33 @@ let test_identity_comb () =
          pulses=0" );
     ]
     [ ("row", comb_row ()) ]
+
+(* [event_queue.pops] counts queue pops: one per active edge however
+   many flip-flops latch there, while [sim.events_popped] counts each
+   latch; a netlist without flip-flops has no edge events. *)
+let test_timing_edge_pops () =
+  let m_pops = Obs.Metrics.counter "event_queue.pops" in
+  let traced_counts net cycles =
+    let cfg = { Timing_sim.clock_ps = 2000; cycles } in
+    let path = Filename.temp_file "gklock_pops" ".jsonl" in
+    let p0 = Obs.Metrics.value m_pops and e0 = Obs.Metrics.value m_events in
+    Obs.Trace.enable ~file:path ();
+    Fun.protect ~finally:Obs.Trace.disable (fun () ->
+        ignore (Timing_sim.run ~drive:(pulse_drive ~seed:9 ~clock_ps:2000 ~cycles) net cfg));
+    Sys.remove path;
+    (Obs.Metrics.value m_pops - p0, Obs.Metrics.value m_events - e0)
+  in
+  let n = Netlist.create "comb" in
+  let a = Netlist.add_input n "a" and b = Netlist.add_input n "b" in
+  Netlist.add_output n "y" (Netlist.add_gate n Cell.Xor [| a; b |]);
+  let pops, events = traced_counts n 6 in
+  Alcotest.(check int) "no flip-flops: a pop per event" events pops;
+  let n = Netlist.create "three" in
+  let a = Netlist.add_input n "a" in
+  let q = Netlist.add_ff n (Netlist.add_ff n (Netlist.add_ff n a)) in
+  Netlist.add_output n "q" q;
+  let pops, events = traced_counts n 6 in
+  Alcotest.(check int) "three flip-flops: a pop per edge" (events - (7 * 2)) pops
 
 (* The waveforms agree with the sample path, which reads the same
    transitions another way: each PO sample is its driver's wave at the
@@ -961,6 +1019,8 @@ let suites =
         tc "event identity: 9,000 ps delay cells" `Quick test_identity_long_delay;
         tc "event identity: zero-delay flip-flop to flip-flop" `Quick test_identity_zero_delay;
         tc "event identity: no flip-flops" `Quick test_identity_comb;
+        tc "event identity: same-time reconvergence" `Quick test_identity_reconvergent;
+        tc "edge events: one pop per edge" `Quick test_timing_edge_pops;
         qcheck ~count:200 "waves agree with the samples" Netlist_gen.arb_seed
           waves_match_samples_law;
       ] );

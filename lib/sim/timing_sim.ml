@@ -151,7 +151,8 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
     invalid_arg "Timing_sim.run: clock period shorter than FF timing arcs";
   let n = Netlist.num_nodes net in
   let delays = Array.init n (node_delay net) in
-  if Array.exists (fun d -> d < 0) delays then invalid_arg "Timing_sim.run: negative cell delay";
+  if Array.exists (fun d -> d < 0) delays then
+    invalid_arg "Timing_sim.run: negative cell delay";
   Obs.Metrics.incr m_sim_runs;
   let sp =
     Obs.Trace.span_begin
@@ -268,8 +269,8 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
     | Inert -> assert false
   in
   (* Events are ints: [id*4 + code] sets node [id] to [code];
-     [edge_event] latches every flip-flop, in [ff_ids] order, at the active edge
-     [time - clk2q]. *)
+     [edge_event] latches every flip-flop, in [ff_ids] order, at the
+     active edge [time - clk2q]. *)
   let edge_event = 3 in
   let queue = Event_queue.create () in
   (* Stimulus transitions. *)
@@ -286,9 +287,9 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
      clk2q later.  Edge 0 launches the initial state (and in particular
      starts any KEYGEN toggle inside cycle 0); its captures are not
      recorded — recorded sample k corresponds to the edge at
-     (k+1) * clock.  An edge's latches run back to back in one event,
-     as one latch event per flip-flop with consecutive sequence numbers
-     would; a netlist without flip-flops has no edge events. *)
+     (k+1) * clock.  An edge's latches run back to back inside its one
+     event, so whatever they schedule, even at the edge's own time, pops
+     after the whole edge.  A netlist without flip-flops has none. *)
   let ff_ids = Array.of_list (Netlist.ffs net) in
   let n_ffs = Array.length ff_ids in
   if n_ffs > 0 then
@@ -352,20 +353,13 @@ let run ?(init = fun _ -> false) ?(drive = fun _ -> Const false)
   while !pumping && not (Event_queue.is_empty queue) do
     let time = Event_queue.min_time queue in
     let ev = Event_queue.pop queue in
-    if time > horizon then begin
-      incr events_popped;
-      pumping := false
-    end
-    else if ev = edge_event then begin
-      events_popped := !events_popped + n_ffs;
+    if time > horizon then pumping := false
+    else if ev = edge_event then
       for i = 0 to n_ffs - 1 do
         latch time i
       done
-    end
-    else begin
-      incr events_popped;
-      set_value time (ev lsr 2) (ev land 3)
-    end
+    else set_value time (ev lsr 2) (ev land 3);
+    events_popped := !events_popped + if ev = edge_event then n_ffs else 1
   done;
   let violations = List.rev !violations in
   let po_samples =

@@ -66,13 +66,17 @@ type result = {
     edge.
 
     The run is an event loop over one {!Event_queue}: input transitions
-    are pushed first, then every latch event, then each re-evaluation a
-    transition schedules — one per fanin pin of each consumer, so a gate
-    reading a driver on two pins is scheduled twice.  The [sim.run] span
-    ends with the run's [events_popped], [transitions] and [violations],
-    plus [glitch_pulses] when tracing (the FF D-pin pulses of Eq. 2, each
-    also a [sim.glitch] instant).
-    @raise Invalid_argument on a non-positive clock or cycle count. *)
+    are pushed first, then one edge event per active edge (none without
+    flip-flops), then each re-evaluation a transition schedules — one per
+    fanin pin of each consumer, so a gate reading a driver on two pins is
+    scheduled twice.  An edge event latches every flip-flop in [ff_ids]
+    order; the events its latches schedule pop after it, like any event
+    pushed later.  The [sim.run] span ends with the run's
+    [events_popped] (each latch counts as one event), [transitions] and
+    [violations], plus [glitch_pulses] when tracing (the FF D-pin pulses
+    of Eq. 2, each also a [sim.glitch] instant).
+    @raise Invalid_argument on a non-positive clock or cycle count, or on
+    a cell with a negative delay. *)
 val run :
   ?init:(int -> bool) ->
   ?drive:(int -> drive) ->

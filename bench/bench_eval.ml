@@ -257,7 +257,9 @@ let () =
              r.r_name
              (r.r_block_pps /. r.r_word_pps)))
     rows;
-  let sim_rows = List.map (bench_timing_sim ~min_time) [ "s5378"; "s13207"; "s38417" ] in
+  let sim_rows =
+    List.map (bench_timing_sim ~min_time) [ "s5378"; "s13207"; "s38417" ]
+  in
   Printf.printf "\n%-8s %8s %13s %10s   (Timing_sim, GK-8, correct key, %d cycles)\n"
     "bench" "events" "events/s" "words/ev" sim_cycles;
   List.iter

@@ -22,7 +22,9 @@ let cycle_inputs ?(seed = 1) net cycle pi =
    a name wins, as with [List.assoc_opt]. *)
 let index bindings =
   let t = Hashtbl.create 64 in
-  List.iter (fun (name, v) -> if not (Hashtbl.mem t name) then Hashtbl.add t name v) bindings;
+  List.iter
+    (fun (name, v) -> if not (Hashtbl.mem t name) then Hashtbl.add t name v)
+    bindings;
   t
 
 let po_agreement ~skip a b =

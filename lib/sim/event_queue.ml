@@ -19,6 +19,7 @@ let ring = 4096
 let mask = ring - 1
 
 type t = {
+  (* the ring *)
   first : int array;  (* per bucket: its oldest cell, -1 when empty *)
   last : int array;  (* per bucket: its newest cell, if any *)
   mutable next : int array;  (* per cell: the next cell of its bucket or of the free list *)
@@ -28,6 +29,7 @@ type t = {
   mutable in_ring : int;
   mutable now : int;
   mutable cursor : int;  (* no ring event is earlier: [min_time]'s scan starts here *)
+  (* the overflow heap *)
   mutable time : int array;
   mutable seq : int array;
   mutable payload : int array;

@@ -50,6 +50,19 @@ let test_stimuli_po_agreement () =
   Alcotest.(check (pair int int)) "self" (0, 4)
     (Stimuli.po_agreement ~skip:0 a a)
 
+(* A name bound twice in the other run counts its first binding, as
+   List.assoc_opt would. *)
+let test_stimuli_first_binding () =
+  let empty = Timing_sim.run (Netlist.create "t") { Timing_sim.clock_ps = 1000; cycles = 1 } in
+  let a = { empty with Timing_sim.po_samples = [ ("y", [| Logic.F; Logic.T |]) ] } in
+  let b =
+    {
+      empty with
+      Timing_sim.po_samples = [ ("y", [| Logic.F; Logic.T |]); ("y", [| Logic.T; Logic.F |]) ];
+    }
+  in
+  Alcotest.(check (pair int int)) "first y" (0, 2) (Stimuli.po_agreement ~skip:0 a b)
+
 let test_stimuli_cycle_inputs () =
   let net = Benchmarks.s27 () in
   let pi = List.hd (Netlist.inputs net) in
@@ -158,6 +171,7 @@ let suites =
       [
         tc "edge aligned" `Quick test_stimuli_edge_aligned;
         tc "po agreement" `Quick test_stimuli_po_agreement;
+        tc "first binding wins" `Quick test_stimuli_first_binding;
         tc "cycle inputs" `Quick test_stimuli_cycle_inputs;
       ] );
     ( "core.report",

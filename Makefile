@@ -104,10 +104,11 @@ gate: build
 	  --fresh-load /tmp/BENCH_load_fresh.json $(GATE_FLAGS)
 
 # Everything a PR must keep green: full build (libs, CLI, examples,
-# benches), the test suite, the six examples, a fuzz smoke, the
+# benches), the test suite, the six examples, the paper driver (every
+# table, figure and attack section of bench/main.exe), a fuzz smoke, the
 # end-to-end benchmark smoke, the system-test catalogue and the perf
 # regression gate.
-check: build test examples fuzz-smoke opt-smoke e2e-smoke systest store-smoke gate
+check: build test examples bench fuzz-smoke opt-smoke e2e-smoke systest store-smoke gate
 
 # Every example end to end (about 2 s); a wrong outcome exits 1.
 examples:

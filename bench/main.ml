@@ -42,8 +42,11 @@ let scan_section () =
   let stripped, _ = Insertion.strip_keygens d in
   let stripped_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
-  let verdicts = Scan_attack.run ~stripped_comb ~oracle () in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
+  let verdicts =
+    Scan_attack.exec ~seed:29 ~budget:(Budget.unlimited ()) ~stripped_comb
+      ~oracle ()
+  in
   let show tag vs decrypted =
     Printf.printf "%-28s located=%d decided=%d decrypted=%s\n" tag
       (List.length vs)
@@ -62,10 +65,10 @@ let scan_section () =
   let hstripped, _ = Insertion.strip_keygens h.Hybrid.design in
   let hcomb, _ = Combinationalize.run hstripped in
   let horacle_comb, _ = Combinationalize.run big in
-  let horacle = Sat_attack.oracle_of_netlist ~partial:true horacle_comb in
+  let horacle = Oracle.of_netlist ~partial:true horacle_comb in
   let hv =
-    Scan_attack.run ~unknown:h.Hybrid.xor_key_inputs ~stripped_comb:hcomb
-      ~oracle:horacle ()
+    Scan_attack.exec ~seed:29 ~unknown:h.Hybrid.xor_key_inputs
+      ~budget:(Budget.unlimited ()) ~stripped_comb:hcomb ~oracle:horacle ()
   in
   show "hybrid 4GK+8XOR (s5378)" hv
     (match Scan_attack.decrypt ~stripped_comb:hcomb hv with
@@ -79,17 +82,18 @@ let extended_attacks () =
   let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
   let stripped, gk_keys = Insertion.strip_keygens d in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+  let oracle = Oracle.of_netlist oracle_comb in
+  let budget () = Budget.create ~max_iterations:4096 () in
   (* sequential SAT (unrolled, no scan access) *)
   let xor_seq = Xor_lock.lock ~seed:2 net ~n_keys:5 in
   let sxor =
-    Seq_attack.run ~k:4 ~locked:xor_seq.Locked.net
+    Seq_attack.exec ~budget:(budget ()) ~k:4 ~locked:xor_seq.Locked.net
       ~key_inputs:xor_seq.Locked.key_inputs
       ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
   in
   let sgk =
-    Seq_attack.run ~k:4 ~locked:stripped ~key_inputs:gk_keys
-      ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
+    Seq_attack.exec ~budget:(budget ()) ~k:4 ~locked:stripped
+      ~key_inputs:gk_keys ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
   in
   let status o =
     match o.Seq_attack.sat.Sat_attack.status with
@@ -109,11 +113,14 @@ let extended_attacks () =
   let sar = Sarlock.lock ~seed:23 cmp ~n_keys:8 in
   let compound = Xor_lock.lock ~seed:22 sar.Locked.net ~n_keys:6 in
   let keys = sar.Locked.key_inputs @ compound.Locked.key_inputs in
-  let coracle = Sat_attack.oracle_of_netlist cmp in
-  let a = Appsat.run ~locked:compound.Locked.net ~key_inputs:keys ~oracle:coracle () in
+  let coracle = Oracle.of_netlist cmp in
+  let a =
+    Appsat.exec ~budget:(Budget.create ~max_iterations:512 ())
+      ~locked:compound.Locked.net ~key_inputs:keys ~oracle:coracle ()
+  in
   let p =
-    Sat_attack.run ~max_iterations:400 ~locked:compound.Locked.net
-      ~key_inputs:keys ~oracle:coracle ()
+    Sat_attack.exec ~budget:(Budget.create ~max_iterations:400 ())
+      ~locked:compound.Locked.net ~key_inputs:keys ~oracle:coracle ()
   in
   Printf.printf
     "%-44s %d DIPs + %d queries (error %.3f)\n"
@@ -124,7 +131,8 @@ let extended_attacks () =
   (* sensitization *)
   let scomb, _ = Combinationalize.run stripped in
   let sens_gk =
-    Sensitization.run ~locked:scomb ~key_inputs:gk_keys ~oracle ()
+    Sensitization.exec ~budget:(Budget.unlimited ()) ~locked:scomb
+      ~key_inputs:gk_keys ~oracle ()
   in
   Printf.printf "%-44s %d recovered / %d unresolved\n"
     "sensitization on GK locking:"
@@ -171,7 +179,7 @@ let micro () =
   let clock = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
   let comb, _ = Combinationalize.run net in
   let locked = Xor_lock.lock ~seed:1 comb ~n_keys:16 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let design = Insertion.lock ~seed:1 net ~clock_ps:clock ~n_gks:4 in
   let cfg_sim = { Timing_sim.clock_ps = clock; cycles = 4 } in
   let drive = Stimuli.edge_aligned ~seed:2 net ~clock_ps:clock ~cycles:4 in
@@ -190,7 +198,9 @@ let micro () =
         Test.make ~name:"sat-attack-xor16-s5378"
           (Staged.stage (fun () ->
                ignore
-                 (Sat_attack.run ~locked:locked.Locked.net
+                 (Sat_attack.exec
+                    ~budget:(Budget.create ~max_iterations:4096 ())
+                    ~locked:locked.Locked.net
                     ~key_inputs:locked.Locked.key_inputs ~oracle ())));
         Test.make ~name:"strip-keygens"
           (Staged.stage (fun () -> ignore (Insertion.strip_keygens design)));

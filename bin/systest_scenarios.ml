@@ -123,7 +123,16 @@ let () =
          deterministic across runs *)
       let out2 = gklock_ok ctx "attack_again" attack_args in
       let rec_line2 = line_with ~what:"attack rerun" out2 "key recovered" in
-      check (rec_line = rec_line2) "attack is not deterministic per seed")
+      check (rec_line = rec_line2) "attack is not deterministic per seed";
+      (* a query cap binds the attack although the CLI builds its oracle
+         without one *)
+      let out3 =
+        gklock_ok ctx "attack_query_cap"
+          (attack_args @ [ "--max-queries"; "2" ])
+      in
+      ignore
+        (line_with ~what:"attack --max-queries 2" out3
+           "sat: out_of_budget_queries"))
 
 (* ----- 3. attack_trace_metrics ----- *)
 

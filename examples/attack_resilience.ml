@@ -17,15 +17,16 @@ let () =
   let spec = Option.get (Benchmarks.find_spec "s5378") in
   let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+  let oracle = Oracle.of_netlist oracle_comb in
+  let budget () = Budget.create ~max_iterations:4096 () in
 
   (* --- conventional XOR/XNOR locking, 16 key bits --- *)
   let comb, _ = Combinationalize.run net in
   let xor = Xor_lock.lock ~seed:5 comb ~n_keys:16 in
   Format.printf "[xor] 16 key-gates inserted@.";
   let o =
-    Sat_attack.run ~locked:xor.Locked.net ~key_inputs:xor.Locked.key_inputs
-      ~oracle ()
+    Sat_attack.exec ~budget:(budget ()) ~locked:xor.Locked.net
+      ~key_inputs:xor.Locked.key_inputs ~oracle ()
   in
   (match o.Sat_attack.status with
   | Sat_attack.Key_recovered k ->
@@ -43,7 +44,10 @@ let () =
   Format.printf "@.[gk] 8 GKs inserted (16 key-inputs via KEYGENs)@.";
   let stripped, gk_keys = Insertion.strip_keygens design in
   let locked_comb, _ = Combinationalize.run stripped in
-  let o = Sat_attack.run ~locked:locked_comb ~key_inputs:gk_keys ~oracle () in
+  let o =
+    Sat_attack.exec ~budget:(budget ()) ~locked:locked_comb ~key_inputs:gk_keys
+      ~oracle ()
+  in
   (match o.Sat_attack.status with
   | Sat_attack.Unsat_at_first_iteration k ->
     Format.printf

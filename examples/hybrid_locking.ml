@@ -25,9 +25,10 @@ let () =
   let locked_comb, _ = Combinationalize.run stripped in
   let all_keys = gk_keys @ hybrid.Hybrid.xor_key_inputs in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+  let oracle = Oracle.of_netlist oracle_comb in
   let o =
-    Sat_attack.run ~locked:locked_comb ~key_inputs:all_keys ~oracle ()
+    Sat_attack.exec ~budget:(Budget.create ~max_iterations:4096 ())
+      ~locked:locked_comb ~key_inputs:all_keys ~oracle ()
   in
   (match o.Sat_attack.status with
   | Sat_attack.Unsat_at_first_iteration k | Sat_attack.Key_recovered k ->

@@ -51,9 +51,12 @@ let () =
   let stripped, gk_keys = Insertion.strip_keygens design in
   let locked_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+  let oracle = Oracle.of_netlist oracle_comb in
+  let budget = Budget.create ~max_iterations:4096 () in
   (match
-     (Sat_attack.run ~locked:locked_comb ~key_inputs:gk_keys ~oracle ()).Sat_attack.status
+     (Sat_attack.exec ~budget ~locked:locked_comb ~key_inputs:gk_keys
+        ~oracle ())
+       .Sat_attack.status
    with
   | Sat_attack.Unsat_at_first_iteration _ ->
     Format.printf "SAT attack: unsatisfiable at the first DIP search — it learned nothing@."

@@ -50,9 +50,12 @@ let () =
   let stripped, _ = Insertion.strip_keygens d in
   let stripped_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
   pf "@.[gk-only] scan-capture hypothesis test per located GK:@.";
-  let verdicts = Scan_attack.run ~stripped_comb ~oracle () in
+  let verdicts =
+    Scan_attack.exec ~seed:29 ~budget:(Budget.unlimited ()) ~stripped_comb
+      ~oracle ()
+  in
   show_verdicts verdicts;
   (match Scan_attack.decrypt ~stripped_comb verdicts with
   | Some recovered ->
@@ -68,12 +71,12 @@ let () =
   let hstripped, _ = Insertion.strip_keygens h.Hybrid.design in
   let hcomb, _ = Combinationalize.run hstripped in
   let horacle_comb, _ = Combinationalize.run big in
-  let horacle = Sat_attack.oracle_of_netlist ~partial:true horacle_comb in
+  let horacle = Oracle.of_netlist ~partial:true horacle_comb in
   pf "@.[hybrid] same attack, with %d XOR key bits the attacker cannot drive:@."
     (List.length h.Hybrid.xor_key_inputs);
   let hv =
-    Scan_attack.run ~unknown:h.Hybrid.xor_key_inputs ~stripped_comb:hcomb
-      ~oracle:horacle ()
+    Scan_attack.exec ~seed:29 ~unknown:h.Hybrid.xor_key_inputs
+      ~budget:(Budget.unlimited ()) ~stripped_comb:hcomb ~oracle:horacle ()
   in
   show_verdicts hv;
   (match Scan_attack.decrypt ~stripped_comb:hcomb hv with

@@ -12,12 +12,15 @@ let () =
   let stripped, _gk_keys = Insertion.strip_keygens design in
   let locked_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
 
   (* --- bare GKs: the enhanced removal attack works --- *)
   let located = Enhanced_removal.locate locked_comb in
   Format.printf "bare GKs: structural locator finds %d GK(s)@." (List.length located);
-  let remodelled, outcome = Enhanced_removal.attack locked_comb ~oracle in
+  let remodelled, outcome =
+    Enhanced_removal.exec ~budget:(Budget.create ~max_iterations:4096 ())
+      locked_comb ~oracle ()
+  in
   (match outcome.Sat_attack.status with
   | Sat_attack.Key_recovered k ->
     Format.printf

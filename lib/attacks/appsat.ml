@@ -11,7 +11,7 @@ type outcome = {
 let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
     ?seed ~budget ~locked ~key_inputs ~oracle () =
   if Netlist.ffs locked <> [] then
-    invalid_arg "Appsat.run: locked netlist must be combinational";
+    invalid_arg "Appsat.exec: locked netlist must be combinational";
   (* An already-expired budget (deadline_s <= 0) yields a structured
      pessimistic outcome before any encoding, solving or oracle work. *)
   match Budget.check budget with
@@ -104,11 +104,3 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
   let start = Budget.iterations budget in
   try loop 0
   with Budget.Exhausted _ -> exhausted (Budget.iterations budget - start)
-
-let run ?(max_iterations = 512) ?check_every ?error_threshold
-    ?queries_per_check ?seed ~locked ~key_inputs ~oracle () =
-  exec ?check_every ?error_threshold ?queries_per_check ?seed
-    ~budget:(Budget.create ~max_iterations ())
-    ~locked ~key_inputs
-    ~oracle:(Oracle.of_fn oracle)
-    ()

@@ -21,13 +21,15 @@ type outcome = {
   exact : bool;                  (** the miter went UNSAT: key is exact *)
 }
 
-(** [exec ~budget ~locked ~key_inputs ~oracle ()] — framework entry:
+(** [exec ~budget ~locked ~key_inputs ~oracle ()] runs the DIP loop and
     stops when the candidate key's estimated error rate is at most
     [error_threshold] (default 0.01), on exact convergence, or when
-    [budget] runs out (one {!Budget.tick} per DIP; queries charged by
-    the oracle).  Checks every [check_every] DIPs (default 4) with
-    [queries_per_check] random queries (default 50), batched through the
-    63-lane engine path.  [seed] defaults to {!Fuzz_seed.value}. *)
+    [budget] runs out (one {!Budget.tick} per DIP; queries are charged
+    by an oracle bound to [budget]).  Checks every [check_every] DIPs
+    (default 4) with [queries_per_check] random queries (default 50),
+    batched through the 63-lane engine path.  [seed] defaults to
+    {!Fuzz_seed.value}.
+    @raise Invalid_argument on a sequential [locked]. *)
 val exec :
   ?check_every:int ->
   ?error_threshold:float ->
@@ -37,18 +39,5 @@ val exec :
   locked:Netlist.t ->
   key_inputs:string list ->
   oracle:Oracle.t ->
-  unit ->
-  outcome
-
-(** Legacy entry: {!exec} under a DIP-count-only budget (default 512). *)
-val run :
-  ?max_iterations:int ->
-  ?check_every:int ->
-  ?error_threshold:float ->
-  ?queries_per_check:int ->
-  ?seed:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:Sat_attack.oracle ->
   unit ->
   outcome

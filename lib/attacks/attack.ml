@@ -80,8 +80,8 @@ type entry = {
 (* Exhaustion inside the extracted-key verification is still exhaustion:
    the wrapper turns the raise into [Out_of_budget]. *)
 let verify ctx ~locked ~key_inputs key =
-  Sat_attack.verify_key_o ~seed:ctx.seed ~locked ~key_inputs
-    ~oracle:ctx.oracle key
+  Sat_attack.verify_key ~seed:ctx.seed ~locked ~key_inputs ~oracle:ctx.oracle
+    key
 
 let of_sat ctx ?(locked = None) ?(key_inputs = None) (o : Sat_attack.outcome)
     =
@@ -271,6 +271,7 @@ let run ?budget ?seed ~name ~locked ~key_inputs ~oracle () =
     | None -> Budget.create ~max_iterations:4096 ()
   in
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
+  let oracle = Oracle.with_budget budget oracle in
   let ctx = { locked; key_inputs; oracle; budget; seed } in
   Obs.Metrics.incr m_runs;
   let sp =

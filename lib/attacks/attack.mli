@@ -12,7 +12,7 @@
     per-attack [match]es.
 
     Attacks that extract a key verify it against the chip (batched
-    random samples via {!Sat_attack.verify_key_o}) before claiming
+    random samples via {!Sat_attack.verify_key}) before claiming
     {!Key_recovered}; a refuted extraction is reported as {!Wrong_key}
     (or carried inside {!No_dip} — the paper's GK headline: the miter is
     UNSAT at the first iteration and the arbitrary extracted key is
@@ -21,7 +21,8 @@
 type ctx = {
   locked : Netlist.t;  (** combinational locked netlist (keys as PIs) *)
   key_inputs : string list;
-  oracle : Oracle.t;   (** the functioning chip, counted and memoized *)
+  oracle : Oracle.t;
+      (** the functioning chip, counted, memoized and bound to [budget] *)
   budget : Budget.t;
   seed : int;          (** replay seed for all randomized sampling *)
 }
@@ -97,10 +98,13 @@ val find_exn : string -> entry
 
 (** [run ?budget ?seed ~name ~locked ~key_inputs ~oracle ()] — the one
     entry point.  [budget] defaults to 4096 iterations (no query or
-    deadline limit); [seed] defaults to {!Fuzz_seed.value}.
-    {!Budget.Exhausted} raised anywhere inside the attack (including key
-    verification) is caught and reported as [Out_of_budget]; [queries]
-    counts only this run's charges even when [oracle] is shared. *)
+    deadline limit); [seed] defaults to {!Fuzz_seed.value}.  The attack
+    queries [Oracle.with_budget budget oracle], so every chip query it
+    makes, key verification included, is charged to [budget] and a
+    query cap binds without the caller wiring it into [oracle].
+    {!Budget.Exhausted} raised anywhere inside the attack is caught and
+    reported as [Out_of_budget]; [queries] counts only this run's
+    charges even when [oracle] is shared. *)
 val run :
   ?budget:Budget.t ->
   ?seed:int ->

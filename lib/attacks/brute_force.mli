@@ -19,13 +19,3 @@ val exec :
   oracle:Oracle.t ->
   unit ->
   outcome
-
-(** Legacy entry: {!exec} with an unlimited budget. *)
-val run :
-  ?samples:int ->
-  ?seed:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:Sat_attack.oracle ->
-  unit ->
-  outcome

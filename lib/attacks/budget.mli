@@ -10,8 +10,9 @@
 
     The SAT core has no interrupt hook, so enforcement is cooperative:
     one solver call can overshoot the deadline, but every loop re-checks
-    before starting more work.  Oracle queries are charged by
-    {!Oracle.query} through {!note_queries}; memo hits are free. *)
+    before starting more work.  Oracle queries are charged through
+    {!note_queries} by an oracle bound to the budget ({!Oracle.with_budget},
+    which {!Attack.run} applies); memo hits are free. *)
 
 type reason = Iterations | Queries | Deadline
 

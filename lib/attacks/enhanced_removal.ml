@@ -118,12 +118,5 @@ let exec ~budget src ~oracle () =
   in
   (rm, outcome)
 
-let attack ?(max_iterations = 4096) src ~oracle =
-  exec
-    ~budget:(Budget.create ~max_iterations ())
-    src
-    ~oracle:(Oracle.of_fn oracle)
-    ()
-
 let withheld_search_space_log2 ~n_gks ~lut_inputs =
   float_of_int n_gks *. (2.0 ** float_of_int lut_inputs)

@@ -8,7 +8,7 @@
        with a fresh key input (the "MUX having multiple encryption
        behavior" modelling of the paper, specialised to the two stable
        behaviours a GK exhibits).
-    3. {!attack} runs the SAT attack on the remodelled netlist.
+    3. {!exec} runs the SAT attack on the remodelled netlist.
 
     Against bare GKs this works — which is exactly the paper's claim
     ("this attacking method is effective to decrypt circuits when the
@@ -37,16 +37,9 @@ type remodelled = {
     the remodelled netlist's non-key inputs are the chip's pins. *)
 val remodel : Netlist.t -> located_gk list -> remodelled
 
-(** Locate, remodel and SAT-attack in one call; the oracle speaks for the
-    functionally correct chip. *)
-val attack :
-  ?max_iterations:int ->
-  Netlist.t ->
-  oracle:Sat_attack.oracle ->
-  remodelled * Sat_attack.outcome
-
-(** Framework variant of {!attack}: the remodelled DIP loop runs under
-    [budget] against a counted, memoized {!Oracle.t}. *)
+(** [exec ~budget locked ~oracle ()] locates, remodels and SAT-attacks
+    in one call: the remodelled DIP loop runs under [budget] against
+    [oracle], which speaks for the functionally correct chip. *)
 val exec :
   budget:Budget.t ->
   Netlist.t ->

@@ -94,8 +94,7 @@ let mk_memo memo memo_cap =
         cap = (match memo_cap with Some c -> c | None -> max_int);
       }
 
-let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap ?shards net
-    =
+let of_netlist ?(partial = false) ?(memo = true) ?memo_cap ?shards net =
   (match shards with
   | Some s when s < 1 -> invalid_arg "Oracle.of_netlist: shards must be >= 1"
   | _ -> ());
@@ -129,21 +128,22 @@ let of_netlist ?(partial = false) ?budget ?(memo = true) ?memo_cap ?shards net
           shards;
         };
     partial;
-    budget;
+    budget = None;
     memo = mk_memo memo memo_cap;
     stats = { evals = 0; hits = 0; evictions = 0 };
   }
 
-let of_fn ?budget ?(memo = true) ?memo_cap ?batch fn =
+let of_fn ?(memo = true) ?memo_cap ?batch fn =
   {
     backend = Fn { fn; fn_batch = batch; fn_sets = []; fn_next_id = 0 };
     partial = true;
-    budget;
+    budget = None;
     memo = mk_memo memo memo_cap;
     stats = { evals = 0; hits = 0; evictions = 0 };
   }
 
 let relax t = { t with partial = true }
+let with_budget budget t = { t with budget = Some budget }
 let queries t = t.stats.evals
 let memo_hits t = t.stats.hits
 let memo_evictions t = t.stats.evictions
@@ -558,8 +558,6 @@ let query_batch t qs =
           | Some r -> r
           | None -> computed.(miss_of_query.(i)))
     end
-
-let as_fn t q = query t q
 
 let differs net ~missing =
   let outs = Netlist.outputs net in

@@ -10,9 +10,10 @@
     - {b memoization}: repeated queries (DIP re-checks, verify samples)
       hit a canonical-form cache instead of re-simulating — and do not
       recount.
-    - {b budget charging}: when constructed with a {!Budget.t}, every
-      real evaluation is charged, so a query cap or deadline stops the
-      attack with [Budget.Exhausted] instead of letting it run away.
+    - {b budget charging}: once bound to a {!Budget.t} with
+      {!with_budget} (as {!Attack.run} binds its own budget), every real
+      evaluation is charged, so a query cap or deadline stops the attack
+      with [Budget.Exhausted] instead of letting it run away.
 
     Netlist-backed oracles also {b validate queries}: a name that is not
     one of the netlist's sources, or a source left unassigned, raises
@@ -45,7 +46,7 @@
 
 type t
 
-(** [of_netlist ?partial ?budget ?memo ?memo_cap ?shards net] wraps [net]
+(** [of_netlist ?partial ?memo ?memo_cap ?shards net] wraps [net]
     (combinational, or any netlist whose FF outputs are to be driven
     directly) as an oracle.
 
@@ -65,14 +66,13 @@ type t
     @raise Invalid_argument if [memo_cap] or [shards] is [< 1]. *)
 val of_netlist :
   ?partial:bool ->
-  ?budget:Budget.t ->
   ?memo:bool ->
   ?memo_cap:int ->
   ?shards:int ->
   Netlist.t ->
   t
 
-(** [of_fn ?budget ?memo ?memo_cap ?batch fn] wraps a black-box query
+(** [of_fn ?memo ?memo_cap ?batch fn] wraps a black-box query
     function (e.g. a frame-regrouping wrapper around another oracle, or
     a remote oracle speaking a wire protocol).  No validation is
     possible; [fn] must be deterministic if [memo] is on (default).
@@ -85,7 +85,6 @@ val of_netlist :
     can pack many queries per round trip — like {!Remote_oracle} — gets
     word-at-a-time batching end to end. *)
 val of_fn :
-  ?budget:Budget.t ->
   ?memo:bool ->
   ?memo_cap:int ->
   ?batch:((string * bool) list list -> (string * bool) list list) ->
@@ -95,7 +94,7 @@ val of_fn :
 (** [query t inputs] is the chip's output assignment for [inputs].
     @raise Invalid_argument on unknown or missing input names (strict
     netlist-backed oracles only).
-    @raise Budget.Exhausted past the attached budget. *)
+    @raise Budget.Exhausted past the bound budget. *)
 val query : t -> (string * bool) list -> (string * bool) list
 
 (** [query_batch t qs] evaluates all of [qs] — duplicate and memoized
@@ -111,6 +110,11 @@ val query_batch :
     and budget with [t]). *)
 val relax : t -> t
 
+(** [with_budget budget t] is [t] charging every real evaluation to
+    [budget] (shares counters and memo with [t]; memo hits stay free).
+    It replaces any budget [t] was bound to. *)
+val with_budget : Budget.t -> t -> t
+
 (** [differs net ~missing] compares the chip's replies with those of
     [of_netlist net], whose outputs come in {!Netlist.outputs} order:
     [differs net ~missing exp got] is true when some output of [exp]
@@ -125,9 +129,6 @@ val differs :
   (string * bool) list ->
   (string * bool) list ->
   bool
-
-(** [as_fn t] is [query t] as a bare closure, for legacy signatures. *)
-val as_fn : t -> (string * bool) list -> (string * bool) list
 
 (** Real evaluations performed (memo hits excluded). *)
 val queries : t -> int

@@ -52,12 +52,6 @@ let exec ?(samples = 128) ?(eps = 0.05) ?(max_candidates = 12) ?seed ~budget
   in
   try_candidates 0 candidates
 
-let run ?samples ?eps ?max_candidates locked ~oracle =
-  exec ?samples ?eps ?max_candidates
-    ~budget:(Budget.unlimited ())
-    locked
-    ~oracle:(Oracle.of_fn oracle)
-
 let strip_tdbs (tdk : Tdk.t) =
   let net = Netlist.copy tdk.Tdk.locked.Locked.net in
   List.iter
@@ -101,7 +95,7 @@ type gk_guess_outcome = {
   recovered : Netlist.t option;
 }
 
-let guess_gk_o ?(samples = 128) ?seed ~budget stripped ~gks ~oracle =
+let guess_gk ?(samples = 128) ?seed ~budget stripped ~gks ~oracle =
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let n = List.length gks in
   if n > 20 then invalid_arg "Removal_attack.guess_gk: too many GKs to enumerate";
@@ -128,9 +122,3 @@ let guess_gk_o ?(samples = 128) ?seed ~budget stripped ~gks ~oracle =
     end
   in
   try_guess 0
-
-let guess_gk ?samples ?seed stripped ~gks ~oracle =
-  guess_gk_o ?samples ?seed
-    ~budget:(Budget.unlimited ())
-    stripped ~gks
-    ~oracle:(Oracle.of_fn oracle)

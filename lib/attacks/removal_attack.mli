@@ -2,7 +2,7 @@
 
     Three attack pieces:
 
-    - {!run}: the skew-guided removal of [15,16] against SARLock/Anti-SAT
+    - {!exec}: the skew-guided removal of [15,16] against SARLock/Anti-SAT
       class defenses.  Locate the most probability-skewed signal, replace
       it with its dominant constant, re-synthesize, and check the restored
       netlist against the oracle.
@@ -37,15 +37,6 @@ val exec :
   oracle:Oracle.t ->
   removal_outcome
 
-(** Legacy entry: {!exec} with an unlimited budget. *)
-val run :
-  ?samples:int ->
-  ?eps:float ->
-  ?max_candidates:int ->
-  Netlist.t ->
-  oracle:Sat_attack.oracle ->
-  removal_outcome
-
 (** [strip_tdbs tdk] removes every TDB MUX and delay chain from a
     TDK-locked design, reconnecting the functional key-gate directly, and
     re-synthesizes.  The result is XOR-locked only; attack it with
@@ -58,26 +49,17 @@ type gk_guess_outcome = {
   recovered : Netlist.t option;
 }
 
-(** [guess_gk_o ~budget stripped ~gks ~oracle] enumerates
+(** [guess_gk ~budget stripped ~gks ~oracle] enumerates
     buffer/inverter replacements for each located GK output (given by
     node id and its [x] fanin) and tests each candidate against the chip
     on random samples (batched); one {!Budget.tick} per guess.
     Deterministic enumeration order — expected cost half the space.
     [seed] defaults to {!Fuzz_seed.value}. *)
-val guess_gk_o :
+val guess_gk :
   ?samples:int ->
   ?seed:int ->
   budget:Budget.t ->
   Netlist.t ->
   gks:(int * int) list ->
   oracle:Oracle.t ->
-  gk_guess_outcome
-
-(** Legacy entry: {!guess_gk_o} with an unlimited budget. *)
-val guess_gk :
-  ?samples:int ->
-  ?seed:int ->
-  Netlist.t ->
-  gks:(int * int) list ->
-  oracle:Sat_attack.oracle ->
   gk_guess_outcome

@@ -1,5 +1,3 @@
-type oracle = (string * bool) list -> (string * bool) list
-
 type status =
   | Key_recovered of Key.assignment
   | Unsat_at_first_iteration of Key.assignment
@@ -12,18 +10,15 @@ type outcome = {
   conflicts : int;
 }
 
-let oracle_of_netlist ?(partial = false) net =
-  Oracle.as_fn (Oracle.of_netlist ~partial net)
-
 let exec ~budget ~locked ~key_inputs ~oracle () =
   if Netlist.ffs locked <> [] then
-    invalid_arg "Sat_attack.run: locked netlist must be combinational";
+    invalid_arg "Sat_attack.exec: locked netlist must be combinational";
   List.iter
     (fun k ->
       match Netlist.find locked k with
       | Some id when (Netlist.node locked id).Netlist.kind = Netlist.Input -> ()
-      | Some _ -> invalid_arg ("Sat_attack.run: " ^ k ^ " is not an input")
-      | None -> invalid_arg ("Sat_attack.run: no key input " ^ k))
+      | Some _ -> invalid_arg ("Sat_attack.exec: " ^ k ^ " is not an input")
+      | None -> invalid_arg ("Sat_attack.exec: no key input " ^ k))
     key_inputs;
   (* An already-expired budget (deadline_s <= 0) yields a structured
      Budget_exhausted before any encoding, solving or oracle work. *)
@@ -76,14 +71,7 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
   try loop 0
   with Budget.Exhausted _ -> finish Budget_exhausted (Budget.iterations budget)
 
-let run ?(max_iterations = 4096) ~locked ~key_inputs ~oracle () =
-  exec
-    ~budget:(Budget.create ~max_iterations ())
-    ~locked ~key_inputs
-    ~oracle:(Oracle.of_fn oracle)
-    ()
-
-let verify_key_o ?(samples = 64) ?seed ~locked ~key_inputs ~oracle key =
+let verify_key ?(samples = 64) ?seed ~locked ~key_inputs ~oracle key =
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let rng = Random.State.make [| seed; 0x5646 |] in
   let x_pis = Dip_miter.x_inputs locked ~key_inputs in
@@ -102,7 +90,3 @@ let verify_key_o ?(samples = 64) ?seed ~locked ~key_inputs ~oracle key =
   List.fold_left2
     (fun mismatches exp g -> if differs exp g then mismatches + 1 else mismatches)
     0 expected got
-
-let verify_key ?samples ?seed ~locked ~key_inputs ~oracle key =
-  verify_key_o ?samples ?seed ~locked ~key_inputs ~oracle:(Oracle.of_fn oracle)
-    key

@@ -17,9 +17,6 @@
     and the "recovered" key is an unconstrained guess that the timing-true
     chip refutes. *)
 
-(** The oracle: primary-input assignment (by name) → primary-output values. *)
-type oracle = (string * bool) list -> (string * bool) list
-
 type status =
   | Key_recovered of Key.assignment
   | Unsat_at_first_iteration of Key.assignment
@@ -37,20 +34,15 @@ type outcome = {
           read is not counted) *)
 }
 
-(** [oracle_of_netlist net] wraps a combinational netlist as the oracle
-    (simulating the unlocked chip), via a memoizing {!Oracle.t}.  A
-    query naming an unknown input, or leaving an input unassigned,
-    raises [Invalid_argument]; [~partial:true] restores the old
-    permissive read-as-false semantics for attacks that cannot name
-    every pin. *)
-val oracle_of_netlist : ?partial:bool -> Netlist.t -> oracle
-
-(** [exec ~budget ~locked ~key_inputs ~oracle ()] is the framework entry
-    point: the DIP loop charges one {!Budget.tick} per iteration and
-    every oracle query against [budget]; exhaustion (from this function
-    or the oracle) returns [Budget_exhausted] instead of raising.
+(** [exec ~budget ~locked ~key_inputs ~oracle ()] runs the DIP loop
+    against the chip [oracle], charging one {!Budget.tick} per DIP.
+    Exhausting [budget] returns [Budget_exhausted] instead of raising:
+    its iteration cap or deadline here, or its query cap in an oracle
+    bound to it ({!Oracle.with_budget}; {!Attack.run} binds its own).
     [locked] must be combinational; [key_inputs] are the names of its
-    key PIs; all other PIs are the X inputs presented to the oracle. *)
+    key PIs; all other PIs are the X inputs presented to the oracle.
+    @raise Invalid_argument on a sequential [locked] or a key name that
+    is not one of its inputs. *)
 val exec :
   budget:Budget.t ->
   locked:Netlist.t ->
@@ -59,36 +51,16 @@ val exec :
   unit ->
   outcome
 
-(** [run ?max_iterations ~locked ~key_inputs ~oracle ()] — legacy entry:
-    {!exec} under a DIP-count-only budget (default 4096). *)
-val run :
-  ?max_iterations:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:oracle ->
-  unit ->
-  outcome
-
-(** [verify_key_o ?samples ?seed ~locked ~key_inputs ~oracle key]
+(** [verify_key ?samples ?seed ~locked ~key_inputs ~oracle key]
     samples random input vectors and checks the locked netlist under
     [key] against the chip; returns the number of mismatching vectors
     (0 = consistent).  Both sides are evaluated through the batched
     63-lane oracle path.  [seed] defaults to {!Fuzz_seed.value}. *)
-val verify_key_o :
-  ?samples:int ->
-  ?seed:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:Oracle.t ->
-  Key.assignment ->
-  int
-
-(** Legacy {!verify_key_o} over a bare oracle closure. *)
 val verify_key :
   ?samples:int ->
   ?seed:int ->
   locked:Netlist.t ->
   key_inputs:string list ->
-  oracle:oracle ->
+  oracle:Oracle.t ->
   Key.assignment ->
   int

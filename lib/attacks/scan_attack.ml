@@ -12,7 +12,7 @@ type verdict = {
 let exec ?(samples = 64) ?seed ?(unknown = []) ~budget ~stripped_comb ~oracle
     () =
   if Netlist.ffs stripped_comb <> [] then
-    invalid_arg "Scan_attack.run: combinationalize the stripped netlist first";
+    invalid_arg "Scan_attack.exec: combinationalize the stripped netlist first";
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let located = Enhanced_removal.locate stripped_comb in
   let rng = Random.State.make [| seed; 0x5343 |] in
@@ -110,13 +110,6 @@ let exec ?(samples = 64) ?seed ?(unknown = []) ~budget ~stripped_comb ~oracle
             v_samples = samples;
           })
     located
-
-let run ?samples ?(seed = 29) ?unknown ~stripped_comb ~oracle () =
-  exec ?samples ~seed ?unknown
-    ~budget:(Budget.unlimited ())
-    ~stripped_comb
-    ~oracle:(Oracle.of_fn oracle)
-    ()
 
 let decrypt ~stripped_comb verdicts =
   if

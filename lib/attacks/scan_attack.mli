@@ -32,29 +32,19 @@ type verdict = {
   v_samples : int;
 }
 
-(** [run ?samples ?seed ?unknown ~stripped_comb ~oracle ()] locates the
-    GKs in [stripped_comb] (the combinationalized, KEYGEN-stripped locked
-    netlist) and tests each against the scan capture oracle.  Inputs
-    listed in [unknown] are key pins the attacker cannot drive on the chip
-    (a hybrid design's XOR keys); the attack has to guess them (constant
+(** [exec ?samples ?seed ?unknown ~budget ~stripped_comb ~oracle ()]
+    locates the GKs in [stripped_comb] (the combinationalized,
+    KEYGEN-stripped locked netlist) and tests each against the scan
+    capture oracle, one budget iteration per located GK.  Inputs listed
+    in [unknown] are key pins the attacker cannot drive on the chip (a
+    hybrid design's XOR keys); the attack has to guess them (constant
     false), which is what blinds it.  All other inputs — primary inputs
     and scan-loadable pseudo inputs — are sampled randomly.  [oracle]
     answers for the functioning chip (its pseudo-outputs are the real
-    captures). *)
-val run :
-  ?samples:int ->
-  ?seed:int ->
-  ?unknown:string list ->
-  stripped_comb:Netlist.t ->
-  oracle:Sat_attack.oracle ->
-  unit ->
-  verdict list
-
-(** Framework variant of {!run}: one budget iteration per located GK,
-    chip captures are drawn through [oracle] in counted, memoized
-    batches (the stripped-netlist side is evaluated on the bit-parallel
-    engine, 63 samples per pass).  [seed] defaults to the session
-    {!Fuzz_seed}. *)
+    captures); its captures are drawn in counted, memoized batches, and
+    the stripped-netlist side is evaluated on the bit-parallel engine,
+    63 samples per pass.  [seed] defaults to the session {!Fuzz_seed}.
+    @raise Invalid_argument on a sequential [stripped_comb]. *)
 val exec :
   ?samples:int ->
   ?seed:int ->

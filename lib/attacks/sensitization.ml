@@ -6,7 +6,7 @@ type outcome = {
 
 let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
   if Netlist.ffs locked <> [] then
-    invalid_arg "Sensitization.run: locked netlist must be combinational";
+    invalid_arg "Sensitization.exec: locked netlist must be combinational";
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let rng = Random.State.make [| seed; 0x534e |] in
   let x_pis =
@@ -21,7 +21,7 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
   let patterns = ref 0 in
   (* attacker-side simulation of the locked netlist: free, not a chip
      query — it never counts against the oracle budget *)
-  let locked_sim = Sat_attack.oracle_of_netlist locked in
+  let locked_sim = Oracle.query (Oracle.of_netlist locked) in
   let attack_bit target =
     let others = List.filter (fun k -> k <> target) key_inputs in
     let samples =
@@ -122,10 +122,3 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
     unresolved = List.rev !unresolved;
     patterns_used = !patterns;
   }
-
-let run ?samples_other ?seed ~locked ~key_inputs ~oracle () =
-  exec ?samples_other ?seed
-    ~budget:(Budget.unlimited ())
-    ~locked ~key_inputs
-    ~oracle:(Oracle.of_fn oracle)
-    ()

@@ -20,10 +20,12 @@ type outcome = {
   patterns_used : int;
 }
 
-(** [exec ~budget ~locked ~key_inputs ~oracle ()] — framework entry: one
-    {!Budget.tick} per key bit; chip queries are charged by the oracle
-    (attacker-side simulations of the locked netlist are free).  [seed]
-    defaults to {!Fuzz_seed.value}. *)
+(** [exec ~budget ~locked ~key_inputs ~oracle ()] attacks each key bit
+    in turn, one {!Budget.tick} per bit.  Chip queries go through
+    [oracle] (charged when it is bound to [budget]); attacker-side
+    simulations of the locked netlist are free.  [seed] defaults to
+    {!Fuzz_seed.value}.
+    @raise Invalid_argument on a sequential [locked]. *)
 val exec :
   ?samples_other:int ->
   ?seed:int ->
@@ -31,15 +33,5 @@ val exec :
   locked:Netlist.t ->
   key_inputs:string list ->
   oracle:Oracle.t ->
-  unit ->
-  outcome
-
-(** Legacy entry: {!exec} with an unlimited budget. *)
-val run :
-  ?samples_other:int ->
-  ?seed:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:Sat_attack.oracle ->
   unit ->
   outcome

@@ -57,8 +57,3 @@ let exec ~budget ~k ~locked ~key_inputs ~oracle_step () =
     frames = k;
     unrolled_inputs = List.length (Netlist.inputs unrolled);
   }
-
-let run ?(max_iterations = 4096) ~k ~locked ~key_inputs ~oracle_step () =
-  exec
-    ~budget:(Budget.create ~max_iterations ())
-    ~k ~locked ~key_inputs ~oracle_step ()

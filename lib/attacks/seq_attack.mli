@@ -17,24 +17,14 @@ type outcome = {
   unrolled_inputs : int;
 }
 
-(** [run ?max_iterations ~k ~locked ~key_inputs ~oracle_step ()] attacks a
-    {i sequential} locked netlist unrolled over [k] frames from reset.
-    [oracle_step inputs_per_frame] must return the chip's output sequence:
-    it is handed, for each frame, the primary-input assignment, and
-    returns the per-frame outputs (a cycle-accurate black box — use
-    {!oracle_of_netlist}). *)
-val run :
-  ?max_iterations:int ->
-  k:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle_step:((string * bool) list list -> (string * bool) list list) ->
-  unit ->
-  outcome
-
-(** Framework variant of {!run}: the unrolled DIP loop runs under
-    [budget] (sequence queries are counted through the wrapping
-    oracle). *)
+(** [exec ~budget ~k ~locked ~key_inputs ~oracle_step ()] attacks a
+    {i sequential} locked netlist unrolled over [k] frames from reset;
+    the unrolled DIP loop runs under [budget].  [oracle_step
+    inputs_per_frame] must return the chip's output sequence: it is
+    handed, for each frame, the primary-input assignment, and returns
+    the per-frame outputs (a cycle-accurate black box — use
+    {!oracle_of_netlist}).  Sequence queries are counted through the
+    {!Oracle.of_fn} oracle that wraps it. *)
 val exec :
   budget:Budget.t ->
   k:int ->

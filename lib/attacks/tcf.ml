@@ -56,7 +56,7 @@ let frame_oracle oracle =
             else None)
           inputs
       in
-      List.map (fun (po, v) -> (tag ^ "_" ^ po, v)) (oracle sub)
+      List.map (fun (po, v) -> (tag ^ "_" ^ po, v)) (Oracle.query oracle sub)
     in
     frame "f0" @ frame "f1"
 
@@ -64,15 +64,7 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
   let two = unroll locked ~key_inputs in
   let sat =
     Sat_attack.exec ~budget ~locked:two ~key_inputs
-      ~oracle:(Oracle.of_fn (frame_oracle (Oracle.query oracle)))
+      ~oracle:(Oracle.of_fn (frame_oracle oracle))
       ()
-  in
-  { sat; frame_inputs = List.length (Netlist.inputs two) }
-
-let two_frame_attack ?max_iterations ~locked ~key_inputs ~oracle () =
-  let two = unroll locked ~key_inputs in
-  let sat =
-    Sat_attack.run ?max_iterations ~locked:two ~key_inputs
-      ~oracle:(frame_oracle oracle) ()
   in
   { sat; frame_inputs = List.length (Netlist.inputs two) }

@@ -6,7 +6,7 @@
     The paper's Sec. V-B argues even this cannot model a glitch: the value
     "on the level of the glitch" exists in neither stable frame.
 
-    We reproduce the argument constructively: {!two_frame_attack} runs the
+    We reproduce the argument constructively: {!exec} runs the
     SAT attack on a two-frame unrolling of the locked netlist — every
     primary input appears as a launch-frame and a capture-frame copy
     sharing one key vector, and outputs of both frames are observable.
@@ -20,25 +20,16 @@ type outcome = {
   frame_inputs : int;  (** PIs of the unrolled netlist (2× the original) *)
 }
 
-(** [exec ~budget ~locked ~key_inputs ~oracle ()] — framework entry:
-    the DIP loop runs under [budget]; each unrolled query fans out into
-    one (counted, memoized) chip query per frame. *)
+(** [exec ~budget ~locked ~key_inputs ~oracle ()] runs the SAT attack
+    on [unroll locked ~key_inputs] under [budget].  [oracle] is the
+    single-frame chip oracle; the two-frame oracle is derived by
+    querying it on each frame, so each unrolled query fans out into one
+    (counted, memoized) chip query per frame. *)
 val exec :
   budget:Budget.t ->
   locked:Netlist.t ->
   key_inputs:string list ->
   oracle:Oracle.t ->
-  unit ->
-  outcome
-
-(** [two_frame_attack ?max_iterations ~locked ~key_inputs ~oracle ()] —
-    [oracle] is the single-frame chip oracle; the two-frame oracle is
-    derived by querying it on each frame. *)
-val two_frame_attack :
-  ?max_iterations:int ->
-  locked:Netlist.t ->
-  key_inputs:string list ->
-  oracle:Sat_attack.oracle ->
   unit ->
   outcome
 

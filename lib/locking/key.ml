@@ -27,7 +27,7 @@ let to_string a =
 let enumerate names =
   let n = List.length names in
   if n > 20 then invalid_arg "Key.enumerate: too many key bits";
-  List.init (1 lsl n) (fun v ->
+  Seq.init (1 lsl n) (fun v ->
       List.mapi (fun i name -> (name, v land (1 lsl i) <> 0)) names)
 
 let equal a b =

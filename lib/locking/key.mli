@@ -23,7 +23,10 @@ val random_wrong : seed:int -> assignment -> assignment
 (** [to_string a] is e.g. ["k0=1 k1=0"], in the assignment's order. *)
 val to_string : assignment -> string
 
-(** [enumerate names] lists all 2^n assignments (n ≤ 20). *)
-val enumerate : string list -> assignment list
+(** [enumerate names] is all 2^n assignments (n ≤ 20), counting up
+    with the first name as the least significant bit.  Each assignment
+    is built only when the sequence reaches it.
+    @raise Invalid_argument at once when n > 20. *)
+val enumerate : string list -> assignment Seq.t
 
 val equal : assignment -> assignment -> bool

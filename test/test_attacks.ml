@@ -8,6 +8,9 @@ let qcheck ?(count = 20) name arb law = Qc.qcheck ~count name arb law
 
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 300)
 
+(* the DIP-loop attacks' usual cap *)
+let sat_budget () = Budget.create ~max_iterations:4096 ()
+
 let comb_circuit seed =
   let net =
     Generator.generate
@@ -32,7 +35,7 @@ let test_oracle () =
   let b = Netlist.add_input net "b" in
   let g = Netlist.add_gate net Cell.And [| a; b |] in
   Netlist.add_output net "y" g;
-  let oracle = Sat_attack.oracle_of_netlist net in
+  let oracle = Oracle.query (Oracle.of_netlist net) in
   Alcotest.(check (list (pair string bool))) "11" [ ("y", true) ]
     (oracle [ ("a", true); ("b", true) ]);
   (* strict by default: underqueries and mistyped names raise *)
@@ -47,7 +50,7 @@ let test_oracle () =
         to ignore stray names)") (fun () ->
       ignore (oracle [ ("a", true); ("bb", true) ]));
   (* the escape hatch restores the permissive semantics *)
-  let permissive = Sat_attack.oracle_of_netlist ~partial:true net in
+  let permissive = Oracle.query (Oracle.of_netlist ~partial:true net) in
   Alcotest.(check (list (pair string bool))) "unmentioned reads false"
     [ ("y", false) ]
     (permissive [ ("a", true); ("stray", true) ])
@@ -57,10 +60,10 @@ let test_oracle () =
 let sat_recovers_xor_law seed =
   let comb = comb_circuit seed in
   let lk = Xor_lock.lock ~seed comb ~n_keys:8 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   match
-    (Sat_attack.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
-       ~oracle ())
+    (Sat_attack.exec ~budget:(sat_budget ()) ~locked:lk.Locked.net
+       ~key_inputs:lk.Locked.key_inputs ~oracle ())
       .Sat_attack.status
   with
   | Sat_attack.Key_recovered k ->
@@ -72,10 +75,10 @@ let sat_recovers_xor_law seed =
 let sat_recovers_mux_law seed =
   let comb = comb_circuit (seed + 1) in
   let lk = Mux_lock.lock ~seed comb ~n_keys:6 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   match
-    (Sat_attack.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
-       ~oracle ())
+    (Sat_attack.exec ~budget:(sat_budget ()) ~locked:lk.Locked.net
+       ~key_inputs:lk.Locked.key_inputs ~oracle ())
       .Sat_attack.status
   with
   | Sat_attack.Key_recovered k ->
@@ -87,10 +90,10 @@ let sat_recovers_mux_law seed =
 let test_sat_attack_budget () =
   let comb = comb_circuit 7 in
   let lk = Sarlock.lock ~seed:7 comb ~n_keys:8 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
-    Sat_attack.run ~max_iterations:5 ~locked:lk.Locked.net
-      ~key_inputs:lk.Locked.key_inputs ~oracle ()
+    Sat_attack.exec ~budget:(Budget.create ~max_iterations:5 ())
+      ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs ~oracle ()
   in
   Alcotest.(check bool) "budget exhausted" true
     (o.Sat_attack.status = Sat_attack.Budget_exhausted);
@@ -98,14 +101,20 @@ let test_sat_attack_budget () =
 
 let test_sat_attack_guards () =
   let net = Benchmarks.s27 () in
-  let oracle = Sat_attack.oracle_of_netlist net in
+  let oracle = Oracle.of_netlist net in
   Alcotest.(check bool) "rejects sequential" true
-    (match Sat_attack.run ~locked:net ~key_inputs:[] ~oracle () with
+    (match
+       Sat_attack.exec ~budget:(sat_budget ()) ~locked:net ~key_inputs:[]
+         ~oracle ()
+     with
     | _ -> false
     | exception Invalid_argument _ -> true);
   let comb, _ = Combinationalize.run net in
   Alcotest.(check bool) "rejects unknown key" true
-    (match Sat_attack.run ~locked:comb ~key_inputs:[ "nope" ] ~oracle () with
+    (match
+       Sat_attack.exec ~budget:(sat_budget ()) ~locked:comb
+         ~key_inputs:[ "nope" ] ~oracle ()
+     with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -114,10 +123,10 @@ let test_sarlock_iteration_count () =
   let comb = comb_circuit 21 in
   let n_keys = 5 in
   let lk = Sarlock.lock ~seed:21 comb ~n_keys in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
-    Sat_attack.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
-      ~oracle ()
+    Sat_attack.exec ~budget:(sat_budget ()) ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs ~oracle ()
   in
   (* 2^n - 1 wrong keys, each eliminated by (at least) one DIP; allow a
      little slack for DIPs that eliminate none *)
@@ -150,9 +159,10 @@ let gk_unsat_at_first_law seed =
     let stripped, keys = Insertion.strip_keygens d in
     let locked_comb, _ = Combinationalize.run stripped in
     let oracle_comb, _ = Combinationalize.run net in
-    let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+    let oracle = Oracle.of_netlist oracle_comb in
     (match
-       (Sat_attack.run ~locked:locked_comb ~key_inputs:keys ~oracle ())
+       (Sat_attack.exec ~budget:(sat_budget ()) ~locked:locked_comb
+          ~key_inputs:keys ~oracle ())
          .Sat_attack.status
      with
     | Sat_attack.Unsat_at_first_iteration k ->
@@ -241,15 +251,19 @@ let test_signal_prob_skew_finds_sarlock () =
 let removal_kills_sarlock_law seed =
   let comb = comb_circuit (seed + 40) in
   let lk = Sarlock.lock ~seed comb ~n_keys:7 in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true comb in
-  let o = Removal_attack.run lk.Locked.net ~oracle in
+  let oracle = Oracle.of_netlist ~partial:true comb in
+  let o =
+    Removal_attack.exec ~budget:(Budget.unlimited ()) lk.Locked.net ~oracle
+  in
   o.Removal_attack.success
 
 let test_removal_kills_antisat () =
   let comb = comb_circuit 44 in
   let lk = Antisat.lock ~seed:44 comb ~n:7 in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true comb in
-  let o = Removal_attack.run lk.Locked.net ~oracle in
+  let oracle = Oracle.of_netlist ~partial:true comb in
+  let o =
+    Removal_attack.exec ~budget:(Budget.unlimited ()) lk.Locked.net ~oracle
+  in
   Alcotest.(check bool) "success" true o.Removal_attack.success;
   match o.Removal_attack.restored with
   | Some restored ->
@@ -262,8 +276,10 @@ let test_removal_fails_on_xor () =
   (* conventional key-gates have no skewed security structure to excise *)
   let comb = comb_circuit 45 in
   let lk = Xor_lock.lock ~seed:45 comb ~n_keys:8 in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true comb in
-  let o = Removal_attack.run lk.Locked.net ~oracle in
+  let oracle = Oracle.of_netlist ~partial:true comb in
+  let o =
+    Removal_attack.exec ~budget:(Budget.unlimited ()) lk.Locked.net ~oracle
+  in
   Alcotest.(check bool) "no easy removal" false o.Removal_attack.success
 
 let test_tdk_strip_then_sat () =
@@ -279,10 +295,10 @@ let test_tdk_strip_then_sat () =
     (List.length stripped.Locked.key_inputs);
   let comb, _ = Combinationalize.run net in
   let tcomb, _ = Combinationalize.run stripped.Locked.net in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   match
-    (Sat_attack.run ~locked:tcomb ~key_inputs:stripped.Locked.key_inputs
-       ~oracle ())
+    (Sat_attack.exec ~budget:(sat_budget ()) ~locked:tcomb
+       ~key_inputs:stripped.Locked.key_inputs ~oracle ())
       .Sat_attack.status
   with
   | Sat_attack.Key_recovered k ->
@@ -304,8 +320,11 @@ let test_guess_gk () =
     List.map (fun g -> (g.Enhanced_removal.mux, g.Enhanced_removal.x)) located
   in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
-  let o = Removal_attack.guess_gk locked_comb ~gks ~oracle in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
+  let o =
+    Removal_attack.guess_gk ~budget:(Budget.unlimited ()) locked_comb ~gks
+      ~oracle
+  in
   Alcotest.(check int) "search space" 4 o.Removal_attack.total_guesses;
   (match o.Removal_attack.recovered with
   | Some _ -> ()
@@ -319,10 +338,10 @@ let test_guess_gk () =
 let test_brute_force () =
   let comb = comb_circuit 50 in
   let lk = Xor_lock.lock ~seed:50 comb ~n_keys:5 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
-    Brute_force.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
-      ~oracle ()
+    Brute_force.exec ~budget:(Budget.unlimited ()) ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs ~oracle ()
   in
   match o.Brute_force.found with
   | Some k ->
@@ -331,6 +350,41 @@ let test_brute_force () =
          ~key_inputs:lk.Locked.key_inputs ~oracle k
       = 0)
   | None -> Alcotest.fail "brute force must find the key"
+
+(* The key space is walked lazily: an 8-key budget over 20 key inputs
+   stops after 8 keys without first building all 2^20 assignments
+   (about 129 Mw of major-heap words when they were one list). *)
+let test_brute_force_lazy_keys () =
+  let comb =
+    Generator.generate
+      {
+        Generator.gen_name = "bf20";
+        seed = 52;
+        n_pi = 8;
+        n_po = 5;
+        n_ff = 8;
+        n_gates = 80;
+        depth = 8;
+        ff_depth_bias = 0.2;
+      }
+    |> Combinationalize.run |> fst
+  in
+  let lk = Xor_lock.lock ~seed:52 comb ~n_keys:20 in
+  let major_words () = (Gc.quick_stat ()).Gc.major_words in
+  let m0 = major_words () in
+  let o =
+    Attack.run
+      ~budget:(Budget.create ~max_iterations:8 ())
+      ~name:"brute" ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
+      ~oracle:(Oracle.of_netlist comb) ()
+  in
+  let major_mw = (major_words () -. m0) /. 1e6 in
+  Alcotest.(check string) "verdict" "out_of_budget_iterations"
+    (Attack.verdict_name o.Attack.verdict);
+  Alcotest.(check int) "keys tested" 8 o.Attack.iterations;
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %.1f Mw < 16 Mw" major_mw)
+    true (major_mw < 16.)
 
 (* ----- TCF two-frame ----- *)
 
@@ -349,9 +403,9 @@ let test_tcf_unroll () =
 let test_tcf_recovers_xor () =
   let comb = comb_circuit 56 in
   let lk = Xor_lock.lock ~seed:56 comb ~n_keys:4 in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
-    Tcf.two_frame_attack ~locked:lk.Locked.net
+    Tcf.exec ~budget:(sat_budget ()) ~locked:lk.Locked.net
       ~key_inputs:lk.Locked.key_inputs ~oracle ()
   in
   match o.Tcf.sat.Sat_attack.status with
@@ -368,8 +422,11 @@ let test_tcf_fails_on_gk () =
   let stripped, keys = Insertion.strip_keygens d in
   let locked_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
-  let o = Tcf.two_frame_attack ~locked:locked_comb ~key_inputs:keys ~oracle () in
+  let oracle = Oracle.of_netlist oracle_comb in
+  let o =
+    Tcf.exec ~budget:(sat_budget ()) ~locked:locked_comb ~key_inputs:keys
+      ~oracle ()
+  in
   Alcotest.(check bool) "still no DIP" true
     (match o.Tcf.sat.Sat_attack.status with
     | Sat_attack.Unsat_at_first_iteration _ -> true
@@ -386,8 +443,10 @@ let test_enhanced_locate_and_attack () =
   let located = Enhanced_removal.locate locked_comb in
   Alcotest.(check int) "locates both GKs" 2 (List.length located);
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
-  let rm, o = Enhanced_removal.attack locked_comb ~oracle in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
+  let rm, o =
+    Enhanced_removal.exec ~budget:(sat_budget ()) locked_comb ~oracle ()
+  in
   (match o.Sat_attack.status with
   | Sat_attack.Key_recovered k ->
     Alcotest.(check int) "decrypts (paper V-D)" 0
@@ -517,7 +576,12 @@ let suites =
         tc "GK guessing is exhaustive" `Quick test_guess_gk;
         qcheck ~count:8 "kills SARLock" seed_arb removal_kills_sarlock_law;
       ] );
-    ("attacks.brute_force", [ tc "finds key" `Quick test_brute_force ]);
+    ( "attacks.brute_force",
+      [
+        tc "finds key" `Quick test_brute_force;
+        tc "lazy key space under an 8-key budget" `Quick
+          test_brute_force_lazy_keys;
+      ] );
     ( "attacks.tcf",
       [
         tc "unroll structure" `Quick test_tcf_unroll;

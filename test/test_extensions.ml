@@ -8,6 +8,10 @@ let qcheck ?(count = 50) name arb law = Qc.qcheck ~count name arb law
 
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 300)
 
+(* DIP-iteration caps: the usual SAT-attack cap and AppSAT's *)
+let sat_budget () = Budget.create ~max_iterations:4096 ()
+let appsat_budget () = Budget.create ~max_iterations:512 ()
+
 let small_comb seed =
   Generator.generate
     {
@@ -185,7 +189,7 @@ let test_unroll_semantics () =
            List.map (fun (n, v) -> (Printf.sprintf "f%d_%s" i n, v)) frame)
          frames)
   in
-  let comb_out = Sat_attack.oracle_of_netlist unrolled flat in
+  let comb_out = Oracle.query (Oracle.of_netlist unrolled) flat in
   List.iteri
     (fun i frame_outs ->
       List.iter
@@ -201,7 +205,8 @@ let test_seq_attack_xor_vs_gk () =
   let net = Benchmarks.tiny () in
   let lk = Xor_lock.lock ~seed:2 net ~n_keys:5 in
   let o =
-    Seq_attack.run ~k:4 ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
+    Seq_attack.exec ~budget:(sat_budget ()) ~k:4 ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs
       ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
   in
   (match o.Seq_attack.sat.Sat_attack.status with
@@ -212,8 +217,8 @@ let test_seq_attack_xor_vs_gk () =
   let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
   let stripped, keys = Insertion.strip_keygens d in
   let o2 =
-    Seq_attack.run ~k:4 ~locked:stripped ~key_inputs:keys
-      ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
+    Seq_attack.exec ~budget:(sat_budget ()) ~k:4 ~locked:stripped
+      ~key_inputs:keys ~oracle_step:(Seq_attack.oracle_of_netlist net) ()
   in
   Alcotest.(check bool) "gk immune for every k" true
     (match o2.Seq_attack.sat.Sat_attack.status with
@@ -225,9 +230,10 @@ let test_seq_attack_xor_vs_gk () =
 let test_appsat_exact_on_xor () =
   let net = small_comb 21 in
   let lk = Xor_lock.lock ~seed:21 net ~n_keys:8 in
-  let oracle = Sat_attack.oracle_of_netlist net in
+  let oracle = Oracle.of_netlist net in
   let o =
-    Appsat.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs ~oracle ()
+    Appsat.exec ~budget:(appsat_budget ()) ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs ~oracle ()
   in
   Alcotest.(check bool) "almost-correct key" true (o.Appsat.error_rate <= 0.01);
   Alcotest.(check int) "key verifies" 0
@@ -253,13 +259,16 @@ let test_appsat_beats_compound () =
   let sar = Sarlock.lock ~seed:23 net ~n_keys:8 in
   let compound = Xor_lock.lock ~seed:22 sar.Locked.net ~n_keys:6 in
   let keys = sar.Locked.key_inputs @ compound.Locked.key_inputs in
-  let oracle = Sat_attack.oracle_of_netlist net in
-  let a = Appsat.run ~locked:compound.Locked.net ~key_inputs:keys ~oracle () in
+  let oracle = Oracle.of_netlist net in
+  let a =
+    Appsat.exec ~budget:(appsat_budget ()) ~locked:compound.Locked.net
+      ~key_inputs:keys ~oracle ()
+  in
   Alcotest.(check bool) "few DIPs" true (a.Appsat.dips <= 32);
   Alcotest.(check bool) "low error" true (a.Appsat.error_rate <= 0.02);
   let p =
-    Sat_attack.run ~max_iterations:300 ~locked:compound.Locked.net
-      ~key_inputs:keys ~oracle ()
+    Sat_attack.exec ~budget:(Budget.create ~max_iterations:300 ())
+      ~locked:compound.Locked.net ~key_inputs:keys ~oracle ()
   in
   Alcotest.(check bool) "plain SAT needs ~2^8 DIPs" true
     (p.Sat_attack.iterations > 100)
@@ -283,9 +292,10 @@ let test_sensitization_output_locking () =
         (kn, bit))
       (Netlist.outputs locked)
   in
-  let oracle = Sat_attack.oracle_of_netlist comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
-    Sensitization.run ~locked ~key_inputs:(List.map fst keyed) ~oracle ()
+    Sensitization.exec ~budget:(Budget.unlimited ()) ~locked
+      ~key_inputs:(List.map fst keyed) ~oracle ()
   in
   Alcotest.(check int) "all bits recovered" (List.length keyed)
     (List.length o.Sensitization.recovered);
@@ -300,8 +310,8 @@ let test_sensitization_blind_on_gk () =
   let scomb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
   let o =
-    Sensitization.run ~locked:scomb ~key_inputs:keys
-      ~oracle:(Sat_attack.oracle_of_netlist oracle_comb) ()
+    Sensitization.exec ~budget:(Budget.unlimited ()) ~locked:scomb
+      ~key_inputs:keys ~oracle:(Oracle.of_netlist oracle_comb) ()
   in
   Alcotest.(check int) "nothing sensitizable" 0
     (List.length o.Sensitization.recovered);

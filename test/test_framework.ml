@@ -80,7 +80,7 @@ let test_oracle_memo_and_counts () =
 let test_oracle_budget_charging () =
   let comb = comb_circuit 61 in
   let budget = Budget.create ~max_queries:2 () in
-  let o = Oracle.of_netlist ~budget comb in
+  let o = Oracle.with_budget budget (Oracle.of_netlist comb) in
   let names = Oracle.input_names o in
   let dip b = List.map (fun n -> (n, b)) names in
   ignore (Oracle.query o (dip true));
@@ -203,9 +203,9 @@ let test_registry_parity_sat_xor () =
   let comb = comb_circuit 63 in
   let lk = Xor_lock.lock ~seed:63 comb ~n_keys:6 in
   let legacy =
-    Sat_attack.run ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
-      ~oracle:(Sat_attack.oracle_of_netlist comb)
-      ()
+    Sat_attack.exec ~budget:(Budget.create ~max_iterations:4096 ())
+      ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
+      ~oracle:(Oracle.of_netlist comb) ()
   in
   let o =
     Attack.run ~name:"sat" ~locked:lk.Locked.net
@@ -270,7 +270,7 @@ let test_registry_query_cap () =
   let o =
     Attack.run ~budget ~name:"brute" ~locked:lk.Locked.net
       ~key_inputs:lk.Locked.key_inputs
-      ~oracle:(Oracle.of_netlist ~budget comb)
+      ~oracle:(Oracle.of_netlist comb)
       ()
   in
   match o.Attack.verdict with
@@ -279,6 +279,40 @@ let test_registry_query_cap () =
       (o.Attack.queries >= 3)
   | v -> Alcotest.fail ("expected out_of_budget_queries, got "
                         ^ Attack.verdict_name v)
+
+(* [Attack.run] binds its budget to the oracle itself: a query cap trips
+   although the caller built the oracle without one (the CLI's
+   [--max-queries] path).  The SAT attack stops at the DIP query that
+   crosses the cap; brute force charges its first key's 64 verification
+   samples as one batch. *)
+let test_registry_query_cap_binds () =
+  let comb =
+    Generator.generate
+      {
+        Generator.gen_name = "fwq";
+        seed = 7;
+        n_pi = 8;
+        n_po = 5;
+        n_ff = 8;
+        n_gates = 80;
+        depth = 8;
+        ff_depth_bias = 0.2;
+      }
+    |> Combinationalize.run |> fst
+  in
+  List.iter
+    (fun (name, n_keys, queries) ->
+      let lk = Xor_lock.lock ~seed:7 comb ~n_keys in
+      let o =
+        Attack.run
+          ~budget:(Budget.create ~max_queries:3 ())
+          ~name ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
+          ~oracle:(Oracle.of_netlist comb) ()
+      in
+      Alcotest.(check string) (name ^ " verdict") "out_of_budget_queries"
+        (Attack.verdict_name o.Attack.verdict);
+      Alcotest.(check int) (name ^ " queries") queries o.Attack.queries)
+    [ ("sat", 20, 4); ("brute", 10, 64) ]
 
 let test_registry_none_baseline () =
   let comb = comb_circuit 66 in
@@ -333,6 +367,8 @@ let suites =
           test_registry_parity_gk_no_dip;
         Alcotest.test_case "deadline verdict" `Quick test_registry_deadline;
         Alcotest.test_case "query-cap verdict" `Quick test_registry_query_cap;
+        Alcotest.test_case "query cap binds an unbudgeted oracle" `Quick
+          test_registry_query_cap_binds;
         Alcotest.test_case "none baseline" `Quick test_registry_none_baseline;
         Alcotest.test_case "markdown table" `Quick test_markdown_table;
       ] );

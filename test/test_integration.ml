@@ -177,9 +177,10 @@ let test_full_pipeline () =
   let stripped, keys = Insertion.strip_keygens d in
   let locked_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist oracle_comb in
+  let oracle = Oracle.of_netlist oracle_comb in
   (match
-     (Sat_attack.run ~locked:locked_comb ~key_inputs:keys ~oracle ())
+     (Sat_attack.exec ~budget:(Budget.create ~max_iterations:4096 ())
+        ~locked:locked_comb ~key_inputs:keys ~oracle ())
        .Sat_attack.status
    with
   | Sat_attack.Unsat_at_first_iteration _ -> ()

@@ -278,7 +278,7 @@ let attack_with_zero_deadline name =
   let comb = comb_circuit 71 in
   let lk = Xor_lock.lock ~seed:71 comb ~n_keys:8 in
   let budget = Budget.create ~deadline_s:0.0 () in
-  let oracle = Oracle.of_netlist ~budget comb in
+  let oracle = Oracle.of_netlist comb in
   let o =
     Attack.run ~budget ~name ~locked:lk.Locked.net
       ~key_inputs:lk.Locked.key_inputs ~oracle ()

@@ -319,7 +319,7 @@ let full_miter locked key_inputs =
 (* The DIP loop over [full_miter].  Returns the row for the final solver
    state. *)
 let dip_loop_row name locked key_inputs chip =
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true chip in
+  let oracle = Oracle.query (Oracle.of_netlist ~partial:true chip) in
   let fm = full_miter locked key_inputs in
   let s = fm.fm_solver in
   let rec loop dips =
@@ -449,21 +449,30 @@ let expected_attack_rows =
   ]
 
 let test_attack_search_identity () =
-  let oracle chip = Sat_attack.oracle_of_netlist ~partial:true chip in
+  let oracle chip = Oracle.of_netlist ~partial:true chip in
   let sat name (locked, key_inputs, chip) =
-    let o = Sat_attack.run ~locked ~key_inputs ~oracle:(oracle chip) () in
+    let o =
+      Sat_attack.exec ~budget:(Budget.create ~max_iterations:4096 ()) ~locked
+        ~key_inputs ~oracle:(oracle chip) ()
+    in
     Printf.sprintf "%s sat iterations=%d conflicts=%d" name o.Sat_attack.iterations
       o.Sat_attack.conflicts
   in
   let appsat =
     let locked, key_inputs, chip = sarlock4 () in
-    let o = Appsat.run ~seed:7 ~locked ~key_inputs ~oracle:(oracle chip) () in
+    let o =
+      Appsat.exec ~seed:7 ~budget:(Budget.create ~max_iterations:512 ()) ~locked
+        ~key_inputs ~oracle:(oracle chip) ()
+    in
     Printf.sprintf "sarlock4 appsat dips=%d queries=%d key=%s" o.Appsat.dips
       o.Appsat.random_queries (Key.to_string o.Appsat.key)
   in
   let locked, key_inputs, chip = xor8 () in
   let sensitization =
-    let o = Sensitization.run ~seed:7 ~locked ~key_inputs ~oracle:(oracle chip) () in
+    let o =
+      Sensitization.exec ~seed:7 ~budget:(Budget.unlimited ()) ~locked
+        ~key_inputs ~oracle:(oracle chip) ()
+    in
     Printf.sprintf "xor8 sensitization patterns=%d recovered=%s"
       o.Sensitization.patterns_used (Key.to_string o.Sensitization.recovered)
   in
@@ -765,7 +774,7 @@ let key_cone_miter_law seed =
         Solver.solve fm.fm_solver = Solver.Unsat
         &&
         match Dip_miter.key m with
-        | Some key -> Sat_attack.verify_key_o ~locked ~key_inputs ~oracle key = 0
+        | Some key -> Sat_attack.verify_key ~locked ~key_inputs ~oracle key = 0
         | None -> false)
       | Solver.Sat ->
         let dip = Dip_miter.dip m in

@@ -58,8 +58,11 @@ let test_scan_attack_cracks_gk_only () =
   let stripped, _ = Insertion.strip_keygens d in
   let stripped_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
-  let verdicts = Scan_attack.run ~stripped_comb ~oracle () in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
+  let verdicts =
+    Scan_attack.exec ~seed:29 ~budget:(Budget.unlimited ()) ~stripped_comb
+      ~oracle ()
+  in
   Alcotest.(check int) "both GKs tested" 2 (List.length verdicts);
   List.iter
     (fun v ->
@@ -83,9 +86,10 @@ let test_scan_attack_vs_hybrid () =
   let stripped, _ = Insertion.strip_keygens h.Hybrid.design in
   let stripped_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
-  let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
+  let oracle = Oracle.of_netlist ~partial:true oracle_comb in
   let verdicts =
-    Scan_attack.run ~unknown:h.Hybrid.xor_key_inputs ~stripped_comb ~oracle ()
+    Scan_attack.exec ~seed:29 ~unknown:h.Hybrid.xor_key_inputs
+      ~budget:(Budget.unlimited ()) ~stripped_comb ~oracle ()
   in
   Alcotest.(check int) "GKs located" 4 (List.length verdicts);
   (* With unknown XOR key bits inside the encrypted cones, the guessed

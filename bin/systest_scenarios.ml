@@ -125,14 +125,18 @@ let () =
       let rec_line2 = line_with ~what:"attack rerun" out2 "key recovered" in
       check (rec_line = rec_line2) "attack is not deterministic per seed";
       (* a query cap binds the attack although the CLI builds its oracle
-         without one *)
+         without one; the verification batch it refuses is not counted,
+         so the telemetry shows the 2 DIP queries only *)
       let out3 =
         gklock_ok ctx "attack_query_cap"
           (attack_args @ [ "--max-queries"; "2" ])
       in
       ignore
         (line_with ~what:"attack --max-queries 2" out3
-           "sat: out_of_budget_queries"))
+           "sat: out_of_budget_queries");
+      ignore
+        (line_with ~what:"attack --max-queries 2" out3
+           "oracle queries: 2   "))
 
 (* ----- 3. attack_trace_metrics ----- *)
 

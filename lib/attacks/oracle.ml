@@ -28,10 +28,8 @@ type net_backend = {
   net : Netlist.t;
   eng : Netlist.Engine.engine;
   sc : Netlist.Engine.scratch;  (* calling-domain scratch *)
-  srcs : int array;
-  src_names : string array;
+  src_names : string array;  (* source i is engine slot i *)
   idx_of_name : (string, int) Hashtbl.t;
-  outs : (string * int) list;  (* po name, driver node id *)
   out_slots : int array;  (* driver slot per output, engine slot space *)
   (* the only two possible response entries per output, preallocated and
      shared by every response list — responses are immutable, so a query
@@ -118,10 +116,8 @@ let of_netlist ?(partial = false) ?(memo = true) ?memo_cap ?shards net =
           net;
           eng;
           sc = Netlist.Engine.create_scratch eng;
-          srcs;
           src_names;
           idx_of_name;
-          outs;
           out_slots;
           out_t = Array.map (fun n -> (n, true)) out_names;
           out_f = Array.map (fun n -> (n, false)) out_names;
@@ -157,7 +153,7 @@ let input_names t =
    that resolve to the same effective assignment share an entry whatever
    order (or duplicates) the caller listed the pins in. *)
 let resolve t b q =
-  let n = Array.length b.srcs in
+  let n = Array.length b.src_names in
   let vals = Bytes.make n '0' in
   (* [seen] is tracked even in partial mode so defaulted reads are
      counted rather than silently folded into the key: a relaxed query
@@ -259,10 +255,12 @@ let fn_key fb q =
     | Some k -> k
     | None -> assert false (* the set was built from exactly q's names *))
 
+(* The budget is asked first, so a batch it refuses is neither evaluated
+   nor counted. *)
 let charge t n =
+  (match t.budget with Some b -> Budget.note_queries b n | None -> ());
   t.stats.evals <- t.stats.evals + n;
-  Obs.Metrics.add m_queries n;
-  match t.budget with Some b -> Budget.note_queries b n | None -> ()
+  Obs.Metrics.add m_queries n
 
 let memo_find t key =
   match t.memo with
@@ -291,62 +289,17 @@ let memo_add t key r =
       Hashtbl.replace m.tbl key r
     end
 
-(* One query is lane 0 of a one-word block; sources are engine slots
-   0..n_src-1 in the same order as [srcs], i.e. as the key's chars. *)
-let eval_key b key =
-  let blk =
-    Netlist.Engine.eval_block ~scratch:b.sc b.eng ~n_words:1 ~fill:(fun buf ->
-        String.iteri (fun i c -> if c = '1' then buf.(i) <- 1) key)
-  in
-  let r = ref [] in
-  for oi = Array.length b.out_slots - 1 downto 0 do
-    r :=
-      (if blk.(b.out_slots.(oi)) land 1 = 1 then b.out_t.(oi)
-       else b.out_f.(oi))
-      :: !r
-  done;
-  !r
+(* ----- netlist evaluation -----
 
-let query t q =
-  match t.backend with
-  | Net b -> (
-    let key = resolve t b q in
-    match memo_find t key with
-    | Some r -> r
-    | None ->
-      charge t 1;
-      let r = eval_key b key in
-      memo_add t key r;
-      r)
-  | Fn fb when t.memo = None ->
-    (* no memo to look up: the canonical key would be thrown away *)
-    charge t 1;
-    fb.fn q
-  | Fn fb -> (
-    let key = fn_key fb q in
-    match memo_find t key with
-    | Some r -> r
-    | None ->
-      charge t 1;
-      let r = fb.fn q in
-      memo_add t key r;
-      r)
-
-(* ----- batched path -----
-
-   Distinct memo misses are bit-transposed into multi-word blocks
+   Distinct misses are bit-transposed into multi-word blocks
    (block_words * 63 lanes per pass over the compiled instruction
-   stream).  When the batch is big enough, every per-lane stage —
-   canonical-key resolution, block evaluation, and response-list
-   construction, which dominates on many-output circuits — is sharded
-   across a bounded domain pool; each shard evaluates with its own
-   engine scratch and allocates responses in its own minor heap, and
-   all memo / stat mutation stays on the calling domain. *)
+   stream); a lone query is lane 0 of a one-word block.  When a batch is
+   big enough, key resolution and block evaluation with response
+   building (which dominates on many-output circuits) are sharded across
+   a bounded domain pool; each shard evaluates with its own engine
+   scratch and allocates responses in its own minor heap, and all memo /
+   stat mutation stays on the calling domain. *)
 
-(* Evaluate miss lanes [lane_lo, lane_hi) in blocks of at most
-   [block_words] words each, writing each lane's response list into
-   [computed].  [scratch] must be private to the caller; [computed]
-   writes are race-free because lane ranges are disjoint. *)
 (* Bit-transpose repack, lane-major: each key string is read
    sequentially once (no per-character re-indexing of the miss array),
    and bit j of word wi of source si accumulates at buf.(si * nw + wi). *)
@@ -367,10 +320,14 @@ let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
     done
   done
 
+(* Evaluate miss lanes [lane_lo, lane_hi) in blocks of at most
+   [block_words] words each, writing each lane's response list into
+   [computed].  [scratch] must be private to the caller; [computed]
+   writes are race-free because lane ranges are disjoint. *)
 let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
     =
   let w = Netlist.Engine.word_bits in
-  let n_src = Array.length b.srcs in
+  let n_src = Array.length b.src_names in
   let n_outs = Array.length b.out_slots in
   let lanes_per_block = block_words * w in
   let base = ref lane_lo in
@@ -402,162 +359,133 @@ let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
     base := b0 + lanes
   done
 
-(* Batched path for black-box oracles that advertise a bulk transport
-   (e.g. a remote oracle packing a whole word per round trip): dedup
-   memo misses on their canonical keys, ship the distinct queries in one
-   [fn_batch] call, then reassemble in request order. *)
-let fn_query_batch t fb bf qs =
-  match t.memo with
-  | None ->
-    let n = List.length qs in
-    if n = 0 then []
-    else begin
-      charge t n;
-      let rs = bf qs in
-      if List.length rs <> n then
-        invalid_arg "Oracle: batch backend returned a result list of wrong size";
-      rs
-    end
-  | Some _ ->
-    (* each entry keeps its query alongside its key so the miss list and
-       the eviction fallback never have to search for it again (remote
-       chunks run to thousands of queries, so an assoc scan per miss
-       would be quadratic in batch size) *)
-    let cached =
-      List.map
-        (fun q ->
-          let key = fn_key fb q in
-          (key, q, memo_find t key))
-        qs
-    in
-    let miss_tbl = Hashtbl.create 64 in
-    let misses =
-      (* first occurrence of each distinct missing key, in order *)
-      List.filter
-        (fun (key, _, r) ->
-          r = None
-          && (not (Hashtbl.mem miss_tbl key))
-          && (Hashtbl.replace miss_tbl key ();
-              true))
-        cached
-    in
-    if misses <> [] then begin
-      charge t (List.length misses);
-      let rs = bf (List.map (fun (_, q, _) -> q) misses) in
-      if List.length rs <> List.length misses then
-        invalid_arg "Oracle: batch backend returned a result list of wrong size";
-      List.iter2 (fun (key, _, _) r -> memo_add t key r) misses rs
-    end;
-    (* all keys are resident now (memo_add just ran with room for each:
-       cap evictions can push *older* entries out, so re-query misses
-       via the memo and fall back to a direct call if one was evicted) *)
-    List.map
-      (fun (key, q, cached_r) ->
-        match cached_r with
-        | Some r -> r
-        | None -> (
-          match t.memo with
-          | Some m -> (
-            match Hashtbl.find_opt m.tbl key with
-            | Some r -> r
-            | None ->
-              (* evicted within this very batch (tiny cap): recompute *)
-              charge t 1;
-              let r = fb.fn q in
-              memo_add t key r;
-              r)
-          | None -> assert false))
-      cached
+(* Domain pool width for a stage over [n_items] lanes: forced by
+   [~shards] if given, otherwise engaged only when lanes x engine size
+   is big enough to amortize the domain spawns. *)
+let domains_for b n_items =
+  let wanted =
+    match b.shards with
+    | Some s -> s
+    | None ->
+      if n_items * Netlist.Engine.n_slots b.eng >= shard_work_min then
+        Parallel.default_domains ()
+      else 1
+  in
+  max 1 (min wanted n_items)
 
-let query_batch t qs =
+(* [f] over [0, n) in [d] disjoint ranges, one per domain. *)
+let sharded d n f =
+  if d <= 1 then f (0, n)
+  else
+    ignore
+      (Parallel.map ~domains:d f
+         (List.init d (fun s -> (s * n / d, (s + 1) * n / d))))
+
+(* ----- the query pipeline -----
+
+   {!query} and {!query_batch} both run [answer]: (1) canonical keys;
+   (2) memo lookup and in-batch dedup; (3) one charge for the distinct
+   misses, before any evaluation; (4) the backend evaluates the misses;
+   (5) memo write-back; then the replies are reassembled in request
+   order from the evaluated array, never by re-reading the memo, which
+   a capped memo may already have evicted them from. *)
+
+(* 1. Canonical keys, or [None] for a function oracle without a memo:
+   it has nothing to look a key up in, so every query is a miss. *)
+let keys t qs =
   match t.backend with
-  | Fn ({ fn_batch = Some bf; _ } as fb) -> fn_query_batch t fb bf qs
-  | Fn { fn_batch = None; _ } -> List.map (query t) qs
+  | Fn _ when t.memo = None -> None
+  | Fn fb -> Some (Array.map (fn_key fb) qs)
   | Net b ->
-    let qarr = Array.of_list qs in
-    let nq = Array.length qarr in
-    if nq = 0 then []
-    else begin
-      (* domain pool width for a stage over [n_items] lanes: forced by
-         [~shards] if given, otherwise engaged only when lanes x engine
-         size is big enough to amortize the domain spawns *)
-      let domains_for n_items =
-        let wanted =
-          match b.shards with
-          | Some s -> s
-          | None ->
-            if n_items * Netlist.Engine.n_slots b.eng >= shard_work_min then
-              Parallel.default_domains ()
-            else 1
-        in
-        max 1 (min wanted n_items)
-      in
-      (* 1. canonical keys (validation + Bytes packing), sharded *)
-      let keys = Array.make nq "" in
-      let resolve_range (lo, hi) =
+    let nq = Array.length qs in
+    let keys = Array.make nq "" in
+    sharded (domains_for b nq) nq (fun (lo, hi) ->
         for i = lo to hi - 1 do
-          keys.(i) <- resolve t b qarr.(i)
-        done
-      in
-      let rd = domains_for nq in
-      if rd <= 1 then resolve_range (0, nq)
-      else
-        ignore
-          (Parallel.map ~domains:rd resolve_range
-             (List.init rd (fun s -> (s * nq / rd, (s + 1) * nq / rd))));
-      (* 2. memo lookup + dedup, on the calling domain only.  Each query
-         records the miss slot it maps to ([miss_of_query]) so the final
-         fill needs no second round of string hashing. *)
-      let hits = Array.make nq None in
-      let miss_of_query = Array.make nq (-1) in
-      let miss_index = Hashtbl.create (2 * nq) in
-      let order = ref [] in
-      let count = ref 0 in
+          keys.(i) <- resolve t b qs.(i)
+        done);
+    Some keys
+
+(* 4. Replies to the queries [qs.(i)] for [i] in [miss], in [miss]
+   order.  A function oracle answers a [query] with [fn] and a
+   [query_batch] with its [batch], or [fn] per miss without one. *)
+let evaluate t ~scalar qs keys miss =
+  let n_miss = Array.length miss in
+  match (t.backend, keys) with
+  | Net b, Some keys ->
+    let misses = Array.map (Array.get keys) miss in
+    let computed = Array.make n_miss [] in
+    let ed = domains_for b n_miss in
+    if ed > 1 then begin
+      Obs.Metrics.incr m_shard_batches;
+      Obs.Metrics.add m_shard_jobs ed
+    end;
+    sharded ed n_miss (fun (lo, hi) ->
+        let scratch =
+          if ed > 1 then Netlist.Engine.create_scratch b.eng else b.sc
+        in
+        process_lanes b scratch misses ~lane_lo:lo ~lane_hi:hi computed);
+    computed
+  | Net _, None -> assert false (* a netlist query always has a key *)
+  | Fn fb, _ ->
+    let mqs = List.init n_miss (fun mi -> qs.(miss.(mi))) in
+    let rs =
+      match fb.fn_batch with
+      | Some bf when not scalar -> bf mqs
+      | _ -> List.map fb.fn mqs
+    in
+    if List.length rs <> n_miss then
+      invalid_arg "Oracle: batch backend returned a result list of wrong size";
+    Array.of_list rs
+
+let answer t ~scalar qs =
+  let nq = Array.length qs in
+  let keys = keys t qs in
+  (* 2. memo hits go straight into [replies]; every other query records
+     in [slot] the distinct miss it maps to, and [miss] lists each
+     distinct miss's first query *)
+  let replies = Array.make nq [] in
+  let slot = Array.make nq (-1) in
+  let miss =
+    match keys with
+    | None ->
+      Array.iteri (fun i _ -> slot.(i) <- i) slot;
+      Array.init nq Fun.id
+    | Some keys ->
+      let index = Hashtbl.create (2 * nq) in
+      let order = ref [] and count = ref 0 in
       Array.iteri
         (fun i key ->
           match memo_find t key with
-          | Some r -> hits.(i) <- Some r
+          | Some r -> replies.(i) <- r
           | None -> (
-            match Hashtbl.find_opt miss_index key with
-            | Some mi -> miss_of_query.(i) <- mi
+            match Hashtbl.find_opt index key with
+            | Some mi -> slot.(i) <- mi
             | None ->
-              Hashtbl.replace miss_index key !count;
-              miss_of_query.(i) <- !count;
-              order := key :: !order;
+              Hashtbl.replace index key !count;
+              slot.(i) <- !count;
+              order := i :: !order;
               incr count))
         keys;
-      let misses = Array.of_list (List.rev !order) in
-      let n_miss = Array.length misses in
-      let computed = Array.make (max 1 n_miss) [] in
-      if n_miss > 0 then begin
-        (* 3. every real evaluation is charged before any engine work, so
-           a budget cap trips without wasting a partial parallel pass *)
-        charge t n_miss;
-        (* 4. evaluate + build responses, sharded over lane ranges *)
-        let ed = domains_for n_miss in
-        if ed <= 1 then
-          process_lanes b b.sc misses ~lane_lo:0 ~lane_hi:n_miss computed
-        else begin
-          Obs.Metrics.incr m_shard_batches;
-          Obs.Metrics.add m_shard_jobs ed;
-          ignore
-            (Parallel.map ~domains:ed
-               (fun (lo, hi) ->
-                 let scratch = Netlist.Engine.create_scratch b.eng in
-                 process_lanes b scratch misses ~lane_lo:lo ~lane_hi:hi
-                   computed)
-               (List.init ed (fun s ->
-                    (s * n_miss / ed, (s + 1) * n_miss / ed))))
-        end;
-        (* 5. memo writes, on the calling domain only *)
-        if t.memo <> None then
-          Array.iteri (fun mi r -> memo_add t misses.(mi) r) computed
-      end;
-      List.init nq (fun i ->
-          match hits.(i) with
-          | Some r -> r
-          | None -> computed.(miss_of_query.(i)))
-    end
+      Array.of_list (List.rev !order)
+  in
+  if Array.length miss > 0 then begin
+    (* 3. charged before any evaluation, so a budget cap trips without
+       a wasted (possibly parallel) pass *)
+    charge t (Array.length miss);
+    let computed = evaluate t ~scalar qs keys miss in
+    (* 5. memo writes, on the calling domain only *)
+    Option.iter
+      (fun keys ->
+        Array.iteri (fun mi r -> memo_add t keys.(miss.(mi)) r) computed)
+      keys;
+    Array.iteri (fun i mi -> if mi >= 0 then replies.(i) <- computed.(mi)) slot
+  end;
+  replies
+
+let query t q = (answer t ~scalar:true [| q |]).(0)
+
+let query_batch t qs =
+  Array.to_list (answer t ~scalar:false (Array.of_list qs))
 
 let differs net ~missing =
   let outs = Netlist.outputs net in

@@ -6,7 +6,8 @@
 
     - {b query counting}: AppSAT and the SAT attack define their cost in
       oracle queries; {!queries} reports real evaluations, with memo
-      hits tracked separately ({!memo_hits}).
+      hits tracked separately ({!memo_hits}).  A batch the budget
+      refuses is never evaluated and never counted.
     - {b memoization}: repeated queries (DIP re-checks, verify samples)
       hit a canonical-form cache instead of re-simulating — and do not
       recount.
@@ -26,23 +27,30 @@
     does not mention — ordinary primary inputs {e and} the [ppi_*]
     pseudo-inputs standing in for flip-flops whose initial state the
     source netlist leaves undefined — reads as a deterministic [false].
-    The same rule applies on both the scalar ({!query}) and batched
-    ({!query_batch}) paths, and a relaxed query therefore shares its
-    memo entry with the equivalent strict query that names those pins
-    [false] explicitly.  Defaulted reads are never silent: each one is
-    counted in the [oracle.partial_defaults] metric (see [Obs.Metrics]),
-    so a run that leaned on the default is distinguishable from one that
-    pinned every pin.
+    {!query} and {!query_batch} share one path, so the rule is the same
+    for both, and a relaxed query shares its memo entry with the
+    equivalent strict query that names those pins [false] explicitly.
+    Defaulted reads are never silent: each one is counted in the
+    [oracle.partial_defaults] metric (see [Obs.Metrics]), so a run that
+    leaned on the default is distinguishable from one that pinned every
+    pin.
 
-    Every evaluation goes through {!Netlist.Engine.eval_block}: a single
-    query is lane 0 of a one-word block, and batched queries
-    ({!query_batch}) bit-transpose distinct memo misses into blocks of
-    8 words (504 stimulus lanes on 64-bit hosts), each block evaluated
-    in one pass over the compiled instruction stream, and
-    on large engines pending blocks are sharded across a bounded domain
-    pool ({!Parallel.map} semantics — nested use degrades to sequential).
+    {b One query path.}  {!query} runs {!query_batch}'s pipeline on one
+    query.  Both (1) compute canonical keys (none for a function oracle without a
+    memo, where every query is a miss), (2) answer memo hits and
+    deduplicate the misses within the call, (3) charge the distinct
+    misses in one go before any of them is evaluated, (4) evaluate the
+    misses, (5) write them back to the memo, and return the replies in
+    request order.  A netlist oracle evaluates through
+    {!Netlist.Engine.eval_block}: the misses are bit-transposed into
+    blocks of 8 words (504 stimulus lanes on 64-bit hosts), so a single
+    query is lane 0 of a one-word block, and on large engines key
+    resolution and evaluation are sharded across a bounded domain pool
+    ({!Parallel.map} semantics — nested use degrades to sequential).
     This is the fast path for sampling workloads (brute force, AppSAT
-    error estimation, removal-equivalence checks, [verify_key]). *)
+    error estimation, removal-equivalence checks, [verify_key]).  A
+    function oracle answers {!query} with its [fn] and {!query_batch}
+    with its [batch] (one [fn] call per miss when it has none). *)
 
 type t
 
@@ -78,12 +86,13 @@ val of_netlist :
     possible; [fn] must be deterministic if [memo] is on (default).
     [memo_cap] bounds the memo as in {!of_netlist}.
 
-    When [batch] is given, {!query_batch} routes through it instead of
-    falling back to scalar [fn] calls: memo misses are deduplicated on
-    their canonical keys and shipped in one [batch] call (which must
-    return exactly one result per query, in order), so a transport that
-    can pack many queries per round trip — like {!Remote_oracle} — gets
-    word-at-a-time batching end to end. *)
+    {!query} calls [fn].  {!query_batch} deduplicates its memo misses
+    on their canonical keys (on every query of the call when [memo] is
+    off) and ships them in one [batch] call, which must return exactly
+    one result per query, in order, so a transport that can pack many
+    queries per round trip — like {!Remote_oracle} — gets
+    word-at-a-time batching end to end.  Without [batch] it calls [fn]
+    once per miss, after charging them all. *)
 val of_fn :
   ?memo:bool ->
   ?memo_cap:int ->
@@ -100,9 +109,11 @@ val query : t -> (string * bool) list -> (string * bool) list
 (** [query_batch t qs] evaluates all of [qs] — duplicate and memoized
     vectors cost nothing; distinct misses are packed 8 words of lanes
     per engine pass and sharded across domains on large engines.
-    Results are in request order.  The whole batch of misses is charged
-    to the budget {e before} evaluation starts, so [Budget.Exhausted]
-    trips without a partial parallel pass. *)
+    Results are in request order, even when a capped memo evicts some
+    of them within the call.  The whole batch of misses is charged to
+    the budget {e before} evaluation starts, so [Budget.Exhausted]
+    trips without a partial parallel pass, and a refused batch adds
+    nothing to {!queries}. *)
 val query_batch :
   t -> (string * bool) list list -> (string * bool) list list
 
@@ -130,7 +141,8 @@ val differs :
   (string * bool) list ->
   bool
 
-(** Real evaluations performed (memo hits excluded). *)
+(** Real evaluations performed (memo hits and refused batches
+    excluded). *)
 val queries : t -> int
 
 (** Queries answered from the memo. *)

@@ -13,12 +13,13 @@ let is_digest s =
 (* 8-byte magic, then fixed 32-byte entries: 16 raw bytes of the id MD5
    followed by 16 raw bytes of the object MD5.  Append-only; duplicate
    ids resolve last-wins; a trailing partial entry (a torn append) is
-   ignored on load and repaired by fsck. *)
+   ignored on load, cut before the next append and repaired by fsck. *)
 type entries = {
   e_path : string;
   e_tbl : (string, string) Hashtbl.t;
   mutable e_rev_order : string list;  (* ids, first-seen order, reversed *)
   mutable e_oc : out_channel option;
+  mutable e_whole : bool;  (* the file is known to end on an entry *)
 }
 
 let parse_entries bytes tbl rev_order =
@@ -64,7 +65,25 @@ let open_entries ~rw path =
               0o644))
     else None
   in
-  { e_path = path; e_tbl = tbl; e_rev_order = !rev_order; e_oc = oc }
+  {
+    e_path = path;
+    e_tbl = tbl;
+    e_rev_order = !rev_order;
+    e_oc = oc;
+    e_whole = false;
+  }
+
+(* Cut the bytes past the last whole entry, so an append after a torn
+   one lands on an entry boundary.  Done before a file's first append
+   after opening, not at open, so a torn tail stays in place for fsck
+   to report until something is appended. *)
+let cut_torn_tail oc =
+  let fd = Unix.descr_of_out_channel oc in
+  let size = (Unix.fstat fd).Unix.st_size in
+  if size > 8 then begin
+    let whole = 8 + ((size - 8) / entry_size * entry_size) in
+    if whole < size then Unix.ftruncate fd whole
+  end
 
 let entries_add ~sync e ~id ~digest =
   let oc =
@@ -72,6 +91,10 @@ let entries_add ~sync e ~id ~digest =
     | Some oc -> oc
     | None -> invalid_arg "Cas: append to a read-only entry file"
   in
+  if not e.e_whole then begin
+    cut_torn_tail oc;
+    e.e_whole <- true
+  end;
   let raw = Digest.from_hex id ^ Digest.from_hex digest in
   output_string oc raw;
   flush oc;
@@ -102,6 +125,7 @@ let entries_rewrite ~sync e kept =
       Buffer.add_string buf (Digest.from_hex dg))
     kept;
   Fs.write_atomic ~sync ~path:e.e_path (Buffer.contents buf);
+  e.e_whole <- true;
   Hashtbl.reset e.e_tbl;
   e.e_rev_order <- [];
   List.iter

@@ -369,6 +369,56 @@ let test_cas_torn_index () =
     "entry survives the repair" (Some digest) (Cas.index_lookup cas id);
   Cas.close cas
 
+(* A torn tail is cut before the next append: an entry appended after
+   reopening reads back whole from index.bin and from a manifest, and
+   fsck finds nothing to repair. *)
+let test_cas_append_after_torn_tail () =
+  let parent = fresh_parent () in
+  Fs.mkdir_p parent;
+  let root = Filename.concat parent "store" in
+  let tear path =
+    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+    output_string oc "torn!!!";
+    close_out oc
+  in
+  let id1 = Campaign_job.id (attack_spec ~seed:1 ()) in
+  let id2 = Campaign_job.id (attack_spec ~seed:2 ()) in
+  let cas = Cas.open_ root in
+  let d1 = Cas.put_record cas (Cjson.Obj [ ("v", Cjson.Int 1) ]) in
+  let d2 = Cas.put_record cas (Cjson.Obj [ ("v", Cjson.Int 2) ]) in
+  let m = Cas.manifest cas ~name:"m" ~dir:parent in
+  Cas.index_add cas ~id:id1 ~digest:d1;
+  Cas.manifest_add m ~id:id1 ~digest:d1;
+  Cas.manifest_close m;
+  Cas.close cas;
+  tear (Filename.concat root "index.bin");
+  tear (Filename.concat root (Filename.concat "manifests" "m.idx"));
+  let cas = Cas.open_ root in
+  let m = Cas.manifest cas ~name:"m" ~dir:parent in
+  Cas.index_add cas ~id:id2 ~digest:d2;
+  Cas.manifest_add m ~id:id2 ~digest:d2;
+  Cas.manifest_close m;
+  Cas.close cas;
+  let cas = Cas.open_ root in
+  let m = Cas.manifest cas ~name:"m" ~dir:parent in
+  Alcotest.(check (list (pair string string)))
+    "manifest reads both entries"
+    [ (id1, d1); (id2, d2) ]
+    (Cas.manifest_entries m);
+  Cas.manifest_close m;
+  Alcotest.(check (option string))
+    "index reads the first entry" (Some d1) (Cas.index_lookup cas id1);
+  Alcotest.(check (option string))
+    "index reads the appended entry" (Some d2) (Cas.index_lookup cas id2);
+  Alcotest.(check int) "index holds two entries" 2 (Cas.index_size cas);
+  let f = Cas.fsck cas in
+  Alcotest.(check int) "no torn bytes left" 0 f.Cas.f_index_torn_bytes;
+  Alcotest.(check int) "no index entry dropped" 0 f.Cas.f_index_dropped;
+  Alcotest.(check bool) "no manifest entry dropped" true
+    (f.Cas.f_manifest_dropped = []);
+  Alcotest.(check bool) "fsck clean" true f.Cas.f_ok;
+  Cas.close cas
+
 let test_cas_fsck_corruption () =
   let parent = fresh_parent () in
   Fs.mkdir_p parent;
@@ -803,6 +853,7 @@ let suites =
       [
         tc "objects and blob sharing" `Quick test_cas_objects;
         tc "torn index tolerated and repaired" `Quick test_cas_torn_index;
+        tc "append after a torn tail" `Quick test_cas_append_after_torn_tail;
         tc "corruption quarantined" `Quick test_cas_fsck_corruption;
         tc "gc and fsck at 10k objects" `Slow test_store_gc_fsck_scale;
       ] );

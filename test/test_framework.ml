@@ -59,6 +59,17 @@ let test_budget_deadline () =
 
 (* ----- Oracle ----- *)
 
+(* The chip's reply to [q] by the naive reference walk, independent of
+   the engine: unnamed sources read false, a repeated name last-wins. *)
+let reference_query net q =
+  let value = Hashtbl.of_seq (List.to_seq q) in
+  let values =
+    Ref_sim.eval_comb net (fun id ->
+        Option.value ~default:false
+          (Hashtbl.find_opt value (Netlist.node net id).Netlist.name))
+  in
+  List.map (fun (po, d) -> (po, values.(d))) (Netlist.outputs net)
+
 let test_oracle_memo_and_counts () =
   let comb = comb_circuit 60 in
   let o = Oracle.of_netlist comb in
@@ -112,7 +123,9 @@ let test_oracle_batch_equals_scalar () =
   List.iter2
     (fun dip r ->
       if Oracle.query scalar dip <> r then
-        Alcotest.fail "batched response differs from scalar evaluation")
+        Alcotest.fail "batched response differs from scalar evaluation";
+      if r <> reference_query comb dip then
+        Alcotest.fail "batched response differs from Ref_sim")
     dips rs
 
 let test_oracle_memo_cap () =
@@ -160,6 +173,110 @@ let test_oracle_fn_key_memo () =
   Alcotest.(check int) "distinct name set evaluated" 3 !calls;
   Alcotest.(check int) "real evals counted" 3 (Oracle.queries o)
 
+(* [query q] runs [query_batch [q]]'s pipeline: over a sequence with
+   repeats and a two-entry memo, an oracle asked one way and its twin
+   asked the other give the same reply and the same counters after every
+   step, for each backend with the memo on and off.  A function oracle
+   answers [query] with [fn] and [query_batch] with its [batch]. *)
+let test_oracle_one_path () =
+  let comb = comb_circuit 67 in
+  let names = Oracle.input_names (Oracle.of_netlist comb) in
+  let vec i = List.mapi (fun j n -> (n, (i lsr j) land 1 = 1)) names in
+  (* the relaxed oracle's queries leave the last source unnamed *)
+  let short i = List.filteri (fun j _ -> j < List.length names - 1) (vec i) in
+  let fn_calls = ref 0 and batch_calls = ref 0 in
+  let fn q =
+    incr fn_calls;
+    reference_query comb q
+  in
+  let batch qs =
+    incr batch_calls;
+    List.map (reference_query comb) qs
+  in
+  let cap memo = if memo then Some 2 else None in
+  let cases =
+    [
+      ( "netlist",
+        vec,
+        fun memo -> Oracle.of_netlist ~memo ?memo_cap:(cap memo) comb );
+      ( "partial netlist",
+        short,
+        fun memo ->
+          Oracle.of_netlist ~partial:true ~memo ?memo_cap:(cap memo) comb );
+      ("of_fn", vec, fun memo -> Oracle.of_fn ~memo ?memo_cap:(cap memo) fn);
+      ( "of_fn ~batch",
+        vec,
+        fun memo -> Oracle.of_fn ~memo ?memo_cap:(cap memo) ~batch fn );
+    ]
+  in
+  let counters o =
+    (Oracle.queries o, Oracle.memo_hits o, Oracle.memo_evictions o)
+  in
+  let calls f =
+    let f0 = !fn_calls and b0 = !batch_calls in
+    let r = f () in
+    (r, (!fn_calls - f0, !batch_calls - b0))
+  in
+  List.iter
+    (fun (name, vec, mk) ->
+      List.iter
+        (fun memo ->
+          let one = mk memo and many = mk memo in
+          List.iteri
+            (fun step i ->
+              let what = Printf.sprintf "%s memo=%b step %d" name memo step in
+              let q = vec i in
+              let misses = Oracle.queries one in
+              let r, one_calls = calls (fun () -> Oracle.query one q) in
+              let misses = Oracle.queries one - misses in
+              let rs, many_calls =
+                calls (fun () -> Oracle.query_batch many [ q ])
+              in
+              Alcotest.(check bool) (what ^ ": reply = Ref_sim") true
+                (r = reference_query comb q);
+              Alcotest.(check bool) (what ^ ": same reply") true (rs = [ r ]);
+              Alcotest.(check (triple int int int))
+                (what ^ ": same counters") (counters one) (counters many);
+              if name = "of_fn ~batch" then begin
+                Alcotest.(check (pair int int))
+                  (what ^ ": query calls fn") (misses, 0) one_calls;
+                Alcotest.(check (pair int int))
+                  (what ^ ": query_batch calls batch") (0, misses) many_calls
+              end)
+            [ 0; 1; 0; 2; 3; 1; 0; 4; 4; 2 ];
+          (* FIFO over two entries: 8 misses, 2 hits, 6 evictions *)
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s memo=%b totals" name memo)
+            (if memo then (8, 2, 6) else (10, 0, 0))
+            (counters one))
+        [ true; false ])
+    cases
+
+(* A batch-less function oracle deduplicates within a batch: the
+   repeated query is neither evaluated again nor counted as a memo hit,
+   and both misses are charged before [fn] runs. *)
+let test_oracle_fn_batchless_dedup () =
+  let budget = Budget.create () in
+  let charged_at_calls = ref [] in
+  let fn q =
+    charged_at_calls := Budget.queries budget :: !charged_at_calls;
+    [ ("y", List.exists snd q) ]
+  in
+  let o = Oracle.with_budget budget (Oracle.of_fn fn) in
+  let q0 = [ ("a", true); ("b", false) ] in
+  let q1 = [ ("a", false); ("b", false) ] in
+  let rs = Oracle.query_batch o [ q0; q0; q1 ] in
+  Alcotest.(check (list (list (pair string bool))))
+    "replies in request order"
+    [ [ ("y", true) ]; [ ("y", true) ]; [ ("y", false) ] ]
+    rs;
+  Alcotest.(check int) "one fn call per distinct query" 2
+    (List.length !charged_at_calls);
+  Alcotest.(check int) "distinct queries charged" 2 (Oracle.queries o);
+  Alcotest.(check int) "no memo hit" 0 (Oracle.memo_hits o);
+  Alcotest.(check (list int)) "both charged before the first fn call"
+    [ 2; 2 ] !charged_at_calls
+
 (* forced shard counts must not change results, counters, or ordering.
    4200 queries make 1, 2 and 4 shards of 4200, 2100 and 1050 lanes:
    each crosses at least two 504-lane block boundaries and ends on a
@@ -174,6 +291,8 @@ let test_oracle_sharded_batch () =
         List.map (fun n -> (n, Random.State.bool rng)) names)
   in
   let expect = List.map (Oracle.query scalar) dips in
+  Alcotest.(check bool) "scalar = Ref_sim" true
+    (List.for_all2 (fun dip r -> r = reference_query comb dip) dips expect);
   List.iter
     (fun shards ->
       let o = Oracle.of_netlist ~shards comb in
@@ -275,16 +394,19 @@ let test_registry_query_cap () =
   in
   match o.Attack.verdict with
   | Attack.Out_of_budget Budget.Queries ->
-    Alcotest.(check bool) "queries telemetry at/over cap" true
-      (o.Attack.queries >= 3)
+    (* the first key's verification batch crosses the cap: the budget
+       saw it, the oracle never evaluated it *)
+    Alcotest.(check int) "refused batch not counted" 0 o.Attack.queries;
+    Alcotest.(check bool) "budget charged at/over cap" true
+      (Budget.queries budget >= 3)
   | v -> Alcotest.fail ("expected out_of_budget_queries, got "
                         ^ Attack.verdict_name v)
 
 (* [Attack.run] binds its budget to the oracle itself: a query cap trips
    although the caller built the oracle without one (the CLI's
    [--max-queries] path).  The SAT attack stops at the DIP query that
-   crosses the cap; brute force charges its first key's 64 verification
-   samples as one batch. *)
+   crosses the cap, after 3 counted ones; brute force's first key's 64
+   verification samples are one batch, refused whole, so it counts none. *)
 let test_registry_query_cap_binds () =
   let comb =
     Generator.generate
@@ -312,7 +434,7 @@ let test_registry_query_cap_binds () =
       Alcotest.(check string) (name ^ " verdict") "out_of_budget_queries"
         (Attack.verdict_name o.Attack.verdict);
       Alcotest.(check int) (name ^ " queries") queries o.Attack.queries)
-    [ ("sat", 20, 4); ("brute", 10, 64) ]
+    [ ("sat", 20, 3); ("brute", 10, 0) ]
 
 let test_registry_none_baseline () =
   let comb = comb_circuit 66 in
@@ -357,6 +479,10 @@ let suites =
           test_oracle_sharded_batch;
         Alcotest.test_case "batch = scalar" `Quick
           test_oracle_batch_equals_scalar;
+        Alcotest.test_case "query = query_batch of one" `Quick
+          test_oracle_one_path;
+        Alcotest.test_case "batch-less of_fn dedups a batch" `Quick
+          test_oracle_fn_batchless_dedup;
       ] );
     ( "framework.registry",
       [

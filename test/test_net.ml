@@ -305,6 +305,33 @@ let test_fn_batch_no_memo () =
   Alcotest.(check int) "every scalar query hits the wire" 2 !scalar_calls;
   Alcotest.(check int) "and is charged" 6 (Oracle.queries o)
 
+(* Replies are reassembled from the evaluated batch, not re-read from
+   the memo: three distinct misses under a one-entry memo take one
+   [batch] call and no [fn] call, although writing them back evicts two
+   of them at once. *)
+let test_fn_batch_capped_memo () =
+  let scalar_calls = ref 0 and batch_calls = ref 0 in
+  let eval q = [ ("y", List.exists snd q) ] in
+  let o =
+    Oracle.of_fn ~memo_cap:1
+      ~batch:(fun qs ->
+        incr batch_calls;
+        List.map eval qs)
+      (fun q ->
+        incr scalar_calls;
+        eval q)
+  in
+  let q i = [ ("a", i = 1); ("b", i = 2) ] in
+  let rs = Oracle.query_batch o [ q 0; q 1; q 2 ] in
+  Alcotest.(check (list (list (pair string bool))))
+    "responses in request order"
+    [ [ ("y", false) ]; [ ("y", true) ]; [ ("y", true) ] ]
+    rs;
+  Alcotest.(check int) "one wire batch" 1 !batch_calls;
+  Alcotest.(check int) "no scalar call" 0 !scalar_calls;
+  Alcotest.(check int) "three queries charged" 3 (Oracle.queries o);
+  Alcotest.(check int) "two evictions" 2 (Oracle.memo_evictions o)
+
 (* ----- in-process daemon harness ----- *)
 
 let socket_path () =
@@ -981,6 +1008,8 @@ let suites =
       [
         tc "of_fn batch dedups and memoizes" `Quick test_fn_batch_dedup;
         tc "of_fn batch without memo" `Quick test_fn_batch_no_memo;
+        tc "of_fn batch under a one-entry memo" `Quick
+          test_fn_batch_capped_memo;
       ] );
     ( "net-daemon",
       [

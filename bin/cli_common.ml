@@ -87,11 +87,6 @@ let serve_term =
     let doc = "Disable the server-side oracle memo (every query evaluates)." in
     Arg.(value & flag & info [ "no-memo" ] ~doc)
   in
-  let strict_arg =
-    let doc = "Reject assignments naming unknown pins instead of reading \
-               undriven pins as 0." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
   let tcp_shutdown_arg =
     let doc = "Honor shutdown frames on a TCP listener (off by default: \
                any host that can reach the port could kill the daemon; \
@@ -113,7 +108,7 @@ let serve_term =
       & opt float Gkd_server.default_config.Gkd_server.metrics_interval_s
       & info [ "metrics-interval" ] ~docv:"S" ~doc)
   in
-  let run listen designs max_queries deadline flush_delay no_memo strict
+  let run listen designs max_queries deadline flush_delay no_memo
       tcp_shutdown metrics_out metrics_interval =
     let addr = parse_listen listen in
     let designs =
@@ -130,7 +125,6 @@ let serve_term =
         max_queries_per_client = max_queries;
         client_deadline_s = deadline;
         oracle_memo = not no_memo;
-        strict_queries = strict;
         allow_tcp_shutdown = tcp_shutdown;
         metrics_out;
         metrics_interval_s = metrics_interval;
@@ -152,5 +146,4 @@ let serve_term =
   in
   Term.(
     const run $ listen_arg $ designs_arg $ max_queries_arg $ deadline_arg
-    $ flush_delay_arg $ no_memo_arg $ strict_arg
-    $ tcp_shutdown_arg $ metrics_out_arg $ metrics_interval_arg)
+    $ flush_delay_arg $ no_memo_arg $ tcp_shutdown_arg $ metrics_out_arg $ metrics_interval_arg)

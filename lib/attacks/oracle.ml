@@ -18,28 +18,45 @@ type stats = {
    [cap] entries are resident.  [fifo] mirrors the table's keys in
    insertion order exactly — a key is queued when inserted and dequeued
    only when evicted — so eviction is O(1). *)
-type memo = {
-  tbl : (string, (string * bool) list) Hashtbl.t;
+type 'r memo = {
+  tbl : (string, 'r) Hashtbl.t;
   fifo : string Queue.t;
   cap : int;  (* max_int = unbounded *)
 }
 
-type net_backend = {
-  net : Netlist.t;
+(* A netlist compiled for evaluation. *)
+type engine_chip = {
   eng : Netlist.Engine.engine;
   sc : Netlist.Engine.scratch;  (* calling-domain scratch *)
-  src_names : string array;  (* source i is engine slot i *)
-  idx_of_name : (string, int) Hashtbl.t;
   out_slots : int array;  (* driver slot per output, engine slot space *)
-  (* the only two possible response entries per output, preallocated and
-     shared by every response list — responses are immutable, so a query
-     allocates cons cells only, halving the per-query garbage *)
-  out_t : (string * bool) array;
-  out_f : (string * bool) array;
   shards : int option;  (* forced shard count; None = size-gated auto *)
 }
 
-(* Canonical-key state for black-box oracles: the distinct sorted name
+(* What answers a positional oracle's misses: a query and its reply are
+   packed bits ([Bitpack]), inputs in [in_names] order and outputs in
+   [out_t] order. *)
+type chip =
+  | Engine of engine_chip
+  | Black_box of {
+      one : string -> string;
+      many : string array -> string array;
+    }
+
+type pos = {
+  what : string;  (* "netlist s27", for messages *)
+  relax_with : string;  (* how to relax it, for messages *)
+  in_names : string array;
+  idx_of_name : (string, int) Hashtbl.t;
+  (* the only two possible entries per output of a named reply,
+     preallocated and shared by every reply — replies are immutable, so
+     unpacking one allocates cons cells only *)
+  out_t : (string * bool) array;
+  out_f : (string * bool) array;
+  chip : chip;
+  pmemo : string memo option;  (* packed inputs -> packed outputs *)
+}
+
+(* Canonical-key state for named black boxes: the distinct sorted name
    sets seen so far, each with a prebuilt name -> position index.  A
    query is resolved against a known set in O(n) lookups instead of the
    per-query sort + string concatenation the old fn_key paid. *)
@@ -55,17 +72,17 @@ type fn_backend = {
     ((string * bool) list list -> (string * bool) list list) option;
   mutable fn_sets : fn_set list;
   mutable fn_next_id : int;
+  fmemo : (string * bool) list memo option;
 }
 
 type backend =
-  | Net of net_backend
+  | Pos of pos
   | Fn of fn_backend
 
 type t = {
   backend : backend;
   partial : bool;
   budget : Budget.t option;
-  memo : memo option;
   stats : stats;
 }
 
@@ -92,50 +109,74 @@ let mk_memo memo memo_cap =
         cap = (match memo_cap with Some c -> c | None -> max_int);
       }
 
+let mk_stats () = { evals = 0; hits = 0; evictions = 0 }
+
+let positional ~partial ~what ~relax_with ~inputs ~outputs ~memo chip =
+  let idx_of_name = Hashtbl.create (2 * Array.length inputs) in
+  Array.iteri (fun i n -> Hashtbl.replace idx_of_name n i) inputs;
+  {
+    backend =
+      Pos
+        {
+          what;
+          relax_with;
+          in_names = inputs;
+          idx_of_name;
+          out_t = Array.map (fun n -> (n, true)) outputs;
+          out_f = Array.map (fun n -> (n, false)) outputs;
+          chip;
+          pmemo = memo;
+        };
+    partial;
+    budget = None;
+    stats = mk_stats ();
+  }
+
 let of_netlist ?(partial = false) ?(memo = true) ?memo_cap ?shards net =
   (match shards with
   | Some s when s < 1 -> invalid_arg "Oracle.of_netlist: shards must be >= 1"
   | _ -> ());
+  let memo = mk_memo memo memo_cap in
   let eng = Netlist.Engine.get net in
-  let srcs = Netlist.Engine.sources eng in
-  let src_names =
-    Array.map (fun id -> (Netlist.node net id).Netlist.name) srcs
-  in
-  let idx_of_name = Hashtbl.create (2 * Array.length srcs) in
-  Array.iteri (fun i n -> Hashtbl.replace idx_of_name n i) src_names;
   let outs = Netlist.outputs net in
   let slot_of_id = Netlist.Engine.slot_of_id eng in
-  let out_names = Array.of_list (List.map fst outs) in
-  let out_slots =
-    Array.of_list (List.map (fun (_, d) -> slot_of_id.(d)) outs)
-  in
-  {
-    backend =
-      Net
-        {
-          net;
-          eng;
-          sc = Netlist.Engine.create_scratch eng;
-          src_names;
-          idx_of_name;
-          out_slots;
-          out_t = Array.map (fun n -> (n, true)) out_names;
-          out_f = Array.map (fun n -> (n, false)) out_names;
-          shards;
-        };
-    partial;
-    budget = None;
-    memo = mk_memo memo memo_cap;
-    stats = { evals = 0; hits = 0; evictions = 0 };
-  }
+  positional ~partial ~what:("netlist " ^ Netlist.name net)
+    ~relax_with:"~partial:true"
+    ~inputs:
+      (Array.map
+         (fun id -> (Netlist.node net id).Netlist.name)
+         (Netlist.Engine.sources eng))
+    ~outputs:(Array.of_list (List.map fst outs))
+    ~memo
+    (Engine
+       {
+         eng;
+         sc = Netlist.Engine.create_scratch eng;
+         out_slots =
+           Array.of_list (List.map (fun (_, d) -> slot_of_id.(d)) outs);
+         shards;
+       })
+
+let of_packed ?(memo = true) ?memo_cap ~name ~inputs ~outputs ~batch fn =
+  positional ~partial:false ~what:name ~relax_with:"Oracle.relax"
+    ~inputs:(Array.of_list inputs) ~outputs:(Array.of_list outputs)
+    ~memo:(mk_memo memo memo_cap)
+    (Black_box { one = fn; many = batch })
 
 let of_fn ?(memo = true) ?memo_cap ?batch fn =
   {
-    backend = Fn { fn; fn_batch = batch; fn_sets = []; fn_next_id = 0 };
+    backend =
+      Fn
+        {
+          fn;
+          fn_batch = batch;
+          fn_sets = [];
+          fn_next_id = 0;
+          fmemo = mk_memo memo memo_cap;
+        };
     partial = true;
     budget = None;
-    memo = mk_memo memo memo_cap;
-    stats = { evals = 0; hits = 0; evictions = 0 };
+    stats = mk_stats ();
   }
 
 let relax t = { t with partial = true }
@@ -146,15 +187,18 @@ let memo_evictions t = t.stats.evictions
 
 let input_names t =
   match t.backend with
-  | Net b -> Array.to_list b.src_names
+  | Pos p -> Array.to_list p.in_names
   | Fn _ -> []
 
-(* Canonical memo key: one char per source in id order, so two queries
-   that resolve to the same effective assignment share an entry whatever
-   order (or duplicates) the caller listed the pins in. *)
-let resolve t b q =
-  let n = Array.length b.src_names in
-  let vals = Bytes.make n '0' in
+(* ----- the named edge of a positional oracle ----- *)
+
+(* A named query's packed input bits, which are also its memo key: two
+   queries that resolve to the same effective assignment share an entry
+   whatever order (or duplicates, last one wins) the caller listed the
+   pins in. *)
+let resolve t p q =
+  let n = Array.length p.in_names in
+  let vals = Bytes.make (Bitpack.bytes n) '\000' in
   (* [seen] is tracked even in partial mode so defaulted reads are
      counted rather than silently folded into the key: a relaxed query
      that omits an FF pseudo-input (whose init is undefined in the
@@ -169,23 +213,26 @@ let resolve t b q =
     (fun (name, v) ->
       let i =
         let g = !next in
-        if g < n && String.equal (Array.unsafe_get b.src_names g) name then g
+        if g < n && String.equal (Array.unsafe_get p.in_names g) name then g
         else
-          match Hashtbl.find_opt b.idx_of_name name with
+          match Hashtbl.find_opt p.idx_of_name name with
           | Some i -> i
           | None -> -1
       in
       if i >= 0 then begin
         next := i + 1;
-        Bytes.unsafe_set vals i (if v then '1' else '0');
+        let byte = i lsr 3 and m = 1 lsl (i land 7) in
+        let c = Char.code (Bytes.unsafe_get vals byte) in
+        Bytes.unsafe_set vals byte
+          (Char.unsafe_chr (if v then c lor m else c land lnot m));
         Bytes.unsafe_set seen i '\001'
       end
       else if not t.partial then
         invalid_arg
           (Printf.sprintf
-             "Oracle.query: unknown input %S for netlist %s (use \
-              ~partial:true to ignore stray names)"
-             name (Netlist.name b.net)))
+             "Oracle.query: unknown input %S for %s (use %s to ignore stray \
+              names)"
+             name p.what p.relax_with))
     q;
   if t.partial then begin
     let defaulted = ref 0 in
@@ -199,13 +246,25 @@ let resolve t b q =
       if Bytes.get seen i = '\000' then
         invalid_arg
           (Printf.sprintf
-             "Oracle.query: no value for input %S of netlist %s (use \
-              ~partial:true to read missing inputs as false)"
-             b.src_names.(i) (Netlist.name b.net))
+             "Oracle.query: no value for input %S of %s (use %s to read \
+              missing inputs as false)"
+             p.in_names.(i) p.what p.relax_with)
     done;
   Bytes.unsafe_to_string vals
 
-(* Canonical key for a black-box oracle: the query's effective
+(* A packed reply as a named one, in output order. *)
+let unpack p r =
+  let l = ref [] in
+  for oi = Array.length p.out_t - 1 downto 0 do
+    l :=
+      (if Char.code (String.unsafe_get r (oi lsr 3)) land (1 lsl (oi land 7)) <> 0
+       then Array.unsafe_get p.out_t oi
+       else Array.unsafe_get p.out_f oi)
+      :: !l
+  done;
+  !l
+
+(* Canonical key for a named black box: the query's effective
    assignment in sorted-name order (duplicates last-wins), prefixed by
    the id of its name set.  The sorted order is computed once per
    distinct name set and reused, so the steady state is O(n) hash
@@ -262,8 +321,8 @@ let charge t n =
   t.stats.evals <- t.stats.evals + n;
   Obs.Metrics.add m_queries n
 
-let memo_find t key =
-  match t.memo with
+let memo_find t memo key =
+  match memo with
   | None -> None
   | Some m ->
     let r = Hashtbl.find_opt m.tbl key in
@@ -273,8 +332,8 @@ let memo_find t key =
     end;
     r
 
-let memo_add t key r =
-  match t.memo with
+let memo_add t memo key r =
+  match memo with
   | None -> ()
   | Some m ->
     if not (Hashtbl.mem m.tbl key) then begin
@@ -294,15 +353,14 @@ let memo_add t key r =
    Distinct misses are bit-transposed into multi-word blocks
    (block_words * 63 lanes per pass over the compiled instruction
    stream); a lone query is lane 0 of a one-word block.  When a batch is
-   big enough, key resolution and block evaluation with response
-   building (which dominates on many-output circuits) are sharded across
-   a bounded domain pool; each shard evaluates with its own engine
-   scratch and allocates responses in its own minor heap, and all memo /
-   stat mutation stays on the calling domain. *)
+   big enough, key resolution and block evaluation with reply packing
+   are sharded across a bounded domain pool; each shard evaluates with
+   its own engine scratch and allocates replies in its own minor heap,
+   and all memo / stat mutation stays on the calling domain. *)
 
-(* Bit-transpose repack, lane-major: each key string is read
-   sequentially once (no per-character re-indexing of the miss array),
-   and bit j of word wi of source si accumulates at buf.(si * nw + wi). *)
+(* Bit-transpose repack, lane-major: each packed key is read
+   sequentially once, and bit j of word wi of source si accumulates at
+   buf.(si * nw + wi). *)
 let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
   let w = Netlist.Engine.word_bits in
   for wi = 0 to nw - 1 do
@@ -312,7 +370,10 @@ let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
       let key = misses.(b0 + j0 + j) in
       let bit = 1 lsl j in
       for si = 0 to n_src - 1 do
-        if String.unsafe_get key si = '1' then
+        if
+          Char.code (String.unsafe_get key (si lsr 3)) land (1 lsl (si land 7))
+          <> 0
+        then
           Array.unsafe_set buf
             ((si * nw) + wi)
             (Array.unsafe_get buf ((si * nw) + wi) lor bit)
@@ -321,14 +382,13 @@ let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
   done
 
 (* Evaluate miss lanes [lane_lo, lane_hi) in blocks of at most
-   [block_words] words each, writing each lane's response list into
+   [block_words] words each, writing each lane's packed reply into
    [computed].  [scratch] must be private to the caller; [computed]
    writes are race-free because lane ranges are disjoint. *)
-let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
-    =
+let process_lanes e scratch ~n_src (misses : string array) ~lane_lo ~lane_hi
+    computed =
   let w = Netlist.Engine.word_bits in
-  let n_src = Array.length b.src_names in
-  let n_outs = Array.length b.out_slots in
+  let n_outs = Array.length e.out_slots in
   let lanes_per_block = block_words * w in
   let base = ref lane_lo in
   while !base < lane_hi do
@@ -336,22 +396,24 @@ let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
     let lanes = min lanes_per_block (lane_hi - b0) in
     let nw = (lanes + w - 1) / w in
     let blk =
-      Netlist.Engine.eval_block ~scratch b.eng ~n_words:nw
+      Netlist.Engine.eval_block ~scratch e.eng ~n_words:nw
         ~fill:(transpose_fill misses ~b0 ~lanes ~nw ~n_src)
     in
     for j = 0 to lanes - 1 do
       let wi = j / w and bit = j mod w in
-      let r = ref [] in
-      for oi = n_outs - 1 downto 0 do
+      let r = Bytes.create (Bitpack.bytes n_outs) in
+      let byte = ref 0 in
+      for oi = 0 to n_outs - 1 do
         let word =
-          Array.unsafe_get blk ((Array.unsafe_get b.out_slots oi * nw) + wi)
+          Array.unsafe_get blk ((Array.unsafe_get e.out_slots oi * nw) + wi)
         in
-        r :=
-          (if (word lsr bit) land 1 = 1 then Array.unsafe_get b.out_t oi
-           else Array.unsafe_get b.out_f oi)
-          :: !r
+        byte := !byte lor (((word lsr bit) land 1) lsl (oi land 7));
+        if oi land 7 = 7 || oi = n_outs - 1 then begin
+          Bytes.unsafe_set r (oi lsr 3) (Char.unsafe_chr !byte);
+          byte := 0
+        end
       done;
-      computed.(b0 + j) <- !r
+      computed.(b0 + j) <- Bytes.unsafe_to_string r
     done;
     Obs.Metrics.incr m_batch_blocks;
     Obs.Metrics.add m_batch_words nw;
@@ -361,17 +423,21 @@ let process_lanes b scratch (misses : string array) ~lane_lo ~lane_hi computed
 
 (* Domain pool width for a stage over [n_items] lanes: forced by
    [~shards] if given, otherwise engaged only when lanes x engine size
-   is big enough to amortize the domain spawns. *)
-let domains_for b n_items =
-  let wanted =
-    match b.shards with
-    | Some s -> s
-    | None ->
-      if n_items * Netlist.Engine.n_slots b.eng >= shard_work_min then
-        Parallel.default_domains ()
-      else 1
-  in
-  max 1 (min wanted n_items)
+   is big enough to amortize the domain spawns.  A black box runs on
+   the calling domain. *)
+let domains_for p n_items =
+  match p.chip with
+  | Black_box _ -> 1
+  | Engine e ->
+    let wanted =
+      match e.shards with
+      | Some s -> s
+      | None ->
+        if n_items * Netlist.Engine.n_slots e.eng >= shard_work_min then
+          Parallel.default_domains ()
+        else 1
+    in
+    max 1 (min wanted n_items)
 
 (* [f] over [0, n) in [d] disjoint ranges, one per domain. *)
 let sharded d n f =
@@ -383,109 +449,165 @@ let sharded d n f =
 
 (* ----- the query pipeline -----
 
-   {!query} and {!query_batch} both run [answer]: (1) canonical keys;
+   Every query runs (1) canonical keys — the packed input bits of a
+   positional oracle, [fn_key] of a named black box — then [answer]:
    (2) memo lookup and in-batch dedup; (3) one charge for the distinct
    misses, before any evaluation; (4) the backend evaluates the misses;
    (5) memo write-back; then the replies are reassembled in request
    order from the evaluated array, never by re-reading the memo, which
-   a capped memo may already have evicted them from. *)
+   a capped memo may already have evicted them from.  [eval miss]
+   answers the queries whose indices [miss] lists, in [miss] order. *)
 
-(* 1. Canonical keys, or [None] for a function oracle without a memo:
-   it has nothing to look a key up in, so every query is a miss. *)
-let keys t qs =
-  match t.backend with
-  | Fn _ when t.memo = None -> None
-  | Fn fb -> Some (Array.map (fn_key fb) qs)
-  | Net b ->
-    let nq = Array.length qs in
-    let keys = Array.make nq "" in
-    sharded (domains_for b nq) nq (fun (lo, hi) ->
-        for i = lo to hi - 1 do
-          keys.(i) <- resolve t b qs.(i)
-        done);
-    Some keys
+(* A lone query: nothing to deduplicate, so no index table and no
+   slot arrays. *)
+let answer_one t memo key eval =
+  match memo_find t memo key with
+  | Some r -> r
+  | None ->
+    charge t 1;
+    let r = (eval [| 0 |]).(0) in
+    memo_add t memo key r;
+    r
 
-(* 4. Replies to the queries [qs.(i)] for [i] in [miss], in [miss]
-   order.  A function oracle answers a [query] with [fn] and a
-   [query_batch] with its [batch], or [fn] per miss without one. *)
-let evaluate t ~scalar qs keys miss =
-  let n_miss = Array.length miss in
-  match (t.backend, keys) with
-  | Net b, Some keys ->
+let answer t ~dummy memo keys eval =
+  let nq = Array.length keys in
+  if nq = 1 then [| answer_one t memo keys.(0) eval |]
+  else begin
+    (* memo hits go straight into [replies]; every other query records
+       in [slot] the distinct miss it maps to, and [miss] lists each
+       distinct miss's first query *)
+    let replies = Array.make nq dummy in
+    let slot = Array.make nq (-1) in
+    let index = Hashtbl.create (2 * nq) in
+    let order = ref [] and count = ref 0 in
+    Array.iteri
+      (fun i key ->
+        match memo_find t memo key with
+        | Some r -> replies.(i) <- r
+        | None -> (
+          match Hashtbl.find_opt index key with
+          | Some mi -> slot.(i) <- mi
+          | None ->
+            Hashtbl.replace index key !count;
+            slot.(i) <- !count;
+            order := i :: !order;
+            incr count))
+      keys;
+    let miss = Array.of_list (List.rev !order) in
+    if Array.length miss > 0 then begin
+      (* charged before any evaluation, so a budget cap trips without
+         a wasted (possibly parallel) pass *)
+      charge t (Array.length miss);
+      let computed = eval miss in
+      (* memo writes, on the calling domain only *)
+      Array.iteri (fun mi r -> memo_add t memo keys.(miss.(mi)) r) computed;
+      Array.iteri (fun i mi -> if mi >= 0 then replies.(i) <- computed.(mi)) slot
+    end;
+    replies
+  end
+
+(* 4. for a positional oracle.  A black box answers a [query] with [one]
+   and everything else with [many]; its replies are checked, because the
+   named edge unpacks them unchecked. *)
+let eval_packed p ~scalar keys miss =
+  let n_outs = Array.length p.out_t in
+  match p.chip with
+  | Engine e ->
     let misses = Array.map (Array.get keys) miss in
-    let computed = Array.make n_miss [] in
-    let ed = domains_for b n_miss in
+    let n_miss = Array.length miss in
+    let computed = Array.make n_miss "" in
+    let ed = domains_for p n_miss in
     if ed > 1 then begin
       Obs.Metrics.incr m_shard_batches;
       Obs.Metrics.add m_shard_jobs ed
     end;
     sharded ed n_miss (fun (lo, hi) ->
         let scratch =
-          if ed > 1 then Netlist.Engine.create_scratch b.eng else b.sc
+          if ed > 1 then Netlist.Engine.create_scratch e.eng else e.sc
         in
-        process_lanes b scratch misses ~lane_lo:lo ~lane_hi:hi computed);
+        process_lanes e scratch
+          ~n_src:(Array.length p.in_names)
+          misses ~lane_lo:lo ~lane_hi:hi computed);
     computed
-  | Net _, None -> assert false (* a netlist query always has a key *)
-  | Fn fb, _ ->
-    let mqs = List.init n_miss (fun mi -> qs.(miss.(mi))) in
+  | Black_box b ->
     let rs =
-      match fb.fn_batch with
-      | Some bf when not scalar -> bf mqs
-      | _ -> List.map fb.fn mqs
+      if scalar then Array.map (fun mi -> b.one keys.(mi)) miss
+      else b.many (Array.map (Array.get keys) miss)
     in
-    if List.length rs <> n_miss then
-      invalid_arg "Oracle: batch backend returned a result list of wrong size";
-    Array.of_list rs
+    if Array.length rs <> Array.length miss then
+      invalid_arg "Oracle: batch backend returned a result array of wrong size";
+    Array.iter
+      (fun r ->
+        if not (Bitpack.well_formed n_outs r) then
+          invalid_arg
+            (Printf.sprintf "Oracle: %s replied with a vector of %d bytes, \
+                             not %d outputs"
+               p.what (String.length r) n_outs))
+      rs;
+    rs
 
-let answer t ~scalar qs =
-  let nq = Array.length qs in
-  let keys = keys t qs in
-  (* 2. memo hits go straight into [replies]; every other query records
-     in [slot] the distinct miss it maps to, and [miss] lists each
-     distinct miss's first query *)
-  let replies = Array.make nq [] in
-  let slot = Array.make nq (-1) in
-  let miss =
-    match keys with
-    | None ->
-      Array.iteri (fun i _ -> slot.(i) <- i) slot;
-      Array.init nq Fun.id
-    | Some keys ->
-      let index = Hashtbl.create (2 * nq) in
-      let order = ref [] and count = ref 0 in
-      Array.iteri
-        (fun i key ->
-          match memo_find t key with
-          | Some r -> replies.(i) <- r
-          | None -> (
-            match Hashtbl.find_opt index key with
-            | Some mi -> slot.(i) <- mi
-            | None ->
-              Hashtbl.replace index key !count;
-              slot.(i) <- !count;
-              order := i :: !order;
-              incr count))
-        keys;
-      Array.of_list (List.rev !order)
+let answer_packed t p ~scalar keys =
+  answer t ~dummy:"" p.pmemo keys (eval_packed p ~scalar keys)
+
+let query_packed t qs =
+  match t.backend with
+  | Fn _ ->
+    invalid_arg "Oracle.query_packed: a named black box has no positional form"
+  | Pos p ->
+    let n = Array.length p.in_names in
+    Array.iter
+      (fun q ->
+        if not (Bitpack.well_formed n q) then
+          invalid_arg
+            (Printf.sprintf
+               "Oracle.query_packed: a vector of %d bytes is not %d packed \
+                inputs of %s"
+               (String.length q) n p.what))
+      qs;
+    answer_packed t p ~scalar:false qs
+
+(* 4. for a named black box: [fn] answers a [query], and a
+   [query_batch] goes to its [batch], or to [fn] per miss without one. *)
+let eval_fn fb ~scalar qs miss =
+  let n_miss = Array.length miss in
+  let mqs = List.init n_miss (fun mi -> qs.(miss.(mi))) in
+  let rs =
+    match fb.fn_batch with
+    | Some bf when not scalar -> bf mqs
+    | _ -> List.map fb.fn mqs
   in
-  if Array.length miss > 0 then begin
-    (* 3. charged before any evaluation, so a budget cap trips without
-       a wasted (possibly parallel) pass *)
-    charge t (Array.length miss);
-    let computed = evaluate t ~scalar qs keys miss in
-    (* 5. memo writes, on the calling domain only *)
-    Option.iter
-      (fun keys ->
-        Array.iteri (fun mi r -> memo_add t keys.(miss.(mi)) r) computed)
-      keys;
-    Array.iteri (fun i mi -> if mi >= 0 then replies.(i) <- computed.(mi)) slot
-  end;
-  replies
+  if List.length rs <> n_miss then
+    invalid_arg "Oracle: batch backend returned a result list of wrong size";
+  Array.of_list rs
 
-let query t q = (answer t ~scalar:true [| q |]).(0)
+let answer_named t ~scalar qs =
+  match t.backend with
+  | Pos p ->
+    let nq = Array.length qs in
+    let keys = Array.make nq "" in
+    sharded (domains_for p nq) nq (fun (lo, hi) ->
+        for i = lo to hi - 1 do
+          keys.(i) <- resolve t p qs.(i)
+        done);
+    Array.map (unpack p) (answer_packed t p ~scalar keys)
+  | Fn ({ fmemo = None; _ } as fb) ->
+    (* no memo to look a key up in: every query is a miss *)
+    let nq = Array.length qs in
+    if nq > 0 then charge t nq;
+    eval_fn fb ~scalar qs (Array.init nq Fun.id)
+  | Fn fb ->
+    answer t ~dummy:[] fb.fmemo (Array.map (fn_key fb) qs)
+      (eval_fn fb ~scalar qs)
+
+let query t q =
+  match t.backend with
+  | Pos p ->
+    let key = resolve t p q in
+    unpack p (answer_one t p.pmemo key (eval_packed p ~scalar:true [| key |]))
+  | Fn _ -> (answer_named t ~scalar:true [| q |]).(0)
 
 let query_batch t qs =
-  Array.to_list (answer t ~scalar:false (Array.of_list qs))
+  Array.to_list (answer_named t ~scalar:false (Array.of_list qs))
 
 let differs net ~missing =
   let outs = Netlist.outputs net in

@@ -20,7 +20,6 @@ type config = {
   client_deadline_s : float option;
   oracle_memo : bool;
   oracle_memo_cap : int option;
-  strict_queries : bool;
   allow_tcp_shutdown : bool;
   metrics_out : string option;
   metrics_interval_s : float;
@@ -34,7 +33,6 @@ let default_config =
     client_deadline_s = None;
     oracle_memo = true;
     oracle_memo_cap = Some 65536;
-    strict_queries = false;
     allow_tcp_shutdown = false;
     metrics_out = None;
     metrics_interval_s = 5.0;
@@ -56,15 +54,17 @@ type conn = {
 type pending = {
   p_conn : conn;
   p_id : int;
-  p_q : (string * bool) list;
+  p_q : string;  (* packed input bits *)
   p_t : float;  (* arrival time, for queue-wait accounting *)
 }
 
 type design = {
   ds_name : string;
   ds_oracle : Oracle.t;
+  ds_n_in : int;
+  ds_n_out : int;
   ds_omu : Mutex.t;
-      (* serializes every [Oracle.query_batch] on [ds_oracle]: the
+      (* serializes every [Oracle.query_packed] on [ds_oracle]: the
          oracle's engine scratch and memo table are shared mutable
          state, and evaluations run both on reader threads (explicit
          [Query_batch] frames) and on the design's flusher thread *)
@@ -106,20 +106,18 @@ let mk_design cfg (name, net) =
   if name = "" then invalid_arg "Gkd_server.create: empty design name";
   let comb = combinational net in
   let oracle =
-    Oracle.of_netlist ~partial:(not cfg.strict_queries) ~memo:cfg.oracle_memo
-      ?memo_cap:cfg.oracle_memo_cap comb
+    Oracle.of_netlist ~memo:cfg.oracle_memo ?memo_cap:cfg.oracle_memo_cap comb
   in
+  let d_inputs = Oracle.input_names oracle in
+  let d_outputs = List.map fst (Netlist.outputs comb) in
   {
     ds_name = name;
     ds_oracle = oracle;
+    ds_n_in = List.length d_inputs;
+    ds_n_out = List.length d_outputs;
     ds_omu = Mutex.create ();
     ds_info =
-      {
-        Wire.d_name = name;
-        d_inputs = Oracle.input_names oracle;
-        d_outputs = List.map fst (Netlist.outputs comb);
-        d_cells = Netlist.num_nodes comb;
-      };
+      { Wire.d_name = name; d_inputs; d_outputs; d_cells = Netlist.num_nodes comb };
     ds_mu = Mutex.create ();
     ds_nonempty = Condition.create ();
     ds_q = Queue.create ();
@@ -220,6 +218,11 @@ let reply conn ~id msg =
 let reply_error conn ~id code detail =
   reply conn ~id (Wire.Error { code; detail })
 
+let bad_width conn ~id ds n_bits =
+  reply_error conn ~id Wire.Bad_query
+    (Printf.sprintf "design %S has %d inputs, the query carries %d bits"
+       ds.ds_name ds.ds_n_in n_bits)
+
 let quota_code = function
   | Budget.Queries | Budget.Iterations -> Wire.Over_quota_queries
   | Budget.Deadline -> Wire.Over_quota_deadline
@@ -292,10 +295,11 @@ let find_design t name = Hashtbl.find_opt t.by_name name
 (* All engine work on a design funnels through here: reader threads
    (explicit batches) and the design's flusher contend on [ds_omu], so
    the oracle's scratch buffers and memo are only ever touched by one
-   thread at a time. *)
+   thread at a time.  Lanes are packed bits of the design's input
+   count, checked on arrival, so no name is ever resolved. *)
 let oracle_batch ds qs =
   Mutex.lock ds.ds_omu;
-  match Oracle.query_batch ds.ds_oracle qs with
+  match Oracle.query_packed ds.ds_oracle qs with
   | rs ->
     Mutex.unlock ds.ds_omu;
     rs
@@ -366,14 +370,18 @@ let handle t conn ~id msg =
           reply conn ~id Wire.Shutdown_ack;
           initiate_stop t;
           false)
-      | Wire.Query { design; assignment } -> (
+      | Wire.Query { design; n_bits; bits } -> (
         match find_design t design with
         | None ->
           reply_error conn ~id Wire.Unknown_design
             (Printf.sprintf "design %S is not hosted here" design);
           true
         | Some ds ->
-          if t.stopping then begin
+          if n_bits <> ds.ds_n_in then begin
+            bad_width conn ~id ds n_bits;
+            true
+          end
+          else if t.stopping then begin
             reply_error conn ~id Wire.Shutting_down "server is shutting down";
             true
           end
@@ -385,7 +393,7 @@ let handle t conn ~id msg =
             if Atomic.fetch_and_add conn.c_pending 1 = 0 then
               Atomic.incr t.waiting;
             Queue.push
-              { p_conn = conn; p_id = id; p_q = assignment;
+              { p_conn = conn; p_id = id; p_q = bits;
                 p_t = Unix.gettimeofday () }
               ds.ds_q;
             let depth = Queue.length ds.ds_q in
@@ -394,14 +402,17 @@ let handle t conn ~id msg =
             Obs.Metrics.set g_queue_depth (float_of_int depth);
             true
           end)
-      | Wire.Query_batch { design; assignments } -> (
+      | Wire.Query_batch { design; n_bits; vectors } -> (
         match find_design t design with
         | None ->
           reply_error conn ~id Wire.Unknown_design
             (Printf.sprintf "design %S is not hosted here" design);
           true
+        | Some ds when n_bits <> ds.ds_n_in ->
+          bad_width conn ~id ds n_bits;
+          true
         | Some ds -> (
-          let n = List.length assignments in
+          let n = Array.length vectors in
           match Budget.note_queries conn.c_budget n with
           | exception Budget.Exhausted r ->
             Obs.Metrics.incr m_over_quota;
@@ -412,9 +423,10 @@ let handle t conn ~id msg =
           | () -> (
             Obs.Metrics.add m_queries n;
             Obs.Metrics.add conn.c_counter n;
-            match oracle_batch ds assignments with
+            match oracle_batch ds vectors with
             | rs ->
-              reply conn ~id (Wire.Batch_result rs);
+              reply conn ~id
+                (Wire.Batch_result { n_bits = ds.ds_n_out; vectors = rs });
               true
             | exception Invalid_argument m ->
               reply_error conn ~id Wire.Bad_query m;
@@ -482,11 +494,15 @@ let flush ds lanes =
         List.iter
           (fun p -> Obs.Metrics.incr p.p_conn.c_counter)
           survivors;
-        match oracle_batch ds (List.map (fun p -> p.p_q) survivors) with
+        match
+          oracle_batch ds (Array.of_list (List.map (fun p -> p.p_q) survivors))
+        with
         | rs ->
-          List.iter2
-            (fun p r -> reply p.p_conn ~id:p.p_id (Wire.Result r))
-            survivors rs
+          List.iteri
+            (fun i p ->
+              reply p.p_conn ~id:p.p_id
+                (Wire.Result { n_bits = ds.ds_n_out; bits = rs.(i) }))
+            survivors
         | exception Invalid_argument m ->
           List.iter
             (fun p -> reply_error p.p_conn ~id:p.p_id Wire.Bad_query m)

@@ -5,7 +5,13 @@
     wrapped in one shared {!Oracle.t}.  Clients speak the {!Wire}
     protocol over a Unix-domain or TCP socket; the accept loop hands
     each connection to a reader thread, and evaluation happens on
-    per-design flusher threads:
+    per-design flusher threads.  The server never sees a pin name after
+    [List_designs]: queries are packed input bits in the advertised
+    [d_inputs] order, evaluated through {!Oracle.query_packed}, and a
+    query whose bit count is not the design's input count gets a
+    structured [bad_query] error while its connection stays open.
+    Checking names, and the strict or partial rule, is the client's
+    job ({!Remote_oracle}).
 
     - {b scalar coalescing}: [Query] frames from {e all} clients of a
       design land in one pending queue.  The flusher drains a word as
@@ -28,7 +34,7 @@
       [over_quota] error frames and its lanes never reach the engine;
       other clients' lanes in the same word are unaffected.
     - {b explicit batches}: [Query_batch] bypasses the queue, is charged
-      up front, and runs through {!Oracle.query_batch} in one pass.
+      up front, and runs through {!Oracle.query_packed} in one pass.
 
     Evaluation is serialized per design: explicit [Query_batch] frames
     (reader threads) and coalesced words (the flusher) take the same
@@ -64,10 +70,10 @@ type config = {
       (** per-connection wall-clock quota, from accept time *)
   oracle_memo : bool;  (** memoize server-side (default true) *)
   oracle_memo_cap : int option;
-      (** bound resident memo entries per design (default 65536) *)
-  strict_queries : bool;
-      (** reject assignments naming unknown pins instead of ignoring
-          them (default false: a remote chip reads undriven pins as 0) *)
+      (** bound resident memo entries per design (default 65536).  An
+          entry is the packed input and output bits plus its table
+          cells, about 0.5 KB on s38417 (1,592 inputs, 1,672 outputs),
+          so the default cap holds about 30 MB there *)
   allow_tcp_shutdown : bool;
       (** honor [Shutdown] frames on a TCP listener (default false:
           anyone who can reach the port could otherwise kill the

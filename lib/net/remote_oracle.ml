@@ -5,6 +5,8 @@ type t = {
   mutable r_design : string;
   mutable r_server : string;
   mutable r_designs : Wire.design_info list;
+  mutable r_n_in : int;  (* the bound design's input and output counts *)
+  mutable r_n_out : int;
   mutable r_oracle : Oracle.t option;  (* Some after connect returns *)
   mutable r_next_id : int;
   mutable r_closed : bool;
@@ -47,71 +49,63 @@ let fail_on_error = function
   | Wire.Error { code; detail } -> raise (Remote_error (code, detail))
   | m -> m
 
-let query_remote t assignment =
-  match fail_on_error (roundtrip t (Wire.Query { design = t.r_design; assignment })) with
-  | Wire.Result r -> r
+let query_remote t bits =
+  match
+    fail_on_error
+      (roundtrip t (Wire.Query { design = t.r_design; n_bits = t.r_n_in; bits }))
+  with
+  | Wire.Result { n_bits; bits } when n_bits = t.r_n_out -> bits
+  | Wire.Result { n_bits; _ } ->
+    transport_error
+      (Printf.sprintf "result of %d bits from a design with %d outputs" n_bits
+         t.r_n_out)
   | m ->
     transport_error ("expected a result frame, got " ^ Wire.msg_type_name m)
 
-let query_batch_frame t assignments =
+let query_batch_frame t vectors =
   match
     fail_on_error
-      (roundtrip t (Wire.Query_batch { design = t.r_design; assignments }))
+      (roundtrip t
+         (Wire.Query_batch { design = t.r_design; n_bits = t.r_n_in; vectors }))
   with
-  | Wire.Batch_result rs ->
-    if List.length rs <> List.length assignments then
+  | Wire.Batch_result { n_bits; vectors = rs } ->
+    if Array.length rs <> Array.length vectors then
       transport_error "batch result size mismatch";
+    if n_bits <> t.r_n_out then
+      transport_error
+        (Printf.sprintf "batch result of %d bits from a design with %d outputs"
+           n_bits t.r_n_out);
     rs
   | m ->
     transport_error ("expected a batch result frame, got " ^ Wire.msg_type_name m)
 
-(* A [Query_batch] frame must fit [Wire.max_payload], and a wide design
-   can blow past that (1k queries x 1.7k pins on s38417 is ~20 MB), so
-   oversized query sets are split across several frames.  The split is
-   invisible to the attack layer: chunks stay in order and the results
-   are concatenated.  [assignment_bytes] mirrors the wire encoding —
-   u16 pin count, then per pin a u16-length string and a bool byte. *)
-let assignment_bytes q =
-  List.fold_left (fun acc (name, _) -> acc + 3 + String.length name) 2 q
+(* A [Query_batch] frame and its single [Batch_result] must each fit
+   [Wire.max_payload] and [Wire.max_batch], so a large query set is
+   split across several frames; chunks stay in order and the results
+   are concatenated, invisibly to the attack layer.  Packed vectors have
+   fixed widths, so the chunk size is exact: the request's fixed part is
+   the design string and the count and width fields, the reply's is
+   smaller, and each vector costs its packed width on the wider side. *)
+let chunk_size t =
+  let widest =
+    max 1 (max (Bitpack.bytes t.r_n_in) (Bitpack.bytes t.r_n_out))
+  in
+  let fixed = 2 + String.length t.r_design + 8 in
+  max 1 (min Wire.max_batch ((Wire.max_payload - fixed) / widest))
 
-let batch_chunks t assignments =
-  (* Both the request and its single reply must fit a frame, and the
-     reply can be the larger one (a chip reports every output pin).
-     The design listing gives the exact output names, so size the
-     request budget down by the reply/query byte ratio with 2x slack. *)
-  let ratio =
-    match List.find_opt (fun i -> i.Wire.d_name = t.r_design) t.r_designs with
-    | Some { Wire.d_inputs = _ :: _ as ins; d_outputs = outs; _ } ->
-      let bytes pins =
-        List.fold_left (fun acc p -> acc + 3 + String.length p) 2 pins
-      in
-      Float.max 1.0 (float_of_int (bytes outs) /. float_of_int (bytes ins))
-    | _ -> 1.0
-  in
-  (* No floor beyond 1: flooring the budget at a few KiB re-creates the
-     overflow it exists to prevent when the reply/query ratio is huge
-     (few inputs, thousands of long-named outputs).  A single oversized
-     query still ships alone — the server rejects it with a clean error
-     rather than the client mis-framing. *)
-  let budget =
-    Stdlib.max 1
-      (int_of_float (float_of_int (Wire.max_payload / 2) /. ratio))
-  in
-  let rec split acc cur cur_bytes = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | q :: rest ->
-      let b = assignment_bytes q in
-      if cur <> [] && cur_bytes + b > budget then
-        split (List.rev cur :: acc) [ q ] b rest
-      else split acc (q :: cur) (cur_bytes + b) rest
-  in
-  split [] [] 0 assignments
-
-let query_batch_remote t assignments =
-  if assignments = [] then []
-  else
-    List.concat_map (fun chunk -> query_batch_frame t chunk)
-      (batch_chunks t assignments)
+let query_batch_remote t vectors =
+  let n = Array.length vectors and k = chunk_size t in
+  if n <= k then if n = 0 then [||] else query_batch_frame t vectors
+  else begin
+    let out = Array.make n "" in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min k (n - !pos) in
+      Array.blit (query_batch_frame t (Array.sub vectors !pos len)) 0 out !pos len;
+      pos := !pos + len
+    done;
+    out
+  end
 
 let connect ?(client = "gklock") ?design ?(memo = true) ?memo_cap addr =
   let fd = Frame_io.connect addr in
@@ -125,6 +119,8 @@ let connect ?(client = "gklock") ?design ?(memo = true) ?memo_cap addr =
       r_design = "";
       r_server = "";
       r_designs = [];
+      r_n_in = 0;
+      r_n_out = 0;
       r_oracle = None;
       r_next_id = 1;
       r_closed = false;
@@ -151,30 +147,34 @@ let connect ?(client = "gklock") ?design ?(memo = true) ?memo_cap addr =
       raise (Remote_error (code, detail))
     | m -> fail ("expected designs frame, got " ^ Wire.msg_type_name m)
   in
-  let design =
+  let info =
     match (design, designs) with
-    | Some d, _ ->
-      if List.exists (fun i -> i.Wire.d_name = d) designs then d
-      else
+    | Some d, _ -> (
+      match List.find_opt (fun i -> i.Wire.d_name = d) designs with
+      | Some i -> i
+      | None ->
         fail
           (Printf.sprintf "design %S not hosted (server has: %s)" d
              (String.concat ", "
-                (List.map (fun i -> i.Wire.d_name) designs)))
-    | None, [ only ] -> only.Wire.d_name
+                (List.map (fun i -> i.Wire.d_name) designs))))
+    | None, [ only ] -> only
     | None, [] -> fail "server hosts no designs"
     | None, _ ->
       fail
         (Printf.sprintf "server hosts %d designs; pick one with ~design"
            (List.length designs))
   in
-  t.r_design <- design;
+  t.r_design <- info.Wire.d_name;
   t.r_server <- server;
   t.r_designs <- designs;
+  t.r_n_in <- List.length info.Wire.d_inputs;
+  t.r_n_out <- List.length info.Wire.d_outputs;
   t.r_oracle <-
     Some
-      (Oracle.of_fn ~memo ?memo_cap
-         ~batch:(fun qs -> query_batch_remote t qs)
-         (fun q -> query_remote t q));
+      (Oracle.of_packed ~memo ?memo_cap
+         ~name:("remote design " ^ info.Wire.d_name)
+         ~inputs:info.Wire.d_inputs ~outputs:info.Wire.d_outputs
+         ~batch:(query_batch_remote t) (query_remote t));
   t
 
 let oracle t =

@@ -3,11 +3,19 @@
 
     {!connect} performs the [Hello] version handshake, picks a design
     (explicitly, or the sole hosted one) and returns a handle whose
-    {!oracle} is a black-box {!Oracle.of_fn} — so every attack in
-    {!Attack.registry} runs against the daemon unmodified.  Scalar
-    queries map to [Query] frames; {!Oracle.query_batch} ships memo
-    misses as one [Query_batch] frame, keeping 63-lane words full across
-    the wire.
+    {!oracle} is a positional {!Oracle.of_packed} built from the
+    design's advertised [d_inputs] and [d_outputs] — so every attack in
+    {!Attack.registry} runs against the daemon unmodified.  Named
+    queries are resolved and validated here, at the client edge, exactly
+    as {!Oracle.of_netlist} does it: an unknown or missing pin raises
+    [Invalid_argument] before any frame is sent, unless the oracle was
+    {!Oracle.relax}ed (whose defaulted reads count in this process's
+    [oracle.partial_defaults]).  Only packed bits cross the wire.
+    {!Oracle.query} maps to one [Query] frame; {!Oracle.query_batch} and
+    {!Oracle.query_packed} ship their memo misses in [Query_batch]
+    frames, keeping 63-lane words full across the wire, split into
+    chunks whose size follows exactly from the packed widths and
+    {!Wire.max_payload}.
 
     Budget semantics survive the network: a structured [over_quota]
     error frame from the server raises {!Budget.Exhausted} with the
@@ -35,8 +43,10 @@ val connect :
   ?client:string -> ?design:string -> ?memo:bool -> ?memo_cap:int ->
   Frame_io.addr -> t
 
-(** The oracle view of the connection.  Black-box: [input_names] is [[]]
-    and queries are always partial, exactly like any {!Oracle.of_fn}. *)
+(** The oracle view of the connection.  Positional: [input_names] is the
+    design's [d_inputs], replies list its [d_outputs] in order, and
+    named queries are strict until {!Oracle.relax}ed, like a local
+    {!Oracle.of_netlist}. *)
 val oracle : t -> Oracle.t
 
 (** The design this handle is bound to. *)

@@ -1,6 +1,7 @@
-let protocol_version = 1
+let protocol_version = 2
 let header_bytes = 16
 let max_payload = 1 lsl 24
+let max_batch = 1 lsl 16
 
 (* ----- CRC-32 (IEEE 802.3), slicing-by-8 -----
 
@@ -115,13 +116,10 @@ type msg =
   | Hello_ack of { server : string; proto : int }
   | List_designs
   | Designs of design_info list
-  | Query of { design : string; assignment : (string * bool) list }
-  | Result of (string * bool) list
-  | Query_batch of {
-      design : string;
-      assignments : (string * bool) list list;
-    }
-  | Batch_result of (string * bool) list list
+  | Query of { design : string; n_bits : int; bits : string }
+  | Result of { n_bits : int; bits : string }
+  | Query_batch of { design : string; n_bits : int; vectors : string array }
+  | Batch_result of { n_bits : int; vectors : string array }
   | Ping
   | Pong
   | Shutdown
@@ -208,13 +206,20 @@ let put_str b s =
   put_u16 b (String.length s);
   Buffer.add_string b s
 
-let put_assignment b a =
-  put_u16 b (List.length a);
-  List.iter
-    (fun (name, v) ->
-      put_str b name;
-      put_u8 b (if v then 1 else 0))
-    a
+(* A packed vector: its bit count, then its [Bitpack.bytes] bytes. *)
+let put_bits b ~n_bits bits =
+  if not (Bitpack.well_formed n_bits bits) then
+    invalid_arg "Wire.encode: a vector is not packed to its bit count";
+  Buffer.add_string b bits
+
+(* A batch: u32 vector count, u32 bit width, then the vectors back to
+   back. *)
+let put_batch b ~n_bits vectors =
+  if Array.length vectors > max_batch then
+    invalid_arg "Wire.encode: batch exceeds max_batch vectors";
+  put_u32 b (Array.length vectors);
+  put_u32 b n_bits;
+  Array.iter (put_bits b ~n_bits) vectors
 
 let encode_payload msg =
   let b = Buffer.create 64 in
@@ -237,17 +242,17 @@ let encode_payload msg =
         put_u16 b (List.length d.d_outputs);
         List.iter (put_str b) d.d_outputs)
       ds
-  | Query { design; assignment } ->
+  | Query { design; n_bits; bits } ->
     put_str b design;
-    put_assignment b assignment
-  | Result a -> put_assignment b a
-  | Query_batch { design; assignments } ->
+    put_u32 b n_bits;
+    put_bits b ~n_bits bits
+  | Result { n_bits; bits } ->
+    put_u32 b n_bits;
+    put_bits b ~n_bits bits
+  | Query_batch { design; n_bits; vectors } ->
     put_str b design;
-    put_u32 b (List.length assignments);
-    List.iter (put_assignment b) assignments
-  | Batch_result rs ->
-    put_u32 b (List.length rs);
-    List.iter (put_assignment b) rs
+    put_batch b ~n_bits vectors
+  | Batch_result { n_bits; vectors } -> put_batch b ~n_bits vectors
   | Error { code; detail } ->
     put_u8 b (error_code_byte code);
     put_str b detail);
@@ -345,24 +350,34 @@ let get_str c =
   c.pos <- c.pos + n;
   s
 
-let get_bool c =
-  match get_u8 c with
-  | 0 -> false
-  | 1 -> true
-  | v -> raise (Bad (Printf.sprintf "pin value byte 0x%02x (want 0/1)" v))
-
 (* [List.init]'s argument-evaluation order is unspecified; cursor reads
    must happen left-to-right, so build lists with an explicit loop. *)
 let read_list n f =
   let rec go acc i = if i = 0 then List.rev acc else go (f () :: acc) (i - 1) in
   go [] n
 
-let get_assignment c =
-  let n = get_u16 c in
-  read_list n (fun () ->
-      let name = get_str c in
-      let v = get_bool c in
-      (name, v))
+let get_bits c n_bits =
+  let n = Bitpack.bytes n_bits in
+  need c n;
+  let s = Bytes.sub_string c.buf c.pos n in
+  c.pos <- c.pos + n;
+  if not (Bitpack.well_formed n_bits s) then raise (Bad "nonzero padding bits");
+  s
+
+let get_batch c =
+  let count = get_u32 c in
+  let n_bits = get_u32 c in
+  (* both fields are attacker-controlled: bound them by the cap and by
+     what the payload could possibly hold before allocating *)
+  if count > max_batch then
+    raise (Bad (Printf.sprintf "batch of %d vectors exceeds %d" count max_batch));
+  if count * Bitpack.bytes n_bits > c.stop - c.pos then
+    raise (Bad "batch count exceeds payload");
+  let vectors = Array.make count "" in
+  for i = 0 to count - 1 do
+    vectors.(i) <- get_bits c n_bits
+  done;
+  (n_bits, vectors)
 
 let decode_msg mtype c =
   match mtype with
@@ -388,20 +403,20 @@ let decode_msg mtype c =
            { d_name; d_inputs; d_outputs; d_cells }))
   | 0x03 ->
     let design = get_str c in
-    let assignment = get_assignment c in
-    Query { design; assignment }
-  | 0x83 -> Result (get_assignment c)
+    let n_bits = get_u32 c in
+    let bits = get_bits c n_bits in
+    Query { design; n_bits; bits }
+  | 0x83 ->
+    let n_bits = get_u32 c in
+    let bits = get_bits c n_bits in
+    Result { n_bits; bits }
   | 0x04 ->
     let design = get_str c in
-    let n = get_u32 c in
-    (* the count field is attacker-controlled: bound it by what the
-       payload could possibly hold before allocating the list *)
-    if n > c.stop - c.pos then raise (Bad "batch count exceeds payload");
-    Query_batch { design; assignments = read_list n (fun () -> get_assignment c) }
+    let n_bits, vectors = get_batch c in
+    Query_batch { design; n_bits; vectors }
   | 0x84 ->
-    let n = get_u32 c in
-    if n > c.stop - c.pos then raise (Bad "batch count exceeds payload");
-    Batch_result (read_list n (fun () -> get_assignment c))
+    let n_bits, vectors = get_batch c in
+    Batch_result { n_bits; vectors }
   | 0x05 -> Ping
   | 0x85 -> Pong
   | 0x06 -> Shutdown

@@ -6,13 +6,21 @@
     {v
       offset  size  field
       0       2     magic "GK"
-      2       1     protocol version (currently 1)
+      2       1     protocol version (currently 2)
       3       1     message type
       4       4     request id (big-endian u32; echoed in the response)
       8       4     payload length (big-endian u32; <= max_payload)
       12      4     CRC-32 (IEEE) of the payload bytes (big-endian u32)
       16      len   payload (per-type encoding, see DESIGN.md §6h)
     v}
+
+    Queries and replies are positional: a [Query] carries a u32 bit
+    count and its input bits packed LSB-first ({!Bitpack}) in the order
+    of the design's advertised [d_inputs], and a [Result] the output
+    bits in [d_outputs] order.  No pin name crosses the wire after
+    [List_designs]; on s38417 a query frame is 231 bytes (19,434 when
+    protocol 1 named every pin).  Decoding rejects a nonzero padding
+    bit, so each vector has exactly one encoding.
 
     Encoding and decoding are pure functions over [Bytes] so the whole
     protocol is unit-testable without a socket.  {!decode} never raises
@@ -37,6 +45,12 @@ val header_bytes : int
     allocation. *)
 val max_payload : int
 
+(** Most vectors one [Query_batch] or [Batch_result] may carry (65,536):
+    a batch count beyond it is rejected as [Malformed] before any
+    allocation, whatever the bit width (a zero-width batch has no bytes
+    to bound its count by). *)
+val max_batch : int
+
 (** CRC-32 (IEEE 802.3 polynomial) of [len] bytes of [b] at [pos] —
     exposed for tests.
     @raise Invalid_argument when [pos]/[len] do not lie within [b]. *)
@@ -51,7 +65,8 @@ type error_code =
   | Unknown_design  (** the named design is not hosted by this server *)
   | Over_quota_queries  (** per-client query quota exhausted *)
   | Over_quota_deadline  (** per-client deadline passed *)
-  | Bad_query  (** the design rejected the assignment (strict mode) *)
+  | Bad_query
+      (** the query's bit count is not the design's input count *)
   | Not_permitted
       (** the request is valid but this server refuses it (e.g. a
           [Shutdown] frame on a TCP listener without
@@ -74,15 +89,14 @@ type msg =
   | Hello_ack of { server : string; proto : int }
   | List_designs
   | Designs of design_info list
-  | Query of { design : string; assignment : (string * bool) list }
-      (** one scalar chip query; coalesced server-side into 63-lane
-          words *)
-  | Result of (string * bool) list
-  | Query_batch of {
-      design : string;
-      assignments : (string * bool) list list;
-    }  (** an explicit batch, evaluated in one engine pass *)
-  | Batch_result of (string * bool) list list
+  | Query of { design : string; n_bits : int; bits : string }
+      (** one scalar chip query: [n_bits] input bits packed in [bits];
+          coalesced server-side into 63-lane words *)
+  | Result of { n_bits : int; bits : string }  (** packed output bits *)
+  | Query_batch of { design : string; n_bits : int; vectors : string array }
+      (** an explicit batch of packed queries of [n_bits] bits each,
+          evaluated in one engine pass; one count and one width *)
+  | Batch_result of { n_bits : int; vectors : string array }
   | Ping
   | Pong
   | Shutdown  (** ask the daemon to stop; answered by [Shutdown_ack] *)
@@ -115,8 +129,9 @@ val error_code_of_wire_error : wire_error -> error_code
 
 (** [encode ~id msg] is the complete frame (header + payload).
     @raise Invalid_argument when [id] is outside [0, 2^32)], a string
-    exceeds 65535 bytes, a pin list exceeds 65535 entries, or the
-    payload would exceed {!max_payload}. *)
+    exceeds 65535 bytes or a name list 65535 entries, a vector is not
+    {!Bitpack.well_formed} for its bit count, a batch holds more than
+    {!max_batch} vectors, or the payload would exceed {!max_payload}. *)
 val encode : id:int -> msg -> Bytes.t
 
 type header = {

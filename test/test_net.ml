@@ -13,7 +13,21 @@ let gen_name =
   (* arbitrary bytes, not just identifiers: the codec must not care *)
   QCheck.Gen.(string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 12))
 
-let gen_assignment = QCheck.Gen.(list_size (0 -- 8) (pair gen_name bool))
+(* Packed vectors of 0-200 bits: most widths are not a multiple of 8,
+   so most vectors end in padding bits. *)
+let gen_width = QCheck.Gen.int_bound 200
+
+let gen_bits n =
+  QCheck.Gen.map
+    (fun bs -> Bitpack.init n (Array.get bs))
+    (QCheck.Gen.array_repeat n QCheck.Gen.bool)
+
+let gen_vector = QCheck.Gen.(gen_width >>= fun n -> pair (return n) (gen_bits n))
+
+let gen_batch =
+  QCheck.Gen.(
+    gen_width >>= fun n ->
+    pair (return n) (map Array.of_list (list_size (0 -- 5) (gen_bits n))))
 
 let gen_design_info =
   QCheck.Gen.(
@@ -47,14 +61,16 @@ let gen_msg =
         return Wire.List_designs;
         map (fun ds -> Wire.Designs ds) (list_size (0 -- 4) gen_design_info);
         map2
-          (fun design assignment -> Wire.Query { design; assignment })
-          gen_name gen_assignment;
-        map (fun a -> Wire.Result a) gen_assignment;
+          (fun design (n_bits, bits) -> Wire.Query { design; n_bits; bits })
+          gen_name gen_vector;
+        map (fun (n_bits, bits) -> Wire.Result { n_bits; bits }) gen_vector;
         map2
-          (fun design assignments -> Wire.Query_batch { design; assignments })
-          gen_name
-          (list_size (0 -- 5) gen_assignment);
-        map (fun rs -> Wire.Batch_result rs) (list_size (0 -- 5) gen_assignment);
+          (fun design (n_bits, vectors) ->
+            Wire.Query_batch { design; n_bits; vectors })
+          gen_name gen_batch;
+        map
+          (fun (n_bits, vectors) -> Wire.Batch_result { n_bits; vectors })
+          gen_batch;
         return Wire.Ping;
         return Wire.Pong;
         return Wire.Shutdown;
@@ -114,23 +130,106 @@ let qc_garbage =
     (fun s ->
       match Wire.decode (Bytes.of_string s) with _ -> true)
 
+(* A set padding bit is not a second encoding of the same vector: with
+   the CRC recomputed, so that only the padding is wrong, every packed
+   message whose last vector has padding decodes as [Malformed]. *)
+let qc_padding =
+  Qc.qcheck ~count:300 "a set padding bit decodes as Malformed"
+    (QCheck.make
+       ~print:(fun ((id, msg), _) -> print_frame (id, msg))
+       QCheck.Gen.(
+         pair
+           (pair (int_bound 0xFFFFFFF)
+              (int_range 1 200 >>= fun n ->
+               let n = if n land 7 = 0 then n + 1 else n in
+               gen_bits n >>= fun bits ->
+               oneofl
+                 [
+                   Wire.Query { design = "d"; n_bits = n; bits };
+                   Wire.Result { n_bits = n; bits };
+                   Wire.Query_batch { design = "d"; n_bits = n; vectors = [| bits |] };
+                   Wire.Batch_result { n_bits = n; vectors = [| bits; bits |] };
+                 ]))
+           (int_bound 7)))
+    (fun ((id, msg), k) ->
+      let n_bits =
+        match msg with
+        | Wire.Query { n_bits; _ } | Wire.Result { n_bits; _ }
+        | Wire.Query_batch { n_bits; _ } | Wire.Batch_result { n_bits; _ } ->
+          n_bits
+        | _ -> assert false
+      in
+      let b = Wire.encode ~id msg in
+      (* the payload ends with the last vector's last byte, whose bits
+         from [n_bits mod 8] up are padding *)
+      let last = Bytes.length b - 1 in
+      let pad = (n_bits land 7) + (k mod (8 - (n_bits land 7))) in
+      Bytes.set b last
+        (Char.chr (Char.code (Bytes.get b last) lor (1 lsl pad)));
+      let len = Bytes.length b - Wire.header_bytes in
+      Bytes.set_int32_be b 12 (Wire.crc32 b ~pos:Wire.header_bytes ~len);
+      match Wire.decode b with
+      | Error (Wire.Malformed _) -> true
+      | Ok _ -> QCheck.Test.fail_report "a set padding bit decoded"
+      | Error e -> QCheck.Test.fail_report (Wire.wire_error_message e))
+
+(* A frame of type [mtype] around [payload], with a correct CRC. *)
+let raw_frame ~mtype payload =
+  let len = Bytes.length payload in
+  let b = Bytes.create (Wire.header_bytes + len) in
+  Bytes.blit_string "GK" 0 b 0 2;
+  Bytes.set b 2 (Char.chr Wire.protocol_version);
+  Bytes.set b 3 (Char.chr mtype);
+  Bytes.set_int32_be b 4 1l;
+  Bytes.set_int32_be b 8 (Int32.of_int len);
+  Bytes.set_int32_be b 12 (Wire.crc32 payload ~pos:0 ~len);
+  Bytes.blit payload 0 b Wire.header_bytes len;
+  b
+
+(* A [Batch_result] payload announcing [count] vectors of [n_bits] bits
+   but carrying only [have] bytes of them. *)
+let batch_result_payload ~count ~n_bits ~have =
+  let p = Bytes.make (8 + have) '\000' in
+  Bytes.set_int32_be p 0 (Int32.of_int count);
+  Bytes.set_int32_be p 4 (Int32.of_int n_bits);
+  p
+
+(* The count and width fields are checked against the payload (and the
+   count against [max_batch]) before the vector array is allocated: a
+   tiny frame announcing 65,536 one-byte vectors, or 65,537 of zero
+   width, is rejected having allocated a few hundred words at most,
+   where the array alone would take 64k words. *)
+let test_batch_count_bounded () =
+  List.iter
+    (fun (what, count, n_bits) ->
+      let b =
+        raw_frame ~mtype:0x84 (batch_result_payload ~count ~n_bits ~have:3)
+      in
+      let before = Gc.minor_words () in
+      let r = Wire.decode b in
+      let words = Gc.minor_words () -. before in
+      (match r with
+      | Error (Wire.Malformed _) -> ()
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | Error e -> Alcotest.failf "%s: %s" what (Wire.wire_error_message e));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words allocated" what words)
+        true (words < 1000.))
+    [
+      ("65,536 one-byte vectors in 3 bytes", Wire.max_batch, 8);
+      ("a 2^32-1-bit vector in 3 bytes", 1, 0xFFFFFFFF);
+      ("65,537 zero-width vectors", Wire.max_batch + 1, 0);
+    ]
+
 (* ----- the exact max_payload boundary ----- *)
 
-(* A [Batch_result] with one assignment whose pin names are tuned so the
-   encoded payload is exactly [bytes]: 4 (result count) + 2 (pin count)
-   + per pin a 2-byte name length, the name, and a bool byte.  Pin names
-   are u16-length on the wire, so the bulk is made of 997-byte names
-   (1000 wire bytes each) and one final name absorbs the remainder. *)
+(* A [Batch_result] of one vector whose width is tuned so the encoded
+   payload is exactly [bytes]: 4 (vector count) + 4 (bit width) + the
+   packed vector. *)
 let batch_result_of_bytes bytes =
-  let body = bytes - 6 in
-  assert (body >= 2003);
-  let full = (body / 1000) - 1 in
-  let rem = body - (full * 1000) in
-  let pins =
-    List.init full (fun i ->
-        (Printf.sprintf "%06d%s" i (String.make 991 'p'), i land 1 = 1))
-  in
-  Wire.Batch_result [ pins @ [ (String.make (rem - 3) 'q', true) ] ]
+  let stride = bytes - 8 in
+  Wire.Batch_result
+    { n_bits = 8 * stride; vectors = [| String.make stride '\xa5' |] }
 
 let qc_payload_boundary =
   (* the cap is exact on both sides of the codec: a payload of
@@ -208,15 +307,18 @@ let hex b =
     (List.init (Bytes.length b) (fun i ->
          Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
 
+(* Protocol 2: design "s27", then 7 bits, then the byte 0x05 (bits 0
+   and 2 set, padding bit 7 clear). *)
 let test_golden_frame () =
   Alcotest.(check string) "Query frame bytes"
-    "474b01030000000900000016fb0bf48700037332370003000247300100024731000002473201"
+    "474b0203000000090000000ae17023e600037332370000000705"
     (hex
        (Wire.encode ~id:9
           (Wire.Query
              {
                design = "s27";
-               assignment = [ ("G0", true); ("G1", false); ("G2", true) ];
+               n_bits = 7;
+               bits = Bitpack.init 7 (fun i -> i = 0 || i = 2);
              })))
 
 let test_oversized () =
@@ -230,7 +332,7 @@ let test_oversized () =
 let test_crc_mismatch () =
   let b =
     Wire.encode ~id:9
-      (Wire.Query { design = "d"; assignment = [ ("a", true) ] })
+      (Wire.Query { design = "d"; n_bits = 1; bits = "\001" })
   in
   let pos = Wire.header_bytes in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
@@ -364,6 +466,11 @@ let hello fd ~id name =
   | { Wire.id = id'; msg = Wire.Hello_ack _ } when id' = id -> ()
   | _ -> Alcotest.fail "handshake failed"
 
+(* The packed query of [n] inputs whose bit [b] is bit [b] of [i]: the
+   packed form of [List.mapi (fun b p -> (p, (i lsr b) land 1 = 1))]
+   over the design's inputs. *)
+let packed n i = Bitpack.init n (fun b -> (i lsr b) land 1 = 1)
+
 (* ----- registry-wide verdict parity ----- *)
 
 let verdict_repr (o : Attack.outcome) =
@@ -434,8 +541,8 @@ let test_quota_mid_word () =
   in
   with_server ~config [ ("s27", Benchmarks.s27 ()) ] (fun t path ->
       let oracle = Option.get (Gkd_server.design_oracle t "s27") in
-      let pins = Oracle.input_names oracle in
-      let asg i = List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins in
+      let n = List.length (Oracle.input_names oracle) in
+      let query i = Wire.Query { design = "s27"; n_bits = n; bits = packed n i } in
       let a = Frame_io.connect (Frame_io.Unix_path path) in
       let b = Frame_io.connect (Frame_io.Unix_path path) in
       (* a silent third connection could still add a lane, so the word
@@ -454,11 +561,10 @@ let test_quota_mid_word () =
       (* pipeline scalar queries while the flusher sits on its delay:
          alice is 2 over her quota, bob exactly at his *)
       for i = 1 to 5 do
-        send a ~id:i (Wire.Query { design = "s27"; assignment = asg i })
+        send a ~id:i (query i)
       done;
       for i = 1 to 3 do
-        send b ~id:(10 + i)
-          (Wire.Query { design = "s27"; assignment = asg (5 + i) })
+        send b ~id:(10 + i) (query (5 + i))
       done;
       let collect fd n =
         List.init n (fun _ ->
@@ -607,7 +713,7 @@ let test_unknown_design () =
       let fd = Frame_io.connect (Frame_io.Unix_path path) in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
       hello fd ~id:1 "probe";
-      send fd ~id:2 (Wire.Query { design = "ghost"; assignment = [] });
+      send fd ~id:2 (Wire.Query { design = "ghost"; n_bits = 0; bits = "" });
       match recv fd with
       | { Wire.id = 2; msg = Wire.Error { code = Wire.Unknown_design; _ } } ->
         ()
@@ -672,9 +778,8 @@ let test_concurrent_batches () =
   let net = Benchmarks.s27 () in
   let comb = fst (Combinationalize.run net) in
   let local = Oracle.of_netlist comb in
-  let pins = Oracle.input_names local in
-  let asg i = List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins in
-  let expected = Array.init 128 (fun i -> Oracle.query local (asg i)) in
+  let n = List.length (Oracle.input_names local) in
+  let expected = Oracle.query_packed local (Array.init 128 (packed n)) in
   with_server [ ("s27", net) ] (fun _t path ->
       let errors = ref [] in
       let emu = Mutex.create () in
@@ -702,16 +807,21 @@ let test_concurrent_batches () =
           in
           send fd ~id:round
             (Wire.Query_batch
-               { design = "s27"; assignments = List.map asg idxs });
+               {
+                 design = "s27";
+                 n_bits = n;
+                 vectors = Array.of_list (List.map (packed n) idxs);
+               });
           match recv fd with
-          | { Wire.id; msg = Wire.Batch_result rs } when id = round ->
+          | { Wire.id; msg = Wire.Batch_result { vectors = rs; _ } }
+            when id = round ->
             List.iter2
               (fun i r ->
                 if r <> expected.(i) then
                   failwith
                     (Printf.sprintf "batcher %d: wrong result for input %d" k
                        i))
-              idxs rs
+              idxs (Array.to_list rs)
           | { Wire.msg; _ } ->
             failwith
               (Printf.sprintf "batcher %d: unexpected %s" k
@@ -722,9 +832,10 @@ let test_concurrent_batches () =
         with_conn "scalar" @@ fun fd ->
         for round = 1 to 40 do
           let i = (round * 29) mod 128 in
-          send fd ~id:round (Wire.Query { design = "s27"; assignment = asg i });
+          send fd ~id:round
+            (Wire.Query { design = "s27"; n_bits = n; bits = packed n i });
           match recv fd with
-          | { Wire.id; msg = Wire.Result r } when id = round ->
+          | { Wire.id; msg = Wire.Result { bits = r; _ } } when id = round ->
             if r <> expected.(i) then
               failwith (Printf.sprintf "scalar: wrong result for input %d" i)
           | { Wire.msg; _ } ->
@@ -742,12 +853,15 @@ let test_concurrent_batches () =
 
 (* ----- oversized replies degrade to structured errors ----- *)
 
-let fat_netlist n_outs =
-  let n = Netlist.create "fat" in
-  let a = Netlist.add_input n "a" in
-  for i = 0 to n_outs - 1 do
-    let g = Netlist.add_gate n Cell.Buf [| a |] in
-    Netlist.add_output n (Printf.sprintf "out_%04d_%s" i (String.make 58 'o')) g
+(* [n_ins] inputs, each output a buffer of one of them. *)
+let fat_netlist name ~n_ins ~n_outs =
+  let n = Netlist.create name in
+  let ins =
+    Array.init n_ins (fun i -> Netlist.add_input n (Printf.sprintf "i%d" i))
+  in
+  for o = 0 to n_outs - 1 do
+    let g = Netlist.add_gate n Cell.Buf [| ins.(o mod n_ins) |] in
+    Netlist.add_output n (Printf.sprintf "o%d" o) g
   done;
   n
 
@@ -757,18 +871,23 @@ let contains hay needle =
   go 0
 
 let test_oversized_reply () =
-  (* 2000 outputs x ~70 wire bytes each ≈ 140 kB per result: a 130-query
-     batch fits the request cap easily while its single Batch_result
-     would be ~18 MB > max_payload.  The reader thread must answer with
-     a structured error and keep serving, not die mid-write. *)
-  with_server [ ("fat", fat_netlist 2000) ] (fun _t path ->
+  (* 4000 outputs pack into 500 bytes per reply: a batch of 34,000
+     distinct 16-bit queries is a 68 kB request, while its single
+     Batch_result would be 17.0 MB > max_payload.  The reader thread
+     must answer with a structured error and keep serving, not die
+     mid-write. *)
+  with_server [ ("fat", fat_netlist "fat" ~n_ins:16 ~n_outs:4000) ]
+    (fun _t path ->
       let fd = Frame_io.connect (Frame_io.Unix_path path) in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       @@ fun () ->
       hello fd ~id:1 "blob";
-      let assignments = List.init 130 (fun i -> [ ("a", i land 1 = 1) ]) in
-      send fd ~id:2 (Wire.Query_batch { design = "fat"; assignments });
+      let batch n =
+        Wire.Query_batch
+          { design = "fat"; n_bits = 16; vectors = Array.init n (packed 16) }
+      in
+      send fd ~id:2 (batch 34_000);
       (match recv fd with
       | { Wire.id = 2; msg = Wire.Error { code = Wire.Server_error; detail } }
         ->
@@ -779,11 +898,10 @@ let test_oversized_reply () =
         Alcotest.failf "expected a structured error, got %s"
           (Wire.msg_type_name msg));
       (* a smaller batch still fits and works *)
-      let small = List.init 4 (fun i -> [ ("a", i land 1 = 1) ]) in
-      send fd ~id:3 (Wire.Query_batch { design = "fat"; assignments = small });
+      send fd ~id:3 (batch 4);
       (match recv fd with
-      | { Wire.id = 3; msg = Wire.Batch_result rs } ->
-        Alcotest.(check int) "batch answered" 4 (List.length rs)
+      | { Wire.id = 3; msg = Wire.Batch_result { vectors = rs; _ } } ->
+        Alcotest.(check int) "batch answered" 4 (Array.length rs)
       | { Wire.msg; _ } ->
         Alcotest.failf "connection unusable after an oversized reply: %s"
           (Wire.msg_type_name msg));
@@ -792,50 +910,196 @@ let test_oversized_reply () =
       | { Wire.id = 4; msg = Wire.Pong } -> ()
       | _ -> Alcotest.fail "no pong after an oversized reply")
 
-(* ----- client-side chunk sizing under an extreme reply/query ratio ----- *)
-
-let wide_reply_netlist () =
-  (* 8 two-char inputs, 1024 outputs with 200-char names: each reply is
-     ~203 bytes per output pin, so the reply/query byte ratio is ~5000. *)
-  let n = Netlist.create "wide" in
-  let ins =
-    Array.init 8 (fun i -> Netlist.add_input n (Printf.sprintf "i%d" i))
-  in
-  for o = 0 to 1023 do
-    let g = Netlist.add_gate n Cell.Buf [| ins.(o mod 8) |] in
-    Netlist.add_output n
-      (Printf.sprintf "o_%04d_%s" o (String.make 193 'w'))
-      g
-  done;
-  n
+(* ----- client-side chunk sizing under a wide reply ----- *)
 
 let test_chunk_sizing_wide_reply () =
-  (* Regression for the chunk-budget floor: [Remote_oracle.batch_chunks]
-     used to floor its per-chunk request budget at 4096 bytes, which on
-     this design packs ~97 queries per chunk and provokes a ~20 MB
-     Batch_result — past [Wire.max_payload], so the server answered with
-     a structured error and the whole batch died.  With the floor at 1
-     the ratio-derived budget holds (~40 queries per chunk, ~8 MB
-     replies) and the batch round-trips. *)
-  let net = wide_reply_netlist () in
-  let local = Oracle.of_netlist net in
-  let pins = Oracle.input_names local in
-  let asg i = List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins in
-  let queries = List.init 128 asg in
-  let expected = List.map (Oracle.query local) queries in
-  with_server [ ("wide", net) ] (fun _t path ->
+  (* 16 inputs and 8192 outputs: a query packs into 2 bytes and its
+     reply into 1 KB, so the reply side bounds the chunk at 16,383
+     queries.  20,000 distinct queries (distinct, because the client
+     deduplicates a batch before it ships it) carry 20 MB of replies:
+     [Remote_oracle] must split them across two Query_batch frames and
+     reassemble the answers in order.  The positional entry keeps the
+     replies packed on both sides. *)
+  let net = fat_netlist "wide" ~n_ins:16 ~n_outs:8192 in
+  let local = Oracle.of_netlist ~memo:false net in
+  let n_queries = 20_000 in
+  let queries = Array.init n_queries (packed 16) in
+  Alcotest.(check bool) "the replies exceed one frame" true
+    (n_queries * Bitpack.bytes 8192 > Wire.max_payload);
+  let expected = Oracle.query_packed local queries in
+  with_server
+    ~config:{ Gkd_server.default_config with Gkd_server.oracle_memo = false }
+    [ ("wide", net) ]
+    (fun _t path ->
       let r =
-        Remote_oracle.connect ~client:"wide" ~design:"wide"
+        Remote_oracle.connect ~client:"wide" ~design:"wide" ~memo:false
           (Frame_io.Unix_path path)
       in
       Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
-      let got = Oracle.query_batch (Remote_oracle.oracle r) queries in
-      Alcotest.(check int) "every query answered" 128 (List.length got);
-      List.iteri
-        (fun i (want, have) ->
-          if want <> have then
+      let got = Oracle.query_packed (Remote_oracle.oracle r) queries in
+      Alcotest.(check int) "every query answered" n_queries (Array.length got);
+      Array.iteri
+        (fun i want ->
+          if want <> got.(i) then
             Alcotest.failf "query %d: remote result differs from local" i)
-        (List.combine expected got))
+        expected)
+
+(* ----- protocol 2 at a live server ----- *)
+
+(* A frame whose header says protocol 1 is refused at decode time with a
+   structured [unsupported_version] error. *)
+let test_old_version_frame () =
+  with_server [ ("s27", Benchmarks.s27 ()) ] (fun _t path ->
+      let fd = Frame_io.connect (Frame_io.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      let b = Wire.encode ~id:1 Wire.Ping in
+      Bytes.set b 2 '\001';
+      ignore (Unix.write fd b 0 (Bytes.length b));
+      match recv fd with
+      | { Wire.msg = Wire.Error { code = Wire.Unsupported_version; _ }; _ } ->
+        ()
+      | { Wire.msg; _ } ->
+        Alcotest.failf "expected unsupported_version, got %s"
+          (Wire.msg_type_name msg))
+
+(* A query or batch whose bit count is not the design's input count is a
+   [bad_query], and the connection keeps working. *)
+let test_wrong_bit_count () =
+  with_server [ ("s27", Benchmarks.s27 ()) ] (fun t path ->
+      let oracle = Option.get (Gkd_server.design_oracle t "s27") in
+      let n = List.length (Oracle.input_names oracle) in
+      let fd = Frame_io.connect (Frame_io.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      hello fd ~id:1 "wide";
+      List.iteri
+        (fun i msg ->
+          let id = 2 + i in
+          send fd ~id msg;
+          match recv fd with
+          | { Wire.id = id'; msg = Wire.Error { code = Wire.Bad_query; _ } }
+            when id' = id ->
+            ()
+          | { Wire.msg; _ } ->
+            Alcotest.failf "frame %d: expected bad_query, got %s" id
+              (Wire.msg_type_name msg))
+        [
+          Wire.Query { design = "s27"; n_bits = n + 1; bits = packed (n + 1) 5 };
+          Wire.Query { design = "s27"; n_bits = n - 1; bits = packed (n - 1) 5 };
+          Wire.Query_batch
+            {
+              design = "s27";
+              n_bits = n + 8;
+              vectors = [| packed (n + 8) 1 |];
+            };
+        ];
+      send fd ~id:9 Wire.Ping;
+      (match recv fd with
+      | { Wire.id = 9; msg = Wire.Pong } -> ()
+      | _ -> Alcotest.fail "no pong after a bad_query");
+      Alcotest.(check int) "nothing evaluated" 0 (Oracle.queries oracle))
+
+(* Names are resolved at the client edge, under the local rules: an
+   unknown or missing name raises before a frame is sent, and a relaxed
+   remote oracle answers like a relaxed local one. *)
+let test_remote_names_checked () =
+  let net = Benchmarks.s27 () in
+  let local = Oracle.of_netlist (fst (Combinationalize.run net)) in
+  let pins = Oracle.input_names local in
+  with_server [ ("s27", net) ] (fun t path ->
+      let r =
+        Remote_oracle.connect ~client:"names" ~memo:false
+          (Frame_io.Unix_path path)
+      in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      let remote = Remote_oracle.oracle r in
+      Alcotest.(check (list string)) "input_names are d_inputs" pins
+        (Oracle.input_names remote);
+      let served = Obs.Metrics.counter "gklockd.queries" in
+      let before = Obs.Metrics.value served in
+      let all = List.map (fun p -> (p, true)) pins in
+      List.iter
+        (fun (what, q) ->
+          (match Oracle.query remote q with
+          | _ -> Alcotest.failf "query with %s answered" what
+          | exception Invalid_argument _ -> ());
+          match Oracle.query_batch remote [ all; q ] with
+          | _ -> Alcotest.failf "batch with %s answered" what
+          | exception Invalid_argument _ -> ())
+        [
+          ("an unknown name", ("nope", true) :: all);
+          ("a missing name", List.tl all);
+        ];
+      Alcotest.(check int) "gklockd.queries unchanged" before
+        (Obs.Metrics.value served);
+      Alcotest.(check int) "nothing evaluated" 0
+        (Oracle.queries (Option.get (Gkd_server.design_oracle t "s27")));
+      let q = ("nope", true) :: List.tl all in
+      Alcotest.(check (list (pair string bool)))
+        "relaxed remote = relaxed local"
+        (Oracle.query (Oracle.relax local) q)
+        (Oracle.query (Oracle.relax remote) q))
+
+(* ----- every path against the reference walk ----- *)
+
+(* [Ref_sim]'s reply to the packed inputs [q] of [comb], packed in
+   output order. *)
+let reference_packed comb inputs q =
+  let idx = Hashtbl.create 64 in
+  List.iteri (fun i n -> Hashtbl.replace idx n i) inputs;
+  let values =
+    Ref_sim.eval_comb comb (fun id ->
+        match Hashtbl.find_opt idx (Netlist.node comb id).Netlist.name with
+        | Some i -> Bitpack.get q i
+        | None -> false)
+  in
+  let outs = Array.of_list (Netlist.outputs comb) in
+  Bitpack.init (Array.length outs) (fun k -> values.(snd outs.(k)))
+
+let test_paths_equal_ref_sim () =
+  List.iter
+    (fun (name, n_vec) ->
+      let net = Benchmarks.by_name name in
+      let comb = fst (Combinationalize.run net) in
+      let fresh () = Oracle.of_netlist ~memo:false comb in
+      let inputs = Oracle.input_names (fresh ()) in
+      let outputs = List.map fst (Netlist.outputs comb) in
+      let rng = Random.State.make [| 23; Hashtbl.hash name |] in
+      let vecs =
+        Array.init n_vec (fun _ ->
+            Bitpack.init (List.length inputs) (fun _ -> Random.State.bool rng))
+      in
+      let want = Array.map (reference_packed comb inputs) vecs in
+      let named q = List.mapi (fun i n -> (n, Bitpack.get q i)) inputs in
+      let unpacked r = List.mapi (fun k o -> (o, Bitpack.get r k)) outputs in
+      let check what o =
+        let fail path i =
+          Alcotest.failf "%s %s %s: vector %d differs from Ref_sim" name what
+            path i
+        in
+        Array.iteri
+          (fun i r -> if r <> want.(i) then fail "query_packed" i)
+          (Oracle.query_packed o vecs);
+        Array.iteri
+          (fun i q ->
+            if Oracle.query o (named q) <> unpacked want.(i) then fail "query" i)
+          vecs;
+        List.iteri
+          (fun i r -> if r <> unpacked want.(i) then fail "query_batch" i)
+          (Oracle.query_batch o (List.map named (Array.to_list vecs)))
+      in
+      check "local" (fresh ());
+      with_server [ (name, net) ] (fun _t path ->
+          let r =
+            Remote_oracle.connect ~client:"ref" ~memo:false
+              (Frame_io.Unix_path path)
+          in
+          Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+          check "remote" (Remote_oracle.oracle r)))
+    [ ("s1238", 64); ("s38417", 16) ]
 
 (* ----- tcp shutdown gating ----- *)
 
@@ -915,10 +1179,10 @@ let test_client_counter_cap () =
       Alcotest.(check int) "distinct per-client counters capped" 256 prefixed;
       (* an over-cap client is still served, just counted as "other" *)
       let oracle = Option.get (Gkd_server.design_oracle t "s27") in
-      let pins = Oracle.input_names oracle in
+      let n = List.length (Oracle.input_names oracle) in
       send fd ~id:1000
         (Wire.Query
-           { design = "s27"; assignment = List.map (fun p -> (p, true)) pins });
+           { design = "s27"; n_bits = n; bits = Bitpack.init n (fun _ -> true) });
       match recv fd with
       | { Wire.id = 1000; msg = Wire.Result _ } -> ()
       | { Wire.msg; _ } ->
@@ -994,7 +1258,9 @@ let suites =
     ( "net-wire",
       [
         qc_roundtrip; qc_truncated; qc_mutated; qc_garbage;
-        qc_payload_boundary;
+        qc_payload_boundary; qc_padding;
+        tc "a batch count is bounded before allocation" `Quick
+          test_batch_count_bounded;
         tc "oversized length rejected" `Quick test_oversized;
         tc "payload CRC checked" `Quick test_crc_mismatch;
         tc "crc32 known answers" `Quick test_crc_known_answers;
@@ -1034,5 +1300,13 @@ let suites =
           test_malformed_fuzz;
         tc "metrics dump and clean shutdown" `Quick
           test_metrics_dump_and_shutdown;
+        tc "a protocol-1 frame is unsupported_version" `Quick
+          test_old_version_frame;
+        tc "a wrong bit count is bad_query, then Ping works" `Quick
+          test_wrong_bit_count;
+        tc "remote names are checked before any frame" `Quick
+          test_remote_names_checked;
+        tc "positional, named and remote paths = Ref_sim" `Slow
+          test_paths_equal_ref_sim;
       ] );
   ]

@@ -146,4 +146,5 @@ let serve_term =
   in
   Term.(
     const run $ listen_arg $ designs_arg $ max_queries_arg $ deadline_arg
-    $ flush_delay_arg $ no_memo_arg $ tcp_shutdown_arg $ metrics_out_arg $ metrics_interval_arg)
+    $ flush_delay_arg $ no_memo_arg $ tcp_shutdown_arg $ metrics_out_arg
+    $ metrics_interval_arg)

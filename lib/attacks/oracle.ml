@@ -256,10 +256,11 @@ let resolve t p q =
 let unpack p r =
   let l = ref [] in
   for oi = Array.length p.out_t - 1 downto 0 do
+    let set =
+      Char.code (String.unsafe_get r (oi lsr 3)) land (1 lsl (oi land 7)) <> 0
+    in
     l :=
-      (if Char.code (String.unsafe_get r (oi lsr 3)) land (1 lsl (oi land 7)) <> 0
-       then Array.unsafe_get p.out_t oi
-       else Array.unsafe_get p.out_f oi)
+      (if set then Array.unsafe_get p.out_t oi else Array.unsafe_get p.out_f oi)
       :: !l
   done;
   !l
@@ -501,7 +502,9 @@ let answer t ~dummy memo keys eval =
       let computed = eval miss in
       (* memo writes, on the calling domain only *)
       Array.iteri (fun mi r -> memo_add t memo keys.(miss.(mi)) r) computed;
-      Array.iteri (fun i mi -> if mi >= 0 then replies.(i) <- computed.(mi)) slot
+      Array.iteri
+        (fun i mi -> if mi >= 0 then replies.(i) <- computed.(mi))
+        slot
     end;
     replies
   end

@@ -117,7 +117,12 @@ let mk_design cfg (name, net) =
     ds_n_out = List.length d_outputs;
     ds_omu = Mutex.create ();
     ds_info =
-      { Wire.d_name = name; d_inputs; d_outputs; d_cells = Netlist.num_nodes comb };
+      {
+        Wire.d_name = name;
+        d_inputs;
+        d_outputs;
+        d_cells = Netlist.num_nodes comb;
+      };
     ds_mu = Mutex.create ();
     ds_nonempty = Condition.create ();
     ds_q = Queue.create ();
@@ -376,12 +381,11 @@ let handle t conn ~id msg =
           reply_error conn ~id Wire.Unknown_design
             (Printf.sprintf "design %S is not hosted here" design);
           true
+        | Some ds when n_bits <> ds.ds_n_in ->
+          bad_width conn ~id ds n_bits;
+          true
         | Some ds ->
-          if n_bits <> ds.ds_n_in then begin
-            bad_width conn ~id ds n_bits;
-            true
-          end
-          else if t.stopping then begin
+          if t.stopping then begin
             reply_error conn ~id Wire.Shutting_down "server is shutting down";
             true
           end

@@ -52,7 +52,8 @@ let fail_on_error = function
 let query_remote t bits =
   match
     fail_on_error
-      (roundtrip t (Wire.Query { design = t.r_design; n_bits = t.r_n_in; bits }))
+      (roundtrip t
+         (Wire.Query { design = t.r_design; n_bits = t.r_n_in; bits }))
   with
   | Wire.Result { n_bits; bits } when n_bits = t.r_n_out -> bits
   | Wire.Result { n_bits; _ } ->
@@ -95,17 +96,12 @@ let chunk_size t =
 
 let query_batch_remote t vectors =
   let n = Array.length vectors and k = chunk_size t in
-  if n <= k then if n = 0 then [||] else query_batch_frame t vectors
-  else begin
-    let out = Array.make n "" in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min k (n - !pos) in
-      Array.blit (query_batch_frame t (Array.sub vectors !pos len)) 0 out !pos len;
-      pos := !pos + len
-    done;
-    out
-  end
+  if n <= k then query_batch_frame t vectors
+  else
+    Array.concat
+      (List.init ((n + k - 1) / k) (fun c ->
+           let len = min k (n - (c * k)) in
+           query_batch_frame t (Array.sub vectors (c * k) len)))
 
 let connect ?(client = "gklock") ?design ?(memo = true) ?memo_cap addr =
   let fd = Frame_io.connect addr in

@@ -370,7 +370,8 @@ let get_batch c =
   (* both fields are attacker-controlled: bound them by the cap and by
      what the payload could possibly hold before allocating *)
   if count > max_batch then
-    raise (Bad (Printf.sprintf "batch of %d vectors exceeds %d" count max_batch));
+    raise
+      (Bad (Printf.sprintf "batch of %d vectors exceeds %d" count max_batch));
   if count * Bitpack.bytes n_bits > c.stop - c.pos then
     raise (Bad "batch count exceeds payload");
   let vectors = Array.make count "" in

@@ -18,7 +18,7 @@
     count and its input bits packed LSB-first ({!Bitpack}) in the order
     of the design's advertised [d_inputs], and a [Result] the output
     bits in [d_outputs] order.  No pin name crosses the wire after
-    [List_designs]; on s38417 a query frame is 231 bytes (19,434 when
+    [List_designs]; on s38417 a query frame is 227 bytes (19,434 when
     protocol 1 named every pin).  Decoding rejects a nonzero padding
     bit, so each vector has exactly one encoding.
 

@@ -7,9 +7,10 @@ let get s i =
 let init n f =
   let b = Bytes.make (bytes n) '\000' in
   for i = 0 to n - 1 do
-    if f i then
-      Bytes.set b (i lsr 3)
-        (Char.unsafe_chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
+    if f i then begin
+      let c = Char.code (Bytes.get b (i lsr 3)) in
+      Bytes.set b (i lsr 3) (Char.unsafe_chr (c lor (1 lsl (i land 7))))
+    end
   done;
   Bytes.unsafe_to_string b
 

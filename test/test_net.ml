@@ -22,7 +22,8 @@ let gen_bits n =
     (fun bs -> Bitpack.init n (Array.get bs))
     (QCheck.Gen.array_repeat n QCheck.Gen.bool)
 
-let gen_vector = QCheck.Gen.(gen_width >>= fun n -> pair (return n) (gen_bits n))
+let gen_vector =
+  QCheck.Gen.(gen_width >>= fun n -> pair (return n) (gen_bits n))
 
 let gen_batch =
   QCheck.Gen.(
@@ -147,7 +148,8 @@ let qc_padding =
                  [
                    Wire.Query { design = "d"; n_bits = n; bits };
                    Wire.Result { n_bits = n; bits };
-                   Wire.Query_batch { design = "d"; n_bits = n; vectors = [| bits |] };
+                   Wire.Query_batch
+                     { design = "d"; n_bits = n; vectors = [| bits |] };
                    Wire.Batch_result { n_bits = n; vectors = [| bits; bits |] };
                  ]))
            (int_bound 7)))
@@ -197,24 +199,24 @@ let batch_result_payload ~count ~n_bits ~have =
 (* The count and width fields are checked against the payload (and the
    count against [max_batch]) before the vector array is allocated: a
    tiny frame announcing 65,536 one-byte vectors, or 65,537 of zero
-   width, is rejected having allocated a few hundred words at most,
-   where the array alone would take 64k words. *)
+   width, is rejected having allocated a few kilobytes at most, where
+   the array alone would take 512 KB. *)
 let test_batch_count_bounded () =
   List.iter
     (fun (what, count, n_bits) ->
       let b =
         raw_frame ~mtype:0x84 (batch_result_payload ~count ~n_bits ~have:3)
       in
-      let before = Gc.minor_words () in
+      let before = Gc.allocated_bytes () in
       let r = Wire.decode b in
-      let words = Gc.minor_words () -. before in
+      let bytes = Gc.allocated_bytes () -. before in
       (match r with
       | Error (Wire.Malformed _) -> ()
       | Ok _ -> Alcotest.failf "%s: decoded" what
       | Error e -> Alcotest.failf "%s: %s" what (Wire.wire_error_message e));
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.0f words allocated" what words)
-        true (words < 1000.))
+        (Printf.sprintf "%s: %.0f bytes allocated" what bytes)
+        true (bytes < 8192.))
     [
       ("65,536 one-byte vectors in 3 bytes", Wire.max_batch, 8);
       ("a 2^32-1-bit vector in 3 bytes", 1, 0xFFFFFFFF);
@@ -542,7 +544,9 @@ let test_quota_mid_word () =
   with_server ~config [ ("s27", Benchmarks.s27 ()) ] (fun t path ->
       let oracle = Option.get (Gkd_server.design_oracle t "s27") in
       let n = List.length (Oracle.input_names oracle) in
-      let query i = Wire.Query { design = "s27"; n_bits = n; bits = packed n i } in
+      let query i =
+        Wire.Query { design = "s27"; n_bits = n; bits = packed n i }
+      in
       let a = Frame_io.connect (Frame_io.Unix_path path) in
       let b = Frame_io.connect (Frame_io.Unix_path path) in
       (* a silent third connection could still add a lane, so the word
@@ -987,8 +991,10 @@ let test_wrong_bit_count () =
             Alcotest.failf "frame %d: expected bad_query, got %s" id
               (Wire.msg_type_name msg))
         [
-          Wire.Query { design = "s27"; n_bits = n + 1; bits = packed (n + 1) 5 };
-          Wire.Query { design = "s27"; n_bits = n - 1; bits = packed (n - 1) 5 };
+          Wire.Query
+            { design = "s27"; n_bits = n + 1; bits = packed (n + 1) 5 };
+          Wire.Query
+            { design = "s27"; n_bits = n - 1; bits = packed (n - 1) 5 };
           Wire.Query_batch
             {
               design = "s27";
@@ -1041,7 +1047,19 @@ let test_remote_names_checked () =
       Alcotest.(check (list (pair string bool)))
         "relaxed remote = relaxed local"
         (Oracle.query (Oracle.relax local) q)
-        (Oracle.query (Oracle.relax remote) q))
+        (Oracle.query (Oracle.relax remote) q);
+      (* [query] sends a [Query] frame, which the coalescer flushes;
+         [query_batch] a [Query_batch] frame, which bypasses it *)
+      let flushes () = fst (histogram_stats "gklockd.batch_fill") in
+      let f0 = flushes () and q0 = Obs.Metrics.value served in
+      ignore (Oracle.query remote all);
+      Alcotest.(check int) "query: one flush" (f0 + 1) (flushes ());
+      ignore
+        (Oracle.query_batch remote
+           [ all; List.map (fun p -> (p, false)) pins ]);
+      Alcotest.(check int) "query_batch: no flush" (f0 + 1) (flushes ());
+      Alcotest.(check int) "three queries served" (q0 + 3)
+        (Obs.Metrics.value served))
 
 (* ----- every path against the reference walk ----- *)
 
@@ -1085,7 +1103,8 @@ let test_paths_equal_ref_sim () =
           (Oracle.query_packed o vecs);
         Array.iteri
           (fun i q ->
-            if Oracle.query o (named q) <> unpacked want.(i) then fail "query" i)
+            if Oracle.query o (named q) <> unpacked want.(i) then
+              fail "query" i)
           vecs;
         List.iteri
           (fun i r -> if r <> unpacked want.(i) then fail "query_batch" i)
@@ -1182,7 +1201,11 @@ let test_client_counter_cap () =
       let n = List.length (Oracle.input_names oracle) in
       send fd ~id:1000
         (Wire.Query
-           { design = "s27"; n_bits = n; bits = Bitpack.init n (fun _ -> true) });
+           {
+             design = "s27";
+             n_bits = n;
+             bits = Bitpack.init n (fun _ -> true);
+           });
       match recv fd with
       | { Wire.id = 1000; msg = Wire.Result _ } -> ()
       | { Wire.msg; _ } ->

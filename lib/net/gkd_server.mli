@@ -73,7 +73,7 @@ type config = {
       (** bound resident memo entries per design (default 65536).  An
           entry is the packed input and output bits plus its table
           cells, about 0.5 KB on s38417 (1,592 inputs, 1,672 outputs),
-          so the default cap holds about 30 MB there *)
+          so the default cap holds about 32 MB there *)
   allow_tcp_shutdown : bool;
       (** honor [Shutdown] frames on a TCP listener (default false:
           anyone who can reach the port could otherwise kill the

@@ -305,7 +305,7 @@ let test_oracle_sharded_batch () =
 (* The memo keeps packed bits: an s38417 entry is its 199-byte input
    and 209-byte output vector plus table cells, so 500 distinct queries
    grow the live heap by well under 1 KB each (named keys and replies
-   took 41.7 KB). *)
+   took 41.8 KB). *)
 let test_oracle_memo_footprint () =
   let comb = fst (Combinationalize.run (Benchmarks.by_name "s38417")) in
   let o = Oracle.of_netlist ~shards:1 comb in

@@ -1,7 +1,9 @@
 (* Attack-framework benchmarks: oracle query throughput (batched
    engine path vs. one query at a time, plus both remote paths through
-   an in-process gklockd over a loopback unix socket) and per-attack
-   wall time for every registry entry on two benchmarks.  Prints
+   an in-process gklockd over a loopback unix socket), per-attack
+   wall time for every registry entry on two benchmarks, and the cost
+   and mismatch count of one key verification ([Sat_attack.verify_key])
+   on GK-8 s5378/s13207/s38417 and XOR-16 s5378.  Prints
    human-readable tables and writes machine-readable results to
    BENCH_attacks.json (or the path given as the last argument):
 
@@ -222,6 +224,54 @@ let bench_attacks ~max_iterations ~deadline_s net name =
       })
     (Attack.names ())
 
+(* ----- key verification ----- *)
+
+type verify_row = {
+  v_name : string;
+  v_ms : float;  (* median rep of one 64-sample [verify_key] call *)
+  v_mismatches : int;
+}
+
+(* One [Sat_attack.verify_key] call, as every [sat] verdict ends: the
+   chip is a memo-less netlist oracle built once, so every rep evaluates
+   all 64 vectors on both sides. *)
+let bench_verify ~min_time name ~chip ~locked ~key_inputs key =
+  let oracle = Oracle.of_netlist ~memo:false chip in
+  let call () = Sat_attack.verify_key ~seed:1 ~locked ~key_inputs ~oracle key in
+  let mismatches = call () in
+  let s = median_rep_s ~min_reps:7 ~min_time (fun () -> ignore (call ())) in
+  { v_name = name; v_ms = s *. 1000.0; v_mismatches = mismatches }
+
+(* GK-8 at lock seed 1 with the key the SAT attack leaves (read from the
+   DIP miter after its UNSAT first solve), as in the paper's Sec. VI
+   experiment, and XOR-16 on s5378 with one key bit flipped. *)
+let verify_rows ~min_time =
+  let gk8 bname =
+    let spec = Option.get (Benchmarks.find_spec bname) in
+    let net = Benchmarks.load spec in
+    let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+    let d = Insertion.lock ~seed:1 net ~clock_ps ~n_gks:8 in
+    let stripped, key_inputs = Insertion.strip_keygens d in
+    let locked = fst (Combinationalize.run stripped) in
+    let chip = fst (Combinationalize.run net) in
+    let o =
+      Sat_attack.exec ~budget:(Budget.unlimited ()) ~locked ~key_inputs
+        ~oracle:(Oracle.of_netlist chip) ()
+    in
+    match o.Sat_attack.status with
+    | Sat_attack.Unsat_at_first_iteration key ->
+      bench_verify ~min_time ("gk8-" ^ bname) ~chip ~locked ~key_inputs key
+    | _ -> failwith (bname ^ ": GK-8 left a DIP")
+  in
+  let xor16 =
+    let chip = fst (Combinationalize.run (Benchmarks.by_name "s5378")) in
+    let lk = Xor_lock.lock ~seed:5 chip ~n_keys:16 in
+    let key_inputs = lk.Locked.key_inputs in
+    bench_verify ~min_time "xor16-s5378-flip1" ~chip ~locked:lk.Locked.net ~key_inputs
+      (Key.flip lk.Locked.correct_key (List.hd key_inputs))
+  in
+  List.map gk8 [ "s5378"; "s13207"; "s38417" ] @ [ xor16 ]
+
 (* ----- output ----- *)
 
 let json_of_oracle r =
@@ -236,6 +286,11 @@ let json_of_oracle r =
     r.o_remote_scalar_qps r.o_remote_batch_qps
     (r.o_batch_qps /. r.o_scalar_qps)
     (r.o_remote_batch_qps /. r.o_remote_scalar_qps)
+
+let json_of_verify r =
+  Printf.sprintf
+    "    {\"name\": %S, \"samples\": 64, \"ms_per_call\": %.3f, \"mismatches\": %d}"
+    r.v_name r.v_ms r.v_mismatches
 
 let json_of_attack r =
   (* %.6f matches the elapsed clamp in [Attack.run]: a bail-before-first-
@@ -323,6 +378,11 @@ let () =
         r.a_attack verdict r.a_iterations r.a_queries r.a_conflicts
         r.a_elapsed_s)
     attack_rows;
+  let verify = verify_rows ~min_time in
+  Printf.printf "\n%-18s %12s %10s\n" "verify_key" "ms/call" "mismatches";
+  List.iter
+    (fun r -> Printf.printf "%-18s %12.3f %10d\n" r.v_name r.v_ms r.v_mismatches)
+    verify;
   let doc =
     Printf.sprintf
       "{\n\
@@ -334,11 +394,15 @@ let () =
       \  ],\n\
       \  \"attacks\": [\n\
        %s\n\
+      \  ],\n\
+      \  \"verify\": [\n\
+       %s\n\
       \  ]\n\
        }\n"
       smoke Netlist.Engine.word_bits
       (String.concat ",\n" (List.map json_of_oracle oracle_rows))
       (String.concat ",\n" (List.map json_of_attack attack_rows))
+      (String.concat ",\n" (List.map json_of_verify verify))
   in
   (* the hand-rolled printer above is only trusted after a round-trip
      through the repo's own JSON parser *)

@@ -29,36 +29,27 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
   let m = Dip_miter.create locked ~key_inputs in
   let x_names = Dip_miter.x_names m in
   let add_io_constraint dip outs = Dip_miter.constrain m (Dip_miter.io m dip outs) in
-  let random_dip () = List.map (fun n -> (n, Random.State.bool rng)) x_names in
   let locked_o = Oracle.of_netlist locked in
-  let differs = Oracle.differs locked ~missing:false in
   let queries = ref 0 in
   (* estimate the error on a batch of random queries (one 63-lane engine
      pass per word on each side) and feed failing queries back as
-     constraints *)
+     constraints; a batch counts once the chip has answered it *)
   let estimate key =
     Obs.Trace.with_span
       ~args:[ ("queries", Cjson.Int queries_per_check) ]
       "appsat.estimate"
     @@ fun () ->
-    let dips = ref [] in
-    for _ = 1 to queries_per_check do
-      dips := random_dip () :: !dips
-    done;
-    let dips = List.rev !dips in
+    let failing =
+      Sampler.mismatches ~rng ~samples:queries_per_check ~chip:oracle
+        ~candidate:locked_o ~drive:x_names ~fixed:key ~missing:false
+    in
     queries := !queries + queries_per_check;
-    let expected = Oracle.query_batch oracle dips in
-    let got = Oracle.query_batch locked_o (List.map (fun d -> d @ key) dips) in
-    let errors = ref 0 in
-    List.iter2
-      (fun (dip, exp) g ->
-        if differs exp g then begin
-          incr errors;
-          add_io_constraint dip exp
-        end)
-      (List.combine dips expected)
-      got;
-    float_of_int !errors /. float_of_int queries_per_check
+    List.iter
+      (fun sample ->
+        let dip, reply = Lazy.force sample in
+        add_io_constraint dip reply)
+      failing;
+    float_of_int (List.length failing) /. float_of_int queries_per_check
   in
   let fallback = List.map (fun k -> (k, false)) key_inputs in
   let exhausted dips =

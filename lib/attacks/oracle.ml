@@ -190,7 +190,36 @@ let input_names t =
   | Pos p -> Array.to_list p.in_names
   | Fn _ -> []
 
+let output_names t =
+  match t.backend with
+  | Pos p -> Array.to_list (Array.map fst p.out_t)
+  | Fn _ -> []
+
 (* ----- the named edge of a positional oracle ----- *)
+
+(* The input position that a named query's pin [name] assigns, [-1] for
+   a name [p] lacks.  [next] is one past the previous pin's position:
+   queries are usually built by mapping over {!input_names}, i.e. pins
+   arrive in declaration order, so the next expected source is checked
+   before paying a hash lookup. *)
+let position p next name =
+  if next < Array.length p.in_names
+     && String.equal (Array.unsafe_get p.in_names next) name
+  then next
+  else match Hashtbl.find_opt p.idx_of_name name with Some i -> i | None -> -1
+
+let unknown_input p name =
+  invalid_arg
+    (Printf.sprintf
+       "Oracle.query: unknown input %S for %s (use %s to ignore stray names)"
+       name p.what p.relax_with)
+
+let no_value p i =
+  invalid_arg
+    (Printf.sprintf
+       "Oracle.query: no value for input %S of %s (use %s to read missing \
+        inputs as false)"
+       p.in_names.(i) p.what p.relax_with)
 
 (* A named query's packed input bits, which are also its memo key: two
    queries that resolve to the same effective assignment share an entry
@@ -205,20 +234,10 @@ let resolve t p q =
      source netlist) still reads a deterministic false, but every such
      read now shows up in oracle.partial_defaults. *)
   let seen = Bytes.make n '\000' in
-  (* positional fast path: queries are usually built by mapping over
-     {!input_names}, i.e. pins arrive in declaration order — check the
-     next expected source before paying a hash lookup *)
   let next = ref 0 in
   List.iter
     (fun (name, v) ->
-      let i =
-        let g = !next in
-        if g < n && String.equal (Array.unsafe_get p.in_names g) name then g
-        else
-          match Hashtbl.find_opt p.idx_of_name name with
-          | Some i -> i
-          | None -> -1
-      in
+      let i = position p !next name in
       if i >= 0 then begin
         next := i + 1;
         let byte = i lsr 3 and m = 1 lsl (i land 7) in
@@ -227,12 +246,7 @@ let resolve t p q =
           (Char.unsafe_chr (if v then c lor m else c land lnot m));
         Bytes.unsafe_set seen i '\001'
       end
-      else if not t.partial then
-        invalid_arg
-          (Printf.sprintf
-             "Oracle.query: unknown input %S for %s (use %s to ignore stray \
-              names)"
-             name p.what p.relax_with))
+      else if not t.partial then unknown_input p name)
     q;
   if t.partial then begin
     let defaulted = ref 0 in
@@ -243,14 +257,67 @@ let resolve t p q =
   end
   else
     for i = 0 to n - 1 do
-      if Bytes.get seen i = '\000' then
-        invalid_arg
-          (Printf.sprintf
-             "Oracle.query: no value for input %S of %s (use %s to read \
-              missing inputs as false)"
-             p.in_names.(i) p.what p.relax_with)
+      if Bytes.get seen i = '\000' then no_value p i
     done;
   Bytes.unsafe_to_string vals
+
+let packer t names =
+  match t.backend with
+  | Fn _ -> None
+  | Pos p ->
+    let n = Array.length p.in_names in
+    let names = Array.of_list names in
+    let next = ref 0 in
+    let pos =
+      Array.map
+        (fun name ->
+          let i = position p !next name in
+          if i >= 0 then next := i + 1
+          else if not t.partial then unknown_input p name;
+          i)
+        names
+    in
+    (* only the last name that assigns a position writes it *)
+    let seen = Bytes.make n '\000' in
+    for k = Array.length pos - 1 downto 0 do
+      let i = pos.(k) in
+      if i >= 0 then
+        if Bytes.get seen i = '\001' then pos.(k) <- -1
+        else Bytes.set seen i '\001'
+    done;
+    let defaulted = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get seen i = '\000' then
+        if t.partial then incr defaulted else no_value p i
+    done;
+    let defaulted = !defaulted in
+    let width = Array.length pos in
+    let check v =
+      if not (Bitpack.well_formed width v) then
+        invalid_arg
+          (Printf.sprintf "Oracle.packer: a vector of %d bytes is not %d packed values"
+             (String.length v) width);
+      if defaulted > 0 then Obs.Metrics.add m_partial_defaults defaulted
+    in
+    if width = n && Array.for_all2 ( = ) pos (Array.init n Fun.id) then
+      (* the names are the inputs, in order: the values are the query *)
+      Some (fun v -> check v; v)
+    else
+      Some
+        (fun v ->
+          check v;
+          let vals = Bytes.make (Bitpack.bytes n) '\000' in
+          for k = 0 to width - 1 do
+            let i = Array.unsafe_get pos k in
+            if
+              i >= 0
+              && Char.code (String.unsafe_get v (k lsr 3)) land (1 lsl (k land 7)) <> 0
+            then
+              Bytes.unsafe_set vals (i lsr 3)
+                (Char.unsafe_chr
+                   (Char.code (Bytes.unsafe_get vals (i lsr 3)) lor (1 lsl (i land 7))))
+          done;
+          Bytes.unsafe_to_string vals)
 
 (* A packed reply as a named one, in output order. *)
 let unpack p r =
@@ -611,17 +678,3 @@ let query t q =
 
 let query_batch t qs =
   Array.to_list (answer_named t ~scalar:false (Array.of_list qs))
-
-let differs net ~missing =
-  let outs = Netlist.outputs net in
-  let index = Hashtbl.create (List.length outs) in
-  List.iteri (fun i (po, _) -> Hashtbl.replace index po i) outs;
-  let buf = Bytes.make (List.length outs) '\000' in
-  fun exp got ->
-    List.iteri (fun i (_, w) -> Bytes.set buf i (if w then '\001' else '\000')) got;
-    List.exists
-      (fun (po, v) ->
-        match Hashtbl.find_opt index po with
-        | Some i -> v <> (Bytes.get buf i = '\001')
-        | None -> missing)
-      exp

@@ -61,11 +61,16 @@
     64-bit hosts), so a single query is lane 0 of a one-word block, and
     on large engines key resolution and evaluation are sharded across a
     bounded domain pool ({!Parallel.map} semantics — nested use degrades
-    to sequential).  This is the fast path for sampling workloads (brute
-    force, AppSAT error estimation, removal-equivalence checks,
-    [verify_key]).  A black box answers {!query} with its scalar
+    to sequential).  A black box answers {!query} with its scalar
     function and {!query_batch} / {!query_packed} with its [batch]
-    ([of_fn] without one: one call per miss). *)
+    ([of_fn] without one: one call per miss).
+
+    {b Sampling.}  Every sampled key check ([Sat_attack.verify_key], and
+    through it brute force; AppSAT's error estimate; the removal
+    attack's check) runs in {!Sampler}: it resolves its pin names once
+    with {!packer}, draws its random vectors into packed queries and
+    sends them to {!query_packed}, so no name is looked up per query and
+    no reply is unpacked. *)
 
 type t
 
@@ -172,20 +177,21 @@ val relax : t -> t
     It replaces any budget [t] was bound to. *)
 val with_budget : Budget.t -> t -> t
 
-(** [differs net ~missing] compares the chip's replies with those of
-    [of_netlist net], whose outputs come in {!Netlist.outputs} order:
-    [differs net ~missing exp got] is true when some output of [exp]
-    has another value in [got].  An output of [exp] that [net] lacks
-    counts as a difference exactly when [missing].  The partial
-    application builds the output-name index and the one value buffer
-    every later comparison refills, so a reply costs one pass over each
-    list and allocates no table. *)
-val differs :
-  Netlist.t ->
-  missing:bool ->
-  (string * bool) list ->
-  (string * bool) list ->
-  bool
+(** [packer t names] resolves the pins of a named query listing [names]
+    in that order to [t]'s input positions once, under the rules of
+    {!query}: on a strict [t] a name that is not one of the inputs, or an
+    input that no name assigns, raises [Invalid_argument] here; a
+    relaxed [t] ignores unknown names, and the last of duplicate names
+    wins.  [pack v], for [v] a {!Bitpack} vector holding the value of
+    the [k]-th name in bit [k], is then the packed query
+    ({!query_packed}) that the named query resolves to, and each such
+    query adds the inputs it leaves unassigned to
+    [oracle.partial_defaults], as {!query} does.  When [names] are
+    exactly {!input_names}, [pack v] is [v].  [None] for a named black
+    box ({!of_fn}), which has no positional form.
+    @raise Invalid_argument from [pack] on a vector that is not
+    [List.length names] packed bits. *)
+val packer : t -> string list -> (string -> string) option
 
 (** Real evaluations performed (memo hits and refused batches
     excluded). *)
@@ -201,3 +207,8 @@ val memo_evictions : t -> int
     sources (inputs + FF pseudo-inputs) in declaration order, or the
     [inputs] of {!of_packed}; [[]] for {!of_fn} oracles. *)
 val input_names : t -> string list
+
+(** Output names of a positional oracle, in reply order: a netlist's
+    {!Netlist.outputs}, or the [outputs] of {!of_packed}; [[]] for
+    {!of_fn} oracles. *)
+val output_names : t -> string list

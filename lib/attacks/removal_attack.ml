@@ -5,25 +5,18 @@ type removal_outcome = {
   success : bool;
 }
 
-(* Sample-based oracle check of a candidate netlist (key inputs, if any
-   remain, read false).  The candidate is evaluated through its own
-   batched engine oracle; the chip is queried relaxed, since a restored
-   netlist need not expose exactly the chip's pin list. *)
+(* Sample-based oracle check of a candidate netlist: every input of the
+   candidate, leftover key inputs included, is driven with random values.
+   The chip is queried relaxed, since a restored netlist need not expose
+   exactly the chip's pin list. *)
 let agrees_with_oracle ?(samples = 128) ?seed net ~oracle =
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
-  let rng = Random.State.make [| seed; 0x524d |] in
-  let names =
-    List.map (fun pi -> (Netlist.node net pi).Netlist.name) (Netlist.inputs net)
-  in
-  let dips = ref [] in
-  for _ = 1 to samples do
-    dips := List.map (fun n -> (n, Random.State.bool rng)) names :: !dips
-  done;
-  let dips = List.rev !dips in
-  let expected = Oracle.query_batch (Oracle.relax oracle) dips in
-  let got = Oracle.query_batch (Oracle.of_netlist net) dips in
-  let differs = Oracle.differs net ~missing:false in
-  List.for_all2 (fun exp g -> not (differs exp g)) expected got
+  Sampler.mismatches
+    ~rng:(Random.State.make [| seed; 0x524d |])
+    ~samples ~chip:(Oracle.relax oracle) ~candidate:(Oracle.of_netlist net)
+    ~drive:(List.map (fun pi -> (Netlist.node net pi).Netlist.name) (Netlist.inputs net))
+    ~fixed:[] ~missing:false
+  = []
 
 let exec ?(samples = 128) ?(eps = 0.05) ?(max_candidates = 12) ?seed ~budget
     locked ~oracle =

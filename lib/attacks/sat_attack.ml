@@ -73,20 +73,15 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
 
 let verify_key ?(samples = 64) ?seed ~locked ~key_inputs ~oracle key =
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
-  let rng = Random.State.make [| seed; 0x5646 |] in
-  let x_pis = Dip_miter.x_inputs locked ~key_inputs in
-  let x_names = List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis in
-  let dips = ref [] in
-  for _ = 1 to samples do
-    dips := List.map (fun n -> (n, Random.State.bool rng)) x_names :: !dips
-  done;
-  let dips = List.rev !dips in
   (* the chip may expose pins the locked view lacks (and vice versa) —
      verification drives the pins it can name *)
-  let expected = Oracle.query_batch (Oracle.relax oracle) dips in
-  let locked_o = Oracle.of_netlist ~partial:true locked in
-  let got = Oracle.query_batch locked_o (List.map (fun d -> d @ key) dips) in
-  let differs = Oracle.differs locked ~missing:true in
-  List.fold_left2
-    (fun mismatches exp g -> if differs exp g then mismatches + 1 else mismatches)
-    0 expected got
+  List.length
+    (Sampler.mismatches
+       ~rng:(Random.State.make [| seed; 0x5646 |])
+       ~samples ~chip:(Oracle.relax oracle)
+       ~candidate:(Oracle.of_netlist ~partial:true locked)
+       ~drive:
+         (List.map
+            (fun pi -> (Netlist.node locked pi).Netlist.name)
+            (Dip_miter.x_inputs locked ~key_inputs))
+       ~fixed:key ~missing:true)

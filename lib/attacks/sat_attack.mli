@@ -52,10 +52,14 @@ val exec :
   outcome
 
 (** [verify_key ?samples ?seed ~locked ~key_inputs ~oracle key]
-    samples random input vectors and checks the locked netlist under
-    [key] against the chip; returns the number of mismatching vectors
-    (0 = consistent).  Both sides are evaluated through the batched
-    63-lane oracle path.  [seed] defaults to {!Fuzz_seed.value}. *)
+    samples [samples] (default 64) random vectors over the X inputs of
+    [locked] and checks the locked netlist under [key] against the chip;
+    returns the number of mismatching vectors (0 = consistent).  The chip
+    is queried relaxed, the locked netlist through a fresh relaxed
+    netlist oracle, and a chip output that [locked] lacks is a mismatch.
+    It is {!Sampler.mismatches}: names resolved once, packed vectors,
+    both sides through {!Oracle.query_packed}.  [seed] defaults to
+    {!Fuzz_seed.value}. *)
 val verify_key :
   ?samples:int ->
   ?seed:int ->

@@ -87,6 +87,18 @@ let metrics_of ~file j =
                 `Verdict verdict )
           | _ -> None)
         (rows_of j "attacks")
+    (* a key check's mismatch count follows from its seed, the design
+       and the key: exact, like a verdict *)
+    @ List.filter_map
+        (fun row ->
+          match (Cjson.mem_str "name" row, Cjson.mem_int "mismatches" row) with
+          | Some name, Some n ->
+            Some
+              ( Printf.sprintf "attacks.verify.%s.mismatches" name,
+                Verdict,
+                `Verdict (string_of_int n) )
+          | _ -> None)
+        (rows_of j "verify")
   | `Load ->
     List.concat_map
       (fun row ->

@@ -330,6 +330,192 @@ let test_oracle_memo_footprint () =
     (Printf.sprintf "%d bytes per memo entry" per_entry)
     true (per_entry < 1024)
 
+(* ----- Sampler: the packed key check ----- *)
+
+(* The named samplers that Sampler replaced, as they stood: each drew
+   [samples] named vectors over [drive], sent them to [chip] and, with
+   [fixed] appended, to [candidate], and compared the named replies
+   through an output index of the candidate netlist [net]: a chip output
+   that [net] lacks counted as a difference exactly when [missing]. *)
+let named_differs net ~missing =
+  let outs = Netlist.outputs net in
+  let index = Hashtbl.create (List.length outs) in
+  List.iteri (fun i (po, _) -> Hashtbl.replace index po i) outs;
+  let buf = Bytes.make (List.length outs) '\000' in
+  fun exp got ->
+    List.iteri (fun i (_, w) -> Bytes.set buf i (if w then '\001' else '\000')) got;
+    List.exists
+      (fun (po, v) ->
+        match Hashtbl.find_opt index po with
+        | Some i -> v <> (Bytes.get buf i = '\001')
+        | None -> missing)
+      exp
+
+let named_mismatches ~net ~rng ~samples ~chip ~candidate ~drive ~fixed ~missing =
+  let dips = ref [] in
+  for _ = 1 to samples do
+    dips := List.map (fun n -> (n, Random.State.bool rng)) drive :: !dips
+  done;
+  let dips = List.rev !dips in
+  let expected = Oracle.query_batch chip dips in
+  let got = Oracle.query_batch candidate (List.map (fun d -> d @ fixed) dips) in
+  let differs = named_differs net ~missing in
+  List.concat
+    (List.map2
+       (fun (dip, exp) g -> if differs exp g then [ (dip, exp) ] else [])
+       (List.combine dips expected) got)
+
+(* [net] with its input and output declarations reversed: the same
+   function with every pin at another position. *)
+let reversed_pins net =
+  let lines = String.split_on_char '\n' (Bench_format.print net) in
+  let is p l = String.length l >= String.length p && String.sub l 0 (String.length p) = p in
+  let pin l = is "INPUT(" l || is "OUTPUT(" l in
+  Bench_format.parse ~name:(Netlist.name net)
+    (String.concat "\n"
+       (List.rev (List.filter (is "INPUT(") lines)
+       @ List.rev (List.filter (is "OUTPUT(") lines)
+       @ List.filter (fun l -> not (pin l)) lines))
+
+let with_pins net ~inputs ~outputs =
+  let n = Netlist.copy net in
+  List.iter (fun i -> ignore (Netlist.add_input n i)) inputs;
+  let driver = snd (List.hd (Netlist.outputs n)) in
+  List.iter (fun o -> Netlist.add_output n o driver) outputs;
+  n
+
+(* [f ()] and the oracle metrics it moved *)
+let metered f =
+  let names = [ "oracle.queries"; "oracle.memo_hits"; "oracle.partial_defaults" ] in
+  let metric n = Obs.Metrics.value (Obs.Metrics.counter n) in
+  let before = List.map metric names in
+  let r = f () in
+  (r, List.map2 (fun n b -> (n, metric n - b)) names before)
+
+(* The three checks on [chip ()] and a candidate [locked]: verify_key's
+   (a relaxed chip, a fresh partial candidate), AppSAT's estimate (the
+   chip as given, a strict candidate whose memo lives across estimates,
+   two estimates from one generator) and the removal check's (a relaxed
+   chip, a strict candidate, every candidate input driven, leftover key
+   inputs too).  [check] is the named copy or the sampler. *)
+let three_checks ~chip ~locked ~key_inputs ~key ~check =
+  let names ids = List.map (fun pi -> (Netlist.node locked pi).Netlist.name) ids in
+  let x_names = names (Dip_miter.x_inputs locked ~key_inputs) in
+  let verify =
+    metered (fun () ->
+        check ~rng:(Random.State.make [| 3; 0x5646 |]) ~samples:64
+          ~chip:(Oracle.relax (chip ()))
+          ~candidate:(Oracle.of_netlist ~partial:true locked)
+          ~drive:x_names ~fixed:key ~missing:true)
+  in
+  let appsat =
+    let c = chip () and candidate = Oracle.of_netlist locked in
+    let rng = Random.State.make [| 3; 0x4150 |] in
+    metered (fun () ->
+        List.concat
+          (List.init 2 (fun _ ->
+               check ~rng ~samples:50 ~chip:c ~candidate ~drive:x_names ~fixed:key
+                 ~missing:false)))
+  in
+  let removal =
+    metered (fun () ->
+        check ~rng:(Random.State.make [| 3; 0x524d |]) ~samples:128
+          ~chip:(Oracle.relax (chip ()))
+          ~candidate:(Oracle.of_netlist locked)
+          ~drive:(names (Netlist.inputs locked)) ~fixed:[] ~missing:false)
+  in
+  [ ("verify", verify); ("AppSAT", appsat); ("removal", removal) ]
+
+let test_sampler_matches_named () =
+  let comb = fst (Combinationalize.run (Benchmarks.by_name "s5378")) in
+  let lk = Xor_lock.lock ~seed:5 comb ~n_keys:16 in
+  let keys = lk.Locked.key_inputs in
+  let flipped = Key.flip lk.Locked.correct_key (List.hd keys) in
+  (* every pin of this chip sits at another position than in [comb] *)
+  let moved = reversed_pins (with_pins comb ~inputs:[ "chip_only" ] ~outputs:[ "chip_out" ]) in
+  let named_chip net () =
+    let o = Oracle.of_netlist ~partial:true net in
+    (* replies in reverse output order: compared by name *)
+    Oracle.of_fn
+      ~batch:(fun qs -> List.map List.rev (Oracle.query_batch o qs))
+      (fun q -> List.rev (Oracle.query o q))
+  in
+  let strict () = Oracle.of_netlist comb
+  and relaxed () = Oracle.of_netlist ~partial:true comb
+  and moved_chip () = Oracle.of_netlist ~partial:true moved in
+  (* 7 inputs: samples repeat within a batch and across estimates *)
+  let s27 = fst (Combinationalize.run (Benchmarks.s27 ())) in
+  let lk27 = Xor_lock.lock ~seed:5 s27 ~n_keys:4 in
+  let cases =
+    [
+      ( "s27, repeated vectors",
+        (fun () -> Oracle.of_netlist s27),
+        lk27.Locked.net,
+        lk27.Locked.key_inputs,
+        Key.flip lk27.Locked.correct_key (List.hd lk27.Locked.key_inputs) );
+      ("strict chip, one key bit flipped", strict, lk.Locked.net, keys, flipped);
+      ("relaxed chip, correct key", relaxed, lk.Locked.net, keys, lk.Locked.correct_key);
+      ( "pins missing on both sides",
+        moved_chip,
+        with_pins lk.Locked.net ~inputs:[ "cand_only" ] ~outputs:[],
+        keys,
+        flipped );
+      ("a chip output the candidate lacks", moved_chip, comb, [], []);
+      ("named of_fn chip", named_chip comb, lk.Locked.net, keys, flipped);
+      ("a named chip's output the candidate lacks", named_chip moved, comb, [], []);
+    ]
+  in
+  let samples_t = Alcotest.(list (pair (list (pair string bool)) (list (pair string bool)))) in
+  let deltas_t = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (name, chip, locked, key_inputs, key) ->
+      let label what = name ^ ": " ^ what in
+      let packed ~rng ~samples ~chip ~candidate ~drive ~fixed ~missing =
+        List.map Lazy.force
+          (Sampler.mismatches ~rng ~samples ~chip ~candidate ~drive ~fixed ~missing)
+      in
+      let run check =
+        (* one chip for all three checks, so the chip's counters add up *)
+        let c = chip () in
+        let checks = three_checks ~chip:(fun () -> c) ~locked ~key_inputs ~key ~check in
+        (c, checks)
+      in
+      let cn, named = run (named_mismatches ~net:locked) in
+      let cp, packed_checks = run packed in
+      List.iter2
+        (fun (what, (n, dn)) (_, (p, dp)) ->
+          Alcotest.check samples_t (label (what ^ " samples")) n p;
+          Alcotest.check deltas_t (label (what ^ " metrics")) dn dp)
+        named packed_checks;
+      Alcotest.(check (pair int int))
+        (label "chip queries, memo hits")
+        (Oracle.queries cn, Oracle.memo_hits cn)
+        (Oracle.queries cp, Oracle.memo_hits cp);
+      (* the packed memo keys are the named ones: on the named path's
+         chip the sampler asks for nothing new *)
+      if Oracle.input_names cn <> [] then begin
+        let q = Oracle.queries cn in
+        ignore (three_checks ~chip:(fun () -> cn) ~locked ~key_inputs ~key ~check:packed);
+        Alcotest.(check int) (label "no new chip query") q (Oracle.queries cn)
+      end;
+      (* verify_key itself *)
+      let count, d =
+        metered (fun () -> Sat_attack.verify_key ~seed:3 ~locked ~key_inputs ~oracle:(chip ()) key)
+      in
+      let nv, dnv = List.assoc "verify" named in
+      Alcotest.(check int) (label "verify_key") (List.length nv) count;
+      Alcotest.check deltas_t (label "verify_key metrics") dnv d;
+      let counts = List.map (fun (_, (p, _)) -> List.length p) packed_checks in
+      match name with
+      | "strict chip, one key bit flipped" ->
+        Alcotest.(check bool) (label "0 < mismatches < 64") true (count > 0 && count < 64)
+      | "a chip output the candidate lacks" | "a named chip's output the candidate lacks" ->
+        Alcotest.(check (list int)) (label "verify, AppSAT, removal") [ 64; 0; 0 ] counts
+      | "s27, repeated vectors" ->
+        Alcotest.(check bool) (label "memo hits") true (Oracle.memo_hits cp > 0)
+      | _ -> ())
+    cases
+
 (* ----- registry ----- *)
 
 let test_registry_names () =
@@ -513,6 +699,11 @@ let suites =
           test_oracle_fn_batchless_dedup;
         Alcotest.test_case "memo under 1 KB per s38417 entry" `Quick
           test_oracle_memo_footprint;
+      ] );
+    ( "framework.sampler",
+      [
+        Alcotest.test_case "packed = named samplers" `Quick
+          test_sampler_matches_named;
       ] );
     ( "framework.registry",
       [

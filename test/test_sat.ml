@@ -495,6 +495,26 @@ let test_attack_search_identity () =
       equiv;
     ]
 
+(* AppSAT counts an estimate batch once the chip has answered it: under
+   a query cap that refuses the batch, the refused batch (and the
+   pessimistic re-estimate that the cap refuses too) counts nothing. *)
+let test_appsat_counts_answered_batches () =
+  let locked, key_inputs, chip = sarlock4 () in
+  let run max_queries =
+    let budget = Budget.create ~max_iterations:512 ~max_queries () in
+    let oracle = Oracle.with_budget budget (Oracle.of_netlist ~partial:true chip) in
+    let o = Appsat.exec ~seed:7 ~budget ~locked ~key_inputs ~oracle () in
+    (o.Appsat.dips, o.Appsat.random_queries, Oracle.queries oracle, o.Appsat.error_rate)
+  in
+  let dips, random, answered, err = run 30 in
+  Alcotest.(check (list int)) "cap 30: dips, random queries, chip queries" [ 4; 0; 4 ]
+    [ dips; random; answered ];
+  Alcotest.(check (float 0.0)) "cap 30: pessimistic error" 1.0 err;
+  let dips, random, answered, _ = run 60 in
+  Alcotest.(check (list int)) "cap 60: one estimate answered" [ 8; 50 ]
+    [ dips; random ];
+  Alcotest.(check bool) "cap 60: the chip answered it" true (answered > 4 && answered <= 60)
+
 (* ----- Tseitin ----- *)
 
 let exhaustive_gate_check fn arity =
@@ -957,6 +977,8 @@ let suites =
           solver_interleaved_law;
         tc "search identity" `Quick test_search_identity;
         tc "attack search identity" `Quick test_attack_search_identity;
+        tc "appsat counts answered estimates only" `Quick
+          test_appsat_counts_answered_batches;
       ] );
     ( "sat.tseitin",
       [

@@ -221,6 +221,40 @@ let test_gate_sim_events_exact () =
   in
   Alcotest.(check bool) "one fewer s38417 event fails" false moved.Perf_gate.g_ok
 
+(* BENCH_attacks' verify rows: the mismatch count is gated exactly,
+   the time per call not at all. *)
+let verify_doc rows =
+  doc_of_string
+    (Printf.sprintf {|{"schema":"gklock/bench_attacks/v2","oracle":[],"attacks":[],"verify":[%s]}|}
+       (String.concat ","
+          (List.map
+             (fun (name, ms, n) ->
+               Printf.sprintf {|{"name":"%s","samples":64,"ms_per_call":%f,"mismatches":%d}|}
+                 name ms n)
+             rows)))
+
+let test_gate_verify_mismatches_exact () =
+  let committed =
+    [ ("gk8-s5378", 2.0, 10); ("gk8-s13207", 3.0, 20); ("gk8-s38417", 7.0, 30);
+      ("xor16-s5378-flip1", 2.0, 40) ]
+  in
+  let base = verify_doc committed in
+  let ids r = List.map (fun c -> c.Perf_gate.c_id) r.Perf_gate.g_checks in
+  let slow = verify_doc (List.map (fun (n, ms, c) -> (n, ms *. 1000.0, c)) committed) in
+  let same = Perf_gate.compare_docs ~inject_slowdown:1000.0 [ (`Attacks, base, slow) ] in
+  Alcotest.(check (list string)) "counts gated, times not"
+    [
+      "attacks.verify.gk8-s5378.mismatches"; "attacks.verify.gk8-s13207.mismatches";
+      "attacks.verify.gk8-s38417.mismatches"; "attacks.verify.xor16-s5378-flip1.mismatches";
+    ]
+    (ids same);
+  Alcotest.(check bool) "equal counts pass whatever the speed" true same.Perf_gate.g_ok;
+  let moved =
+    verify_doc (List.map (fun (n, ms, c) -> (n, ms, if n = "gk8-s38417" then c + 1 else c)) committed)
+  in
+  Alcotest.(check bool) "one more s38417 mismatch fails" false
+    (Perf_gate.compare_docs [ (`Attacks, base, moved) ]).Perf_gate.g_ok
+
 (* ----- real-binary TCP shutdown gating ----- *)
 
 let gklockd_exe = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/gklockd.exe"
@@ -291,6 +325,8 @@ let suites =
           test_gate_ratio_machine_independent;
         Alcotest.test_case "timing_sim events are exact" `Quick
           test_gate_sim_events_exact;
+        Alcotest.test_case "verify mismatch counts are exact" `Quick
+          test_gate_verify_mismatches_exact;
       ] );
     ( "systest_daemon",
       [

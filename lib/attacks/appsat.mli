@@ -18,6 +18,7 @@ type outcome = {
   error_rate : float;            (** estimated on fresh random queries *)
   dips : int;
   random_queries : int;
+      (** random queries of the error estimates the chip answered *)
   exact : bool;                  (** the miter went UNSAT: key is exact *)
 }
 
@@ -26,8 +27,9 @@ type outcome = {
     [error_threshold] (default 0.01), on exact convergence, or when
     [budget] runs out (one {!Budget.tick} per DIP; queries are charged
     by an oracle bound to [budget]).  Checks every [check_every] DIPs
-    (default 4) with [queries_per_check] random queries (default 50),
-    batched through the 63-lane engine path.  [seed] defaults to
+    (default 4) with [queries_per_check] random queries (default 50)
+    through {!Sampler.mismatches}; the failing ones become DIP
+    constraints.  [seed] defaults to
     {!Fuzz_seed.value}.
     @raise Invalid_argument on a sequential [locked]. *)
 val exec :

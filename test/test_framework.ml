@@ -516,6 +516,37 @@ let test_sampler_matches_named () =
       | _ -> ())
     cases
 
+(* [Oracle.packer] raises where the named edge raises, with the same
+   message, and checks the width of what it packs. *)
+let test_packer_rules () =
+  let comb = fst (Combinationalize.run (Benchmarks.s27 ())) in
+  let names = Oracle.input_names (Oracle.of_netlist comb) in
+  let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+  let same what names =
+    let o = Oracle.of_netlist comb in
+    Alcotest.(check (option string)) what
+      (raised (fun () -> Oracle.query o (List.map (fun n -> (n, false)) names)))
+      (raised (fun () -> Oracle.packer o names))
+  in
+  same "unknown name" (names @ [ "nope" ]);
+  same "unassigned input" (List.tl names);
+  let relaxed = Oracle.of_netlist ~partial:true comb in
+  let pack = Option.get (Oracle.packer relaxed ("nope" :: List.tl names)) in
+  let n = List.length names in
+  (* values 1, 0, 1, ...: the first input is unassigned and reads false *)
+  let v = Bitpack.init n (fun k -> k mod 2 = 0) in
+  let defaults = Obs.Metrics.counter "oracle.partial_defaults" in
+  let before = Obs.Metrics.value defaults in
+  Alcotest.(check string) "relaxed: unknown ignored, unassigned reads false"
+    (Bitpack.init n (fun i -> i > 0 && Bitpack.get v i))
+    (pack v);
+  Alcotest.(check int) "one defaulted read per packed query" 1
+    (Obs.Metrics.value defaults - before);
+  Alcotest.(check bool) "a wrong width raises" true
+    (raised (fun () -> pack (Bitpack.init (n + 9) (fun _ -> false))) <> None);
+  Alcotest.(check bool) "of_fn has no packer" true
+    (Oracle.packer (Oracle.of_fn (fun q -> q)) names = None)
+
 (* ----- registry ----- *)
 
 let test_registry_names () =
@@ -704,6 +735,8 @@ let suites =
       [
         Alcotest.test_case "packed = named samplers" `Quick
           test_sampler_matches_named;
+        Alcotest.test_case "packer follows the named edge's rules" `Quick
+          test_packer_rules;
       ] );
     ( "framework.registry",
       [

@@ -29,9 +29,49 @@ let x_inputs locked ~key_inputs =
     (fun pi -> not (Hashtbl.mem is_key (Netlist.node locked pi).Netlist.name))
     (Netlist.inputs locked)
 
+let names locked ids = List.map (fun id -> (Netlist.node locked id).Netlist.name) ids
+
+(* Output name -> position in [outputs] ({!Netlist.outputs} pairs). *)
+let out_index outputs =
+  let index = Hashtbl.create (Array.length outputs) in
+  Array.iteri (fun i (po, _) -> Hashtbl.replace index po i) outputs;
+  index
+
+(* The named [reply]'s value of each of [outputs], whose positions
+   [index] maps; the first of duplicate names wins. *)
+let output_values outputs index reply =
+  let vals = Array.make (Array.length outputs) (-1) in
+  List.iter
+    (fun (po, v) ->
+      match Hashtbl.find_opt index po with
+      | Some i when vals.(i) < 0 -> vals.(i) <- Bool.to_int v
+      | Some _ | None -> ())
+    reply;
+  Array.mapi
+    (fun i (po, _) ->
+      if vals.(i) < 0 then invalid_arg ("Dip_miter.io: the reply has no output " ^ po);
+      vals.(i) = 1)
+    outputs
+
+let named_oracle locked ~key_inputs f =
+  let x_names = names locked (x_inputs locked ~key_inputs) in
+  let xs = Array.of_list x_names in
+  let outputs = Array.of_list (Netlist.outputs locked) in
+  let index = out_index outputs in
+  let one q =
+    let reply = f (List.init (Array.length xs) (fun i -> (xs.(i), Bitpack.get q i))) in
+    let vals = output_values outputs index reply in
+    Bitpack.init (Array.length vals) (Array.get vals)
+  in
+  Oracle.of_packed
+    ~name:("netlist " ^ Netlist.name locked)
+    ~inputs:x_names
+    ~outputs:(List.map fst (Netlist.outputs locked))
+    ~batch:(Array.map one) one
+
 let create locked ~key_inputs =
   let x_pis = x_inputs locked ~key_inputs in
-  let x_names = List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis in
+  let x_names = names locked x_pis in
   let solver = Solver.create () in
   let x_tbl = Hashtbl.create 32 in
   List.iter (fun n -> Hashtbl.replace x_tbl n (Solver.new_var solver)) x_names;
@@ -65,8 +105,6 @@ let create locked ~key_inputs =
   Tseitin.miter ~guard solver
     (List.map (fun (_, d) -> (vars1.(d), vars2.(d))) (Netlist.outputs locked));
   let outputs = Array.of_list (Netlist.outputs locked) in
-  let out_index = Hashtbl.create (Array.length outputs) in
-  Array.iteri (fun i (po, _) -> Hashtbl.replace out_index po i) outputs;
   {
     locked;
     key_inputs;
@@ -78,7 +116,7 @@ let create locked ~key_inputs =
     k1;
     k2;
     outputs;
-    out_index;
+    out_index = out_index outputs;
     dip_conflicts = 0;
   }
 
@@ -127,22 +165,10 @@ let key t =
   | Solver.Unsat -> None
 
 let io t dip reply =
-  let vals = Array.make (Array.length t.outputs) (-1) in
-  List.iter
-    (fun (po, v) ->
-      match Hashtbl.find_opt t.out_index po with
-      | Some i when vals.(i) < 0 -> vals.(i) <- Bool.to_int v
-      | Some _ | None -> ())
-    reply;
+  let vals = output_values t.outputs t.out_index reply in
   {
     x = Array.of_list (List.mapi (fun i (_, v) -> (t.x_pis.(i), v)) dip);
-    y =
-      Array.mapi
-        (fun i (po, d) ->
-          if vals.(i) < 0 then
-            invalid_arg ("Dip_miter.io: the reply has no output " ^ po);
-          (d, vals.(i) = 1))
-        t.outputs;
+    y = Array.mapi (fun i (_, d) -> (d, vals.(i))) t.outputs;
   }
 
 let constrain t io =

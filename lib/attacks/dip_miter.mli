@@ -27,6 +27,20 @@ type t
     [key_inputs], in {!Netlist.inputs} order: the X inputs a DIP assigns. *)
 val x_inputs : Netlist.t -> key_inputs:string list -> int list
 
+(** [named_oracle locked ~key_inputs f] is the chip of [locked] that the
+    named function [f] answers (the frame-by-frame chips of {!Tcf} and
+    {!Seq_attack}): an {!Oracle.of_packed} over the {!x_inputs} and the
+    outputs of [locked].  A query runs [f] on its X values, named in
+    {!x_inputs} order, and packs [f]'s reply by output name, the first
+    of duplicate names winning.
+    @raise Invalid_argument from a query whose reply lacks an output,
+    naming it, as {!io} does. *)
+val named_oracle :
+  Netlist.t ->
+  key_inputs:string list ->
+  ((string * bool) list -> (string * bool) list) ->
+  Oracle.t
+
 (** [create locked ~key_inputs] builds the miter over the
     {!x_inputs}; [locked] must be combinational. *)
 val create : Netlist.t -> key_inputs:string list -> t

@@ -18,8 +18,8 @@ type stats = {
    [cap] entries are resident.  [fifo] mirrors the table's keys in
    insertion order exactly — a key is queued when inserted and dequeued
    only when evicted — so eviction is O(1). *)
-type 'r memo = {
-  tbl : (string, 'r) Hashtbl.t;
+type memo = {
+  tbl : (string, string) Hashtbl.t;
   fifo : string Queue.t;
   cap : int;  (* max_int = unbounded *)
 }
@@ -32,7 +32,7 @@ type engine_chip = {
   shards : int option;  (* forced shard count; None = size-gated auto *)
 }
 
-(* What answers a positional oracle's misses: a query and its reply are
+(* What answers an oracle's misses: a query and its reply are
    packed bits ([Bitpack]), inputs in [in_names] order and outputs in
    [out_t] order. *)
 type chip =
@@ -53,34 +53,13 @@ type pos = {
   out_t : (string * bool) array;
   out_f : (string * bool) array;
   chip : chip;
-  pmemo : string memo option;  (* packed inputs -> packed outputs *)
+  memo : memo option;  (* packed inputs -> packed outputs *)
 }
 
-(* Canonical-key state for named black boxes: the distinct sorted name
-   sets seen so far, each with a prebuilt name -> position index.  A
-   query is resolved against a known set in O(n) lookups instead of the
-   per-query sort + string concatenation the old fn_key paid. *)
-type fn_set = {
-  fs_id : int;
-  fs_size : int;
-  fs_idx : (string, int) Hashtbl.t;
-}
-
-type fn_backend = {
-  fn : (string * bool) list -> (string * bool) list;
-  fn_batch :
-    ((string * bool) list list -> (string * bool) list list) option;
-  mutable fn_sets : fn_set list;
-  mutable fn_next_id : int;
-  fmemo : (string * bool) list memo option;
-}
-
-type backend =
-  | Pos of pos
-  | Fn of fn_backend
-
+(* [pos] is shared by every view of the oracle ({!relax},
+   {!with_budget}); only the validation rule and the budget differ. *)
 type t = {
-  backend : backend;
+  pos : pos;
   partial : bool;
   budget : Budget.t option;
   stats : stats;
@@ -111,22 +90,21 @@ let mk_memo memo memo_cap =
 
 let mk_stats () = { evals = 0; hits = 0; evictions = 0 }
 
-let positional ~partial ~what ~relax_with ~inputs ~outputs ~memo chip =
+let make ~partial ~what ~relax_with ~inputs ~outputs ~memo chip =
   let idx_of_name = Hashtbl.create (2 * Array.length inputs) in
   Array.iteri (fun i n -> Hashtbl.replace idx_of_name n i) inputs;
   {
-    backend =
-      Pos
-        {
-          what;
-          relax_with;
-          in_names = inputs;
-          idx_of_name;
-          out_t = Array.map (fun n -> (n, true)) outputs;
-          out_f = Array.map (fun n -> (n, false)) outputs;
-          chip;
-          pmemo = memo;
-        };
+    pos =
+      {
+        what;
+        relax_with;
+        in_names = inputs;
+        idx_of_name;
+        out_t = Array.map (fun n -> (n, true)) outputs;
+        out_f = Array.map (fun n -> (n, false)) outputs;
+        chip;
+        memo;
+      };
     partial;
     budget = None;
     stats = mk_stats ();
@@ -140,7 +118,7 @@ let of_netlist ?(partial = false) ?(memo = true) ?memo_cap ?shards net =
   let eng = Netlist.Engine.get net in
   let outs = Netlist.outputs net in
   let slot_of_id = Netlist.Engine.slot_of_id eng in
-  positional ~partial ~what:("netlist " ^ Netlist.name net)
+  make ~partial ~what:("netlist " ^ Netlist.name net)
     ~relax_with:"~partial:true"
     ~inputs:
       (Array.map
@@ -158,26 +136,10 @@ let of_netlist ?(partial = false) ?(memo = true) ?memo_cap ?shards net =
        })
 
 let of_packed ?(memo = true) ?memo_cap ~name ~inputs ~outputs ~batch fn =
-  positional ~partial:false ~what:name ~relax_with:"Oracle.relax"
+  make ~partial:false ~what:name ~relax_with:"Oracle.relax"
     ~inputs:(Array.of_list inputs) ~outputs:(Array.of_list outputs)
     ~memo:(mk_memo memo memo_cap)
     (Black_box { one = fn; many = batch })
-
-let of_fn ?(memo = true) ?memo_cap ?batch fn =
-  {
-    backend =
-      Fn
-        {
-          fn;
-          fn_batch = batch;
-          fn_sets = [];
-          fn_next_id = 0;
-          fmemo = mk_memo memo memo_cap;
-        };
-    partial = true;
-    budget = None;
-    stats = mk_stats ();
-  }
 
 let relax t = { t with partial = true }
 let with_budget budget t = { t with budget = Some budget }
@@ -185,17 +147,10 @@ let queries t = t.stats.evals
 let memo_hits t = t.stats.hits
 let memo_evictions t = t.stats.evictions
 
-let input_names t =
-  match t.backend with
-  | Pos p -> Array.to_list p.in_names
-  | Fn _ -> []
+let input_names t = Array.to_list t.pos.in_names
+let output_names t = Array.to_list (Array.map fst t.pos.out_t)
 
-let output_names t =
-  match t.backend with
-  | Pos p -> Array.to_list (Array.map fst p.out_t)
-  | Fn _ -> []
-
-(* ----- the named edge of a positional oracle ----- *)
+(* ----- the named edge ----- *)
 
 (* The input position that a named query's pin [name] assigns, [-1] for
    a name [p] lacks.  [next] is one past the previous pin's position:
@@ -262,62 +217,59 @@ let resolve t p q =
   Bytes.unsafe_to_string vals
 
 let packer t names =
-  match t.backend with
-  | Fn _ -> None
-  | Pos p ->
-    let n = Array.length p.in_names in
-    let names = Array.of_list names in
-    let next = ref 0 in
-    let pos =
-      Array.map
-        (fun name ->
-          let i = position p !next name in
-          if i >= 0 then next := i + 1
-          else if not t.partial then unknown_input p name;
-          i)
-        names
-    in
-    (* only the last name that assigns a position writes it *)
-    let seen = Bytes.make n '\000' in
-    for k = Array.length pos - 1 downto 0 do
-      let i = pos.(k) in
-      if i >= 0 then
-        if Bytes.get seen i = '\001' then pos.(k) <- -1
-        else Bytes.set seen i '\001'
-    done;
-    let defaulted = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.get seen i = '\000' then
-        if t.partial then incr defaulted else no_value p i
-    done;
-    let defaulted = !defaulted in
-    let width = Array.length pos in
-    let check v =
-      if not (Bitpack.well_formed width v) then
-        invalid_arg
-          (Printf.sprintf "Oracle.packer: a vector of %d bytes is not %d packed values"
-             (String.length v) width);
-      if defaulted > 0 then Obs.Metrics.add m_partial_defaults defaulted
-    in
-    if width = n && Array.for_all2 ( = ) pos (Array.init n Fun.id) then
-      (* the names are the inputs, in order: the values are the query *)
-      Some (fun v -> check v; v)
-    else
-      Some
-        (fun v ->
-          check v;
-          let vals = Bytes.make (Bitpack.bytes n) '\000' in
-          for k = 0 to width - 1 do
-            let i = Array.unsafe_get pos k in
-            if
-              i >= 0
-              && Char.code (String.unsafe_get v (k lsr 3)) land (1 lsl (k land 7)) <> 0
-            then
-              Bytes.unsafe_set vals (i lsr 3)
-                (Char.unsafe_chr
-                   (Char.code (Bytes.unsafe_get vals (i lsr 3)) lor (1 lsl (i land 7))))
-          done;
-          Bytes.unsafe_to_string vals)
+  let p = t.pos in
+  let n = Array.length p.in_names in
+  let names = Array.of_list names in
+  let next = ref 0 in
+  let pos =
+    Array.map
+      (fun name ->
+        let i = position p !next name in
+        if i >= 0 then next := i + 1
+        else if not t.partial then unknown_input p name;
+        i)
+      names
+  in
+  (* only the last name that assigns a position writes it *)
+  let seen = Bytes.make n '\000' in
+  for k = Array.length pos - 1 downto 0 do
+    let i = pos.(k) in
+    if i >= 0 then
+      if Bytes.get seen i = '\001' then pos.(k) <- -1
+      else Bytes.set seen i '\001'
+  done;
+  let defaulted = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get seen i = '\000' then
+      if t.partial then incr defaulted else no_value p i
+  done;
+  let defaulted = !defaulted in
+  let width = Array.length pos in
+  let check v =
+    if not (Bitpack.well_formed width v) then
+      invalid_arg
+        (Printf.sprintf "Oracle.packer: a vector of %d bytes is not %d packed values"
+           (String.length v) width);
+    if defaulted > 0 then Obs.Metrics.add m_partial_defaults defaulted
+  in
+  if width = n && Array.for_all2 ( = ) pos (Array.init n Fun.id) then
+    (* the names are the inputs, in order: the values are the query *)
+    fun v -> check v; v
+  else
+    fun v ->
+      check v;
+      let vals = Bytes.make (Bitpack.bytes n) '\000' in
+      for k = 0 to width - 1 do
+        let i = Array.unsafe_get pos k in
+        if
+          i >= 0
+          && Char.code (String.unsafe_get v (k lsr 3)) land (1 lsl (k land 7)) <> 0
+        then
+          Bytes.unsafe_set vals (i lsr 3)
+            (Char.unsafe_chr
+               (Char.code (Bytes.unsafe_get vals (i lsr 3)) lor (1 lsl (i land 7))))
+      done;
+      Bytes.unsafe_to_string vals
 
 (* A packed reply as a named one, in output order. *)
 let unpack p r =
@@ -331,56 +283,6 @@ let unpack p r =
       :: !l
   done;
   !l
-
-(* Canonical key for a named black box: the query's effective
-   assignment in sorted-name order (duplicates last-wins), prefixed by
-   the id of its name set.  The sorted order is computed once per
-   distinct name set and reused, so the steady state is O(n) hash
-   lookups per query instead of a sort + concatenation. *)
-let fn_key_with set q =
-  let n = set.fs_size in
-  let vals = Bytes.make n '0' in
-  let seen = Bytes.make n '\000' in
-  let ok = ref true in
-  List.iter
-    (fun (name, v) ->
-      if !ok then
-        match Hashtbl.find_opt set.fs_idx name with
-        | Some i ->
-          Bytes.set vals i (if v then '1' else '0');
-          Bytes.set seen i '\001'
-        | None -> ok := false)
-    q;
-  if !ok then begin
-    for i = 0 to n - 1 do
-      if Bytes.get seen i = '\000' then ok := false
-    done;
-    if !ok then
-      Some (string_of_int set.fs_id ^ ":" ^ Bytes.unsafe_to_string vals)
-    else None
-  end
-  else None
-
-let fn_key fb q =
-  let rec try_sets = function
-    | [] -> None
-    | s :: rest -> (
-      match fn_key_with s q with Some k -> Some k | None -> try_sets rest)
-  in
-  match try_sets fb.fn_sets with
-  | Some k -> k
-  | None ->
-    let names = List.sort_uniq compare (List.map fst q) in
-    let idx = Hashtbl.create (2 * List.length names) in
-    List.iteri (fun i n -> Hashtbl.replace idx n i) names;
-    let set =
-      { fs_id = fb.fn_next_id; fs_size = List.length names; fs_idx = idx }
-    in
-    fb.fn_next_id <- fb.fn_next_id + 1;
-    fb.fn_sets <- set :: fb.fn_sets;
-    (match fn_key_with set q with
-    | Some k -> k
-    | None -> assert false (* the set was built from exactly q's names *))
 
 (* The budget is asked first, so a batch it refuses is neither evaluated
    nor counted. *)
@@ -517,8 +419,8 @@ let sharded d n f =
 
 (* ----- the query pipeline -----
 
-   Every query runs (1) canonical keys — the packed input bits of a
-   positional oracle, [fn_key] of a named black box — then [answer]:
+   Every query runs (1) canonical keys, its packed input bits, then
+   [answer]:
    (2) memo lookup and in-batch dedup; (3) one charge for the distinct
    misses, before any evaluation; (4) the backend evaluates the misses;
    (5) memo write-back; then the replies are reassembled in request
@@ -537,14 +439,14 @@ let answer_one t memo key eval =
     memo_add t memo key r;
     r
 
-let answer t ~dummy memo keys eval =
+let answer t memo keys eval =
   let nq = Array.length keys in
   if nq = 1 then [| answer_one t memo keys.(0) eval |]
   else begin
     (* memo hits go straight into [replies]; every other query records
        in [slot] the distinct miss it maps to, and [miss] lists each
        distinct miss's first query *)
-    let replies = Array.make nq dummy in
+    let replies = Array.make nq "" in
     let slot = Array.make nq (-1) in
     let index = Hashtbl.create (2 * nq) in
     let order = ref [] and count = ref 0 in
@@ -576,9 +478,9 @@ let answer t ~dummy memo keys eval =
     replies
   end
 
-(* 4. for a positional oracle.  A black box answers a [query] with [one]
-   and everything else with [many]; its replies are checked, because the
-   named edge unpacks them unchecked. *)
+(* 4. the chip evaluates the misses.  A black box answers a [query]
+   with [one] and everything else with [many]; its replies are checked,
+   because the named edge unpacks them unchecked. *)
 let eval_packed p ~scalar keys miss =
   let n_outs = Array.length p.out_t in
   match p.chip with
@@ -616,65 +518,35 @@ let eval_packed p ~scalar keys miss =
       rs;
     rs
 
-let answer_packed t p ~scalar keys =
-  answer t ~dummy:"" p.pmemo keys (eval_packed p ~scalar keys)
+let answer_packed t keys =
+  answer t t.pos.memo keys (eval_packed t.pos ~scalar:false keys)
 
 let query_packed t qs =
-  match t.backend with
-  | Fn _ ->
-    invalid_arg "Oracle.query_packed: a named black box has no positional form"
-  | Pos p ->
-    let n = Array.length p.in_names in
-    Array.iter
-      (fun q ->
-        if not (Bitpack.well_formed n q) then
-          invalid_arg
-            (Printf.sprintf
-               "Oracle.query_packed: a vector of %d bytes is not %d packed \
-                inputs of %s"
-               (String.length q) n p.what))
-      qs;
-    answer_packed t p ~scalar:false qs
-
-(* 4. for a named black box: [fn] answers a [query], and a
-   [query_batch] goes to its [batch], or to [fn] per miss without one. *)
-let eval_fn fb ~scalar qs miss =
-  let n_miss = Array.length miss in
-  let mqs = List.init n_miss (fun mi -> qs.(miss.(mi))) in
-  let rs =
-    match fb.fn_batch with
-    | Some bf when not scalar -> bf mqs
-    | _ -> List.map fb.fn mqs
-  in
-  if List.length rs <> n_miss then
-    invalid_arg "Oracle: batch backend returned a result list of wrong size";
-  Array.of_list rs
-
-let answer_named t ~scalar qs =
-  match t.backend with
-  | Pos p ->
-    let nq = Array.length qs in
-    let keys = Array.make nq "" in
-    sharded (domains_for p nq) nq (fun (lo, hi) ->
-        for i = lo to hi - 1 do
-          keys.(i) <- resolve t p qs.(i)
-        done);
-    Array.map (unpack p) (answer_packed t p ~scalar keys)
-  | Fn ({ fmemo = None; _ } as fb) ->
-    (* no memo to look a key up in: every query is a miss *)
-    let nq = Array.length qs in
-    if nq > 0 then charge t nq;
-    eval_fn fb ~scalar qs (Array.init nq Fun.id)
-  | Fn fb ->
-    answer t ~dummy:[] fb.fmemo (Array.map (fn_key fb) qs)
-      (eval_fn fb ~scalar qs)
+  let p = t.pos in
+  let n = Array.length p.in_names in
+  Array.iter
+    (fun q ->
+      if not (Bitpack.well_formed n q) then
+        invalid_arg
+          (Printf.sprintf
+             "Oracle.query_packed: a vector of %d bytes is not %d packed \
+              inputs of %s"
+             (String.length q) n p.what))
+    qs;
+  answer_packed t qs
 
 let query t q =
-  match t.backend with
-  | Pos p ->
-    let key = resolve t p q in
-    unpack p (answer_one t p.pmemo key (eval_packed p ~scalar:true [| key |]))
-  | Fn _ -> (answer_named t ~scalar:true [| q |]).(0)
+  let p = t.pos in
+  let key = resolve t p q in
+  unpack p (answer_one t p.memo key (eval_packed p ~scalar:true [| key |]))
 
 let query_batch t qs =
-  Array.to_list (answer_named t ~scalar:false (Array.of_list qs))
+  let p = t.pos in
+  let qs = Array.of_list qs in
+  let nq = Array.length qs in
+  let keys = Array.make nq "" in
+  sharded (domains_for p nq) nq (fun (lo, hi) ->
+      for i = lo to hi - 1 do
+        keys.(i) <- resolve t p qs.(i)
+      done);
+  Array.to_list (Array.map (unpack p) (answer_packed t keys))

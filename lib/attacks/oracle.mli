@@ -1,9 +1,10 @@
 (** The instrumented chip oracle every attack in the framework queries.
 
     An [Oracle.t] wraps a combinational netlist (the simulated unlocked
-    chip), a positional black box (the chip behind a [gklockd] socket)
-    or an arbitrary named query function, and adds the three things the
-    attack literature measures and the ad-hoc closures lost:
+    chip) or a positional black box (the chip behind a [gklockd] socket,
+    or a wrapper that answers an unrolled netlist's queries frame by
+    frame), and adds the three things the attack literature measures and
+    the ad-hoc closures lost:
 
     - {b query counting}: AppSAT and the SAT attack define their cost in
       oracle queries; {!queries} reports real evaluations, with memo
@@ -17,9 +18,9 @@
       evaluation is charged, so a query cap or deadline stops the attack
       with [Budget.Exhausted] instead of letting it run away.
 
-    {b Positional core.}  A netlist oracle ({!of_netlist}) and a
-    positional black box ({!of_packed}) know their input and output
-    names, and answer in packed bits ({!Bitpack}): a query is its input
+    {b Positional core.}  Every oracle, a netlist ({!of_netlist}) or a
+    positional black box ({!of_packed}), knows its input and output
+    names, and answers in packed bits ({!Bitpack}): a query is its input
     bits, LSB-first in {!input_names} order, and a reply is its output
     bits in output order ({!Netlist.outputs} for a netlist).  The memo
     maps packed inputs to packed outputs, about 0.5 KB per entry on
@@ -29,7 +30,7 @@
     pipeline, and unpack the replies into [(name, value)] lists whose
     pairs are preallocated and shared.
 
-    Positional oracles also {b validate named queries}: a name that is
+    Oracles also {b validate named queries}: a name that is
     not one of the inputs, or an input left unassigned, raises
     [Invalid_argument] — the silent read-as-false that used to hide
     mistyped key names is now an error.  [~partial:true] (or {!relax})
@@ -50,9 +51,8 @@
 
     {b One query path.}  {!query}, {!query_batch} and {!query_packed}
     run one pipeline.  Each (1) computes canonical keys (the packed
-    inputs of a positional oracle; none for a function oracle without a
-    memo, where every query is a miss), (2) answers memo hits and
-    deduplicates the misses within the call (a lone query skips the
+    inputs), (2) answers memo hits and deduplicates the misses within
+    the call, with or without a memo (a lone query skips the
     dedup table), (3) charges the distinct misses in one go before any
     of them is evaluated, (4) evaluates the misses, (5) writes them back
     to the memo, and returns the replies in request order.  A netlist
@@ -62,8 +62,7 @@
     on large engines key resolution and evaluation are sharded across a
     bounded domain pool ({!Parallel.map} semantics — nested use degrades
     to sequential).  A black box answers {!query} with its scalar
-    function and {!query_batch} / {!query_packed} with its [batch]
-    ([of_fn] without one: one call per miss).
+    function and {!query_batch} / {!query_packed} with its [batch].
 
     {b Sampling.}  Every sampled key check ([Sat_attack.verify_key], and
     through it brute force; AppSAT's error estimate; the removal
@@ -100,30 +99,11 @@ val of_netlist :
   Netlist.t ->
   t
 
-(** [of_fn ?memo ?memo_cap ?batch fn] wraps a named black-box query
-    function whose pins are not known in advance (e.g. a
-    frame-regrouping wrapper around another oracle).  No validation is
-    possible; [fn] must be deterministic if [memo] is on (default).
-    [memo_cap] bounds the memo as in {!of_netlist}.
-
-    {!query} calls [fn].  {!query_batch} deduplicates its memo misses
-    on their canonical keys (on every query of the call when [memo] is
-    off) and ships them in one [batch] call, which must return exactly
-    one result per query, in order, so a transport that can pack many
-    queries per round trip gets word-at-a-time batching end to end.
-    Without [batch] it calls [fn] once per miss, after charging them
-    all. *)
-val of_fn :
-  ?memo:bool ->
-  ?memo_cap:int ->
-  ?batch:((string * bool) list list -> (string * bool) list list) ->
-  ((string * bool) list -> (string * bool) list) ->
-  t
-
 (** [of_packed ?memo ?memo_cap ~name ~inputs ~outputs ~batch fn] wraps
     a positional black box whose input and output names are known, such
-    as {!Remote_oracle}'s chip.  [fn] answers one packed query and
-    [batch] an array of them, in order, each reply being the packed
+    as {!Remote_oracle}'s chip or the frame-by-frame chip of an unrolled
+    netlist ({!Dip_miter.named_oracle}).  [fn] answers one packed query
+    and [batch] an array of them, in order, each reply being the packed
     output bits.  Named queries are validated against [inputs] exactly as
     {!of_netlist} validates them (strict until {!relax}ed); [name]
     (e.g. ["remote design s27"]) names the chip in those errors.  The
@@ -143,7 +123,7 @@ val of_packed :
 
 (** [query t inputs] is the chip's output assignment for [inputs].
     @raise Invalid_argument on unknown or missing input names (strict
-    positional oracles only).
+    oracles only).
     @raise Budget.Exhausted past the bound budget. *)
 val query : t -> (string * bool) list -> (string * bool) list
 
@@ -164,7 +144,7 @@ val query_batch :
     memo and dedup are exactly those of {!query_batch}, whose memo
     entries it shares; no name is resolved and nothing is unpacked.
     @raise Invalid_argument on a vector of the wrong width or with a
-    nonzero padding bit, or on a named black box ({!of_fn}).
+    nonzero padding bit.
     @raise Budget.Exhausted past the bound budget. *)
 val query_packed : t -> string array -> string array
 
@@ -187,11 +167,10 @@ val with_budget : Budget.t -> t -> t
     ({!query_packed}) that the named query resolves to, and each such
     query adds the inputs it leaves unassigned to
     [oracle.partial_defaults], as {!query} does.  When [names] are
-    exactly {!input_names}, [pack v] is [v].  [None] for a named black
-    box ({!of_fn}), which has no positional form.
+    exactly {!input_names}, [pack v] is [v].
     @raise Invalid_argument from [pack] on a vector that is not
     [List.length names] packed bits. *)
-val packer : t -> string list -> (string -> string) option
+val packer : t -> string list -> string -> string
 
 (** Real evaluations performed (memo hits and refused batches
     excluded). *)
@@ -203,12 +182,11 @@ val memo_hits : t -> int
 (** Memo entries evicted under [~memo_cap] (0 when unbounded). *)
 val memo_evictions : t -> int
 
-(** Input names of a positional oracle, in packing order: a netlist's
-    sources (inputs + FF pseudo-inputs) in declaration order, or the
-    [inputs] of {!of_packed}; [[]] for {!of_fn} oracles. *)
+(** Input names, in packing order: a netlist's sources (inputs + FF
+    pseudo-inputs) in declaration order, or the [inputs] of
+    {!of_packed}. *)
 val input_names : t -> string list
 
-(** Output names of a positional oracle, in reply order: a netlist's
-    {!Netlist.outputs}, or the [outputs] of {!of_packed}; [[]] for
-    {!of_fn} oracles. *)
+(** Output names, in reply order: a netlist's {!Netlist.outputs}, or
+    the [outputs] of {!of_packed}. *)
 val output_names : t -> string list

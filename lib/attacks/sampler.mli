@@ -13,9 +13,7 @@
     replies and [oracle.partial_defaults] counts are those of the named
     queries [List.map (fun n -> (n, Random.State.bool rng)) drive] (one
     per sample, drawn in order) sent to [Oracle.query_batch] on the chip
-    and, with [fixed] appended, on the candidate.  A named chip
-    ({!Oracle.of_fn}), which has no positional form, is sent those named
-    queries instead. *)
+    and, with [fixed] appended, on the candidate. *)
 
 (** [mismatches ~rng ~samples ~chip ~candidate ~drive ~fixed ~missing]
     draws [samples] vectors over the input names [drive] from [rng],
@@ -31,8 +29,7 @@
     after the chip has answered, so a budget that refuses the chip's
     batch leaves the candidate untouched.
     @raise Invalid_argument as {!Oracle.query_batch} would on a strict
-    oracle that the names do not fit, and if [candidate] is a named
-    black box.
+    oracle that the names do not fit.
     @raise Budget.Exhausted past either oracle's bound budget. *)
 val mismatches :
   rng:Random.State.t ->

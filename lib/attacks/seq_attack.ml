@@ -50,7 +50,7 @@ let exec ~budget ~k ~locked ~key_inputs ~oracle_step () =
   in
   let sat =
     Sat_attack.exec ~budget ~locked:unrolled ~key_inputs
-      ~oracle:(Oracle.of_fn oracle) ()
+      ~oracle:(Dip_miter.named_oracle unrolled ~key_inputs oracle) ()
   in
   {
     sat;

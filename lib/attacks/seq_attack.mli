@@ -23,8 +23,9 @@ type outcome = {
     inputs_per_frame] must return the chip's output sequence: it is
     handed, for each frame, the primary-input assignment, and returns
     the per-frame outputs (a cycle-accurate black box — use
-    {!oracle_of_netlist}).  Sequence queries are counted through the
-    {!Oracle.of_fn} oracle that wraps it. *)
+    {!oracle_of_netlist}).  The DIP loop queries it through
+    {!Dip_miter.named_oracle} over the unrolled netlist, a positional
+    oracle whose memo answers a repeated sequence without a call. *)
 val exec :
   budget:Budget.t ->
   k:int ->

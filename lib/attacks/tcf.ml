@@ -34,7 +34,9 @@ let unroll locked ~key_inputs =
     in
     List.iter
       (fun (po, d) -> Netlist.add_output out (tag ^ "_" ^ po) (import d))
-      (Netlist.outputs locked)
+      (Netlist.outputs locked);
+    (* an input that reaches no output is still a pin of the frame *)
+    List.iter (fun pi -> ignore (import pi)) (Netlist.inputs locked)
   in
   copy_frame "f0";
   copy_frame "f1";
@@ -43,7 +45,8 @@ let unroll locked ~key_inputs =
 
 type outcome = { sat : Sat_attack.outcome; frame_inputs : int }
 
-(* One unrolled query fans out into one chip query per frame. *)
+(* One unrolled query fans out into one chip query per frame, the
+   capture frame's first. *)
 let frame_oracle oracle =
   let strip_tag name = String.sub name 3 (String.length name - 3) in
   fun inputs ->
@@ -58,13 +61,14 @@ let frame_oracle oracle =
       in
       List.map (fun (po, v) -> (tag ^ "_" ^ po, v)) (Oracle.query oracle sub)
     in
-    frame "f0" @ frame "f1"
+    let f1 = frame "f1" in
+    frame "f0" @ f1
 
 let exec ~budget ~locked ~key_inputs ~oracle () =
   let two = unroll locked ~key_inputs in
   let sat =
     Sat_attack.exec ~budget ~locked:two ~key_inputs
-      ~oracle:(Oracle.of_fn (frame_oracle oracle))
+      ~oracle:(Dip_miter.named_oracle two ~key_inputs (frame_oracle oracle))
       ()
   in
   { sat; frame_inputs = List.length (Netlist.inputs two) }

@@ -22,9 +22,10 @@ type outcome = {
 
 (** [exec ~budget ~locked ~key_inputs ~oracle ()] runs the SAT attack
     on [unroll locked ~key_inputs] under [budget].  [oracle] is the
-    single-frame chip oracle; the two-frame oracle is derived by
+    single-frame chip oracle; the two-frame oracle
+    ({!Dip_miter.named_oracle} over the unrolled netlist) is derived by
     querying it on each frame, so each unrolled query fans out into one
-    (counted, memoized) chip query per frame. *)
+    (counted, memoized) chip query per frame, [f1]'s first. *)
 val exec :
   budget:Budget.t ->
   locked:Netlist.t ->
@@ -35,5 +36,6 @@ val exec :
 
 (** [unroll locked ~key_inputs] is the two-frame netlist: inputs
     [f0_<pi>] / [f1_<pi>], outputs [f0_<po>] / [f1_<po>], key inputs
-    shared under their original names. *)
+    shared under their original names.  Every input of [locked] is a
+    pin of each frame, one that reaches no output too. *)
 val unroll : Netlist.t -> key_inputs:string list -> Netlist.t

@@ -42,7 +42,7 @@ type builder = {
   mutable rewritten : int;
 }
 
-let tag_of_fn : Cell.gate_fn -> int = function
+let fn_tag : Cell.gate_fn -> int = function
   | Cell.Not -> 0
   | Cell.Buf -> 1
   | Cell.And -> 2
@@ -69,7 +69,7 @@ let not_fanin b id =
 let mk_const b v = Netlist.add_const b.o v
 
 let strash_gate b fn fanins =
-  let key = (tag_of_fn fn, fanins, "") in
+  let key = (fn_tag fn, fanins, "") in
   match Hashtbl.find_opt b.strash key with
   | Some id ->
     b.merged <- b.merged + 1;

@@ -73,19 +73,23 @@ let metrics_of ~file j =
             "batch_speedup_vs_scalar"; "remote_batch_speedup_vs_remote_scalar";
           ])
       (rows_of j "oracle")
-    @ List.filter_map
+    (* an attack's verdict and its DIPs, chip queries and conflicts
+       follow from the design, the lock and the seeds: exact *)
+    @ List.concat_map
         (fun row ->
-          match
-            ( Cjson.mem_str "bench" row,
-              Cjson.mem_str "attack" row,
-              Cjson.mem_str "verdict" row )
-          with
-          | Some bench, Some attack, Some verdict ->
-            Some
-              ( Printf.sprintf "attacks.%s.%s.verdict" bench attack,
-                Verdict,
-                `Verdict verdict )
-          | _ -> None)
+          match (Cjson.mem_str "bench" row, Cjson.mem_str "attack" row) with
+          | Some bench, Some attack ->
+            let exact field v =
+              (Printf.sprintf "attacks.%s.%s.%s" bench attack field, Verdict, `Verdict v)
+            in
+            Option.to_list (Option.map (exact "verdict") (Cjson.mem_str "verdict" row))
+            @ List.filter_map
+                (fun field ->
+                  Option.map
+                    (fun n -> exact field (string_of_int n))
+                    (Cjson.mem_int field row))
+                [ "iterations"; "queries"; "conflicts" ]
+          | _ -> [])
         (rows_of j "attacks")
     (* a key check's mismatch count follows from its seed, the design
        and the key: exact, like a verdict *)

@@ -19,12 +19,13 @@
       must be at least [baseline / ratio_tolerance].  Ratios are
       machine-independent, so they stay meaningful even when absolute
       numbers are measured on different hardware than the baseline;
-    - {b Verdict} (attack outcomes, the events one [Timing_sim] run
-      pops in BENCH_eval's [timing_sim] rows, and the mismatches one key
-      verification counts in BENCH_attacks' [verify] rows): must match
-      exactly — an attack whose verdict flips, or a simulator or key
-      check whose count moves, is a correctness regression wearing a
-      perf benchmark's clothes.
+    - {b Verdict} (attack outcomes with their DIP, chip-query and
+      conflict counts in BENCH_attacks' [attacks] rows, the events one
+      [Timing_sim] run pops in BENCH_eval's [timing_sim] rows, and the
+      mismatches one key verification counts in BENCH_attacks' [verify]
+      rows): must match exactly — an attack whose verdict or count
+      moves, or a simulator or key check whose count moves, is a
+      correctness regression wearing a perf benchmark's clothes.
 
     A metric present in only one file (e.g. a benchmark the smoke
     profile skips) is reported as skipped, never failed.

@@ -400,6 +400,54 @@ let test_tcf_unroll () =
     (2 * List.length (Netlist.outputs lk.Locked.net))
     (List.length (Netlist.outputs two))
 
+(* An input that reaches no output is still a pin of each frame: a
+   strict chip refuses a frame query that leaves it out. *)
+let test_tcf_unused_input () =
+  let s27 = fst (Combinationalize.run (Benchmarks.s27 ())) in
+  ignore (Netlist.add_input s27 "unused_pi");
+  let lk = Xor_lock.lock ~seed:5 s27 ~n_keys:4 in
+  let two = Tcf.unroll lk.Locked.net ~key_inputs:lk.Locked.key_inputs in
+  List.iter
+    (fun pi ->
+      Alcotest.(check bool) (pi ^ " kept") true (Netlist.find two pi <> None))
+    [ "f0_unused_pi"; "f1_unused_pi" ];
+  List.iter
+    (fun name ->
+      let o =
+        Attack.run ~name ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs
+          ~oracle:(Oracle.of_netlist s27) ()
+      in
+      Alcotest.(check string) (name ^ " verdict") "key_recovered"
+        (Attack.verdict_name o.Attack.verdict))
+    [ "sat"; "tcf2" ]
+
+(* The unrolled attacks' chip adapter: [f] sees the X inputs in order,
+   its reply is packed by output name (first duplicate wins), and a reply
+   that lacks an output raises naming it. *)
+let test_named_oracle () =
+  let net = Netlist.create "n" in
+  let a = Netlist.add_input net "a" in
+  let k = Netlist.add_input net "k" in
+  let b = Netlist.add_input net "b" in
+  Netlist.add_output net "y" (Netlist.add_gate net Cell.Xor [| a; k |]);
+  Netlist.add_output net "z" (Netlist.add_gate net Cell.And [| a; b |]);
+  let seen = ref [] in
+  let o =
+    Dip_miter.named_oracle net ~key_inputs:[ "k" ] (fun q ->
+        seen := q :: !seen;
+        [ ("z", false); ("y", true); ("z", true) ])
+  in
+  Alcotest.(check (list string)) "X inputs" [ "a"; "b" ] (Oracle.input_names o);
+  Alcotest.(check (list (pair string bool))) "reply by output name"
+    [ ("y", true); ("z", false) ]
+    (Oracle.query o [ ("b", true); ("a", false) ]);
+  Alcotest.(check (list (list (pair string bool)))) "f sees the X inputs in order"
+    [ [ ("a", false); ("b", true) ] ] !seen;
+  let short = Dip_miter.named_oracle net ~key_inputs:[ "k" ] (fun _ -> [ ("y", true) ]) in
+  Alcotest.check_raises "a missing output raises"
+    (Invalid_argument "Dip_miter.io: the reply has no output z") (fun () ->
+      ignore (Oracle.query short [ ("a", true); ("b", true) ]))
+
 let test_tcf_recovers_xor () =
   let comb = comb_circuit 56 in
   let lk = Xor_lock.lock ~seed:56 comb ~n_keys:4 in
@@ -414,6 +462,37 @@ let test_tcf_recovers_xor () =
       (Equiv.check ~fixed_b:k comb lk.Locked.net = Equiv.Equivalent)
   | Sat_attack.Unsat_at_first_iteration _ | Sat_attack.Budget_exhausted ->
     Alcotest.fail "two-frame attack should crack XOR locking"
+
+(* Each DIP of the two-frame attack is two scalar queries on the chip,
+   the capture frame's first ([f1], then [f0]); the chip sees no batch. *)
+let test_tcf_chip_traffic () =
+  let comb = comb_circuit 56 in
+  let lk = Xor_lock.lock ~seed:56 comb ~n_keys:4 in
+  let net = Oracle.of_netlist ~memo:false comb in
+  let names = Oracle.input_names net in
+  let log = ref [] in
+  let chip =
+    Oracle.of_packed ~memo:false ~name:"chip" ~inputs:names
+      ~outputs:(Oracle.output_names net)
+      ~batch:(fun qs ->
+        log := `Batch :: !log;
+        Oracle.query_packed net qs)
+      (fun q ->
+        log := `One q :: !log;
+        (Oracle.query_packed net [| q |]).(0))
+  in
+  let o =
+    Tcf.exec ~budget:(sat_budget ()) ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs ~oracle:chip ()
+  in
+  let frame tag dip =
+    let names = Array.of_list names in
+    `One (Bitpack.init (Array.length names) (fun i -> List.assoc (tag ^ "_" ^ names.(i)) dip))
+  in
+  let dips = o.Tcf.sat.Sat_attack.dips in
+  Alcotest.(check bool) "some DIPs" true (dips <> []);
+  Alcotest.(check bool) "f1 then f0 per DIP, scalar only" true
+    (List.rev !log = List.concat_map (fun dip -> [ frame "f1" dip; frame "f0" dip ]) dips)
 
 let test_tcf_fails_on_gk () =
   let net = Benchmarks.tiny () in
@@ -587,6 +666,9 @@ let suites =
         tc "unroll structure" `Quick test_tcf_unroll;
         tc "cracks XOR" `Quick test_tcf_recovers_xor;
         tc "fails on GK" `Quick test_tcf_fails_on_gk;
+        tc "two scalar chip queries per DIP" `Quick test_tcf_chip_traffic;
+        tc "keeps an input that reaches no output" `Quick test_tcf_unused_input;
+        tc "named_oracle packs replies by name" `Quick test_named_oracle;
       ] );
     ( "attacks.enhanced_removal",
       [

@@ -225,6 +225,37 @@ let test_seq_attack_xor_vs_gk () =
     | Sat_attack.Unsat_at_first_iteration _ -> true
     | Sat_attack.Key_recovered _ | Sat_attack.Budget_exhausted -> false)
 
+(* The same two attacks, pinned: DIPs, CDCL conflicts and chip sequence
+   queries ([oracle_step] calls).  These move only when the unrolled
+   miter's formula or the DIP loop's queries change. *)
+let test_seq_attack_counts () =
+  let net = Benchmarks.tiny () in
+  let counted () =
+    let calls = ref 0 in
+    let step frames =
+      incr calls;
+      Seq_attack.oracle_of_netlist net frames
+    in
+    (calls, step)
+  in
+  let counts ~locked ~key_inputs =
+    let calls, oracle_step = counted () in
+    let o =
+      Seq_attack.exec ~budget:(sat_budget ()) ~k:4 ~locked ~key_inputs ~oracle_step ()
+    in
+    let s = o.Seq_attack.sat in
+    (s.Sat_attack.iterations, s.Sat_attack.conflicts, !calls)
+  in
+  let lk = Xor_lock.lock ~seed:2 net ~n_keys:5 in
+  Alcotest.(check (triple int int int))
+    "XOR-5: DIPs, conflicts, oracle_step calls" (3, 377, 3)
+    (counts ~locked:lk.Locked.net ~key_inputs:lk.Locked.key_inputs);
+  let clock = Sta.clock_for net ~margin:4.5 in
+  let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
+  let stripped, keys = Insertion.strip_keygens d in
+  let dips, _, calls = counts ~locked:stripped ~key_inputs:keys in
+  Alcotest.(check (pair int int)) "GK: DIPs, oracle_step calls" (0, 0) (dips, calls)
+
 (* ----- AppSAT ----- *)
 
 let test_appsat_exact_on_xor () =
@@ -441,6 +472,7 @@ let suites =
         tc "structure" `Quick test_unroll_structure;
         tc "matches cycle-sim" `Quick test_unroll_semantics;
         tc "seq SAT: XOR falls, GK immune" `Quick test_seq_attack_xor_vs_gk;
+        tc "seq SAT: pinned counts" `Quick test_seq_attack_counts;
       ] );
     ( "ext.appsat",
       [

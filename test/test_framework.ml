@@ -152,13 +152,23 @@ let test_oracle_memo_cap () =
        "Oracle: memo_cap must be >= 1 (use ~memo:false to disable)") (fun () ->
       ignore (Oracle.of_netlist ~memo_cap:0 comb))
 
-let test_oracle_fn_key_memo () =
+(* A black box over inputs [a], [b], [c] and the one output
+   [y = a && b && c]; [fn] answers one packed query. *)
+let and_box ~batch fn =
+  Oracle.of_packed ~name:"box" ~inputs:[ "a"; "b"; "c" ] ~outputs:[ "y" ] ~batch fn
+
+let all_set q =
+  Bitpack.init 1 (fun _ -> Bitpack.get q 0 && Bitpack.get q 1 && Bitpack.get q 2)
+
+(* A black box's memo key is a named query's packed inputs, whatever
+   order the pins are listed in. *)
+let test_oracle_box_key_memo () =
   let calls = ref 0 in
   let fn q =
     incr calls;
-    [ ("y", List.for_all snd q) ]
+    all_set q
   in
-  let o = Oracle.of_fn fn in
+  let o = and_box ~batch:(Array.map fn) fn in
   let q1 = [ ("a", true); ("b", false); ("c", true) ] in
   let q2 = [ ("c", true); ("a", true); ("b", false) ] in
   let r1 = Oracle.query o q1 in
@@ -168,32 +178,40 @@ let test_oracle_fn_key_memo () =
   Alcotest.(check int) "hit counted" 1 (Oracle.memo_hits o);
   ignore (Oracle.query o [ ("a", false); ("b", false); ("c", true) ]);
   Alcotest.(check int) "distinct assignment evaluated" 2 !calls;
-  (* same bit pattern under a different name set must not share an entry *)
-  ignore (Oracle.query o [ ("x", false); ("y", false); ("z", true) ]);
-  Alcotest.(check int) "distinct name set evaluated" 3 !calls;
-  Alcotest.(check int) "real evals counted" 3 (Oracle.queries o)
+  Alcotest.(check int) "real evals counted" 2 (Oracle.queries o)
 
 (* [query q] runs [query_batch [q]]'s pipeline: over a sequence with
    repeats and a two-entry memo, an oracle asked one way and its twin
    asked the other give the same reply and the same counters after every
-   step, for each backend with the memo on and off.  A function oracle
-   answers [query] with [fn] and [query_batch] with its [batch]. *)
+   step, for a netlist and a black box, strict and relaxed, with the memo
+   on and off.  A black box answers [query] with [fn] and [query_batch]
+   with its [batch]. *)
 let test_oracle_one_path () =
   let comb = comb_circuit 67 in
   let names = Oracle.input_names (Oracle.of_netlist comb) in
   let vec i = List.mapi (fun j n -> (n, (i lsr j) land 1 = 1)) names in
-  (* the relaxed oracle's queries leave the last source unnamed *)
+  (* the relaxed oracles' queries leave the last source unnamed *)
   let short i = List.filteri (fun j _ -> j < List.length names - 1) (vec i) in
   let fn_calls = ref 0 and batch_calls = ref 0 in
+  let reply q =
+    let named = List.mapi (fun j n -> (n, Bitpack.get q j)) names in
+    let r = Array.of_list (reference_query comb named) in
+    Bitpack.init (Array.length r) (fun i -> snd r.(i))
+  in
   let fn q =
     incr fn_calls;
-    reference_query comb q
+    reply q
   in
   let batch qs =
     incr batch_calls;
-    List.map (reference_query comb) qs
+    Array.map reply qs
   in
   let cap memo = if memo then Some 2 else None in
+  let box memo =
+    Oracle.of_packed ~memo ?memo_cap:(cap memo) ~name:"box" ~inputs:names
+      ~outputs:(List.map fst (Netlist.outputs comb))
+      ~batch fn
+  in
   let cases =
     [
       ( "netlist",
@@ -203,10 +221,8 @@ let test_oracle_one_path () =
         short,
         fun memo ->
           Oracle.of_netlist ~partial:true ~memo ?memo_cap:(cap memo) comb );
-      ("of_fn", vec, fun memo -> Oracle.of_fn ~memo ?memo_cap:(cap memo) fn);
-      ( "of_fn ~batch",
-        vec,
-        fun memo -> Oracle.of_fn ~memo ?memo_cap:(cap memo) ~batch fn );
+      ("of_packed", vec, box);
+      ("relaxed of_packed", short, fun memo -> Oracle.relax (box memo));
     ]
   in
   let counters o =
@@ -237,7 +253,7 @@ let test_oracle_one_path () =
               Alcotest.(check bool) (what ^ ": same reply") true (rs = [ r ]);
               Alcotest.(check (triple int int int))
                 (what ^ ": same counters") (counters one) (counters many);
-              if name = "of_fn ~batch" then begin
+              if String.ends_with ~suffix:"of_packed" name then begin
                 Alcotest.(check (pair int int))
                   (what ^ ": query calls fn") (misses, 0) one_calls;
                 Alcotest.(check (pair int int))
@@ -252,30 +268,29 @@ let test_oracle_one_path () =
         [ true; false ])
     cases
 
-(* A batch-less function oracle deduplicates within a batch: the
-   repeated query is neither evaluated again nor counted as a memo hit,
-   and both misses are charged before [fn] runs. *)
-let test_oracle_fn_batchless_dedup () =
+(* A black box deduplicates within a batch: the repeated query is
+   neither evaluated again nor counted as a memo hit, and both misses
+   are charged before [batch] runs. *)
+let test_oracle_box_dedup () =
   let budget = Budget.create () in
-  let charged_at_calls = ref [] in
-  let fn q =
-    charged_at_calls := Budget.queries budget :: !charged_at_calls;
-    [ ("y", List.exists snd q) ]
+  let batches = ref [] in
+  let batch qs =
+    batches := (Array.length qs, Budget.queries budget) :: !batches;
+    Array.map all_set qs
   in
-  let o = Oracle.with_budget budget (Oracle.of_fn fn) in
-  let q0 = [ ("a", true); ("b", false) ] in
-  let q1 = [ ("a", false); ("b", false) ] in
+  let o = Oracle.with_budget budget (and_box ~batch all_set) in
+  let q0 = [ ("a", true); ("b", true); ("c", true) ] in
+  let q1 = [ ("a", false); ("b", true); ("c", true) ] in
   let rs = Oracle.query_batch o [ q0; q0; q1 ] in
   Alcotest.(check (list (list (pair string bool))))
     "replies in request order"
     [ [ ("y", true) ]; [ ("y", true) ]; [ ("y", false) ] ]
     rs;
-  Alcotest.(check int) "one fn call per distinct query" 2
-    (List.length !charged_at_calls);
+  Alcotest.(check (list (pair int int)))
+    "one batch of both distinct queries, charged before it runs"
+    [ (2, 2) ] !batches;
   Alcotest.(check int) "distinct queries charged" 2 (Oracle.queries o);
-  Alcotest.(check int) "no memo hit" 0 (Oracle.memo_hits o);
-  Alcotest.(check (list int)) "both charged before the first fn call"
-    [ 2; 2 ] !charged_at_calls
+  Alcotest.(check int) "no memo hit" 0 (Oracle.memo_hits o)
 
 (* forced shard counts must not change results, counters, or ordering.
    4200 queries make 1, 2 and 4 shards of 4200, 2100 and 1050 lanes:
@@ -433,12 +448,16 @@ let test_sampler_matches_named () =
   let flipped = Key.flip lk.Locked.correct_key (List.hd keys) in
   (* every pin of this chip sits at another position than in [comb] *)
   let moved = reversed_pins (with_pins comb ~inputs:[ "chip_only" ] ~outputs:[ "chip_out" ]) in
-  let named_chip net () =
-    let o = Oracle.of_netlist ~partial:true net in
+  let box_chip net () =
+    let o = Oracle.of_netlist net in
+    let n = List.length (Oracle.output_names o) in
     (* replies in reverse output order: compared by name *)
-    Oracle.of_fn
-      ~batch:(fun qs -> List.map List.rev (Oracle.query_batch o qs))
-      (fun q -> List.rev (Oracle.query o q))
+    let rev r = Bitpack.init n (fun i -> Bitpack.get r (n - 1 - i)) in
+    Oracle.relax
+      (Oracle.of_packed ~name:"box" ~inputs:(Oracle.input_names o)
+         ~outputs:(List.rev (Oracle.output_names o))
+         ~batch:(fun qs -> Array.map rev (Oracle.query_packed o qs))
+         (fun q -> rev (Oracle.query_packed o [| q |]).(0)))
   in
   let strict () = Oracle.of_netlist comb
   and relaxed () = Oracle.of_netlist ~partial:true comb
@@ -461,8 +480,8 @@ let test_sampler_matches_named () =
         keys,
         flipped );
       ("a chip output the candidate lacks", moved_chip, comb, [], []);
-      ("named of_fn chip", named_chip comb, lk.Locked.net, keys, flipped);
-      ("a named chip's output the candidate lacks", named_chip moved, comb, [], []);
+      ("relaxed black box, outputs reversed", box_chip comb, lk.Locked.net, keys, flipped);
+      ("a black box's output the candidate lacks", box_chip moved, comb, [], []);
     ]
   in
   let samples_t = Alcotest.(list (pair (list (pair string bool)) (list (pair string bool)))) in
@@ -493,11 +512,9 @@ let test_sampler_matches_named () =
         (Oracle.queries cp, Oracle.memo_hits cp);
       (* the packed memo keys are the named ones: on the named path's
          chip the sampler asks for nothing new *)
-      if Oracle.input_names cn <> [] then begin
-        let q = Oracle.queries cn in
-        ignore (three_checks ~chip:(fun () -> cn) ~locked ~key_inputs ~key ~check:packed);
-        Alcotest.(check int) (label "no new chip query") q (Oracle.queries cn)
-      end;
+      let q = Oracle.queries cn in
+      ignore (three_checks ~chip:(fun () -> cn) ~locked ~key_inputs ~key ~check:packed);
+      Alcotest.(check int) (label "no new chip query") q (Oracle.queries cn);
       (* verify_key itself *)
       let count, d =
         metered (fun () -> Sat_attack.verify_key ~seed:3 ~locked ~key_inputs ~oracle:(chip ()) key)
@@ -509,7 +526,7 @@ let test_sampler_matches_named () =
       match name with
       | "strict chip, one key bit flipped" ->
         Alcotest.(check bool) (label "0 < mismatches < 64") true (count > 0 && count < 64)
-      | "a chip output the candidate lacks" | "a named chip's output the candidate lacks" ->
+      | "a chip output the candidate lacks" | "a black box's output the candidate lacks" ->
         Alcotest.(check (list int)) (label "verify, AppSAT, removal") [ 64; 0; 0 ] counts
       | "s27, repeated vectors" ->
         Alcotest.(check bool) (label "memo hits") true (Oracle.memo_hits cp > 0)
@@ -531,7 +548,7 @@ let test_packer_rules () =
   same "unknown name" (names @ [ "nope" ]);
   same "unassigned input" (List.tl names);
   let relaxed = Oracle.of_netlist ~partial:true comb in
-  let pack = Option.get (Oracle.packer relaxed ("nope" :: List.tl names)) in
+  let pack = Oracle.packer relaxed ("nope" :: List.tl names) in
   let n = List.length names in
   (* values 1, 0, 1, ...: the first input is unassigned and reads false *)
   let v = Bitpack.init n (fun k -> k mod 2 = 0) in
@@ -543,9 +560,7 @@ let test_packer_rules () =
   Alcotest.(check int) "one defaulted read per packed query" 1
     (Obs.Metrics.value defaults - before);
   Alcotest.(check bool) "a wrong width raises" true
-    (raised (fun () -> pack (Bitpack.init (n + 9) (fun _ -> false))) <> None);
-  Alcotest.(check bool) "of_fn has no packer" true
-    (Oracle.packer (Oracle.of_fn (fun q -> q)) names = None)
+    (raised (fun () -> pack (Bitpack.init (n + 9) (fun _ -> false))) <> None)
 
 (* ----- registry ----- *)
 
@@ -718,16 +733,16 @@ let suites =
         Alcotest.test_case "memo + counts" `Quick test_oracle_memo_and_counts;
         Alcotest.test_case "budget charging" `Quick test_oracle_budget_charging;
         Alcotest.test_case "memo cap + evictions" `Quick test_oracle_memo_cap;
-        Alcotest.test_case "fn-backend canonical keys" `Quick
-          test_oracle_fn_key_memo;
+        Alcotest.test_case "of_packed canonical keys" `Quick
+          test_oracle_box_key_memo;
         Alcotest.test_case "sharded batch = scalar" `Quick
           test_oracle_sharded_batch;
         Alcotest.test_case "batch = scalar" `Quick
           test_oracle_batch_equals_scalar;
         Alcotest.test_case "query = query_batch of one" `Quick
           test_oracle_one_path;
-        Alcotest.test_case "batch-less of_fn dedups a batch" `Quick
-          test_oracle_fn_batchless_dedup;
+        Alcotest.test_case "of_packed dedups a batch" `Quick
+          test_oracle_box_dedup;
         Alcotest.test_case "memo under 1 KB per s38417 entry" `Quick
           test_oracle_memo_footprint;
       ] );

@@ -1,4 +1,4 @@
-(* The oracle service: wire codec properties, the Oracle.of_fn batch
+(* The oracle service: wire codec properties, the Oracle.of_packed batch
    transport, and end-to-end tests against an in-process gklockd —
    registry-wide verdict parity, per-client quota exhaustion inside a
    coalesced word, the early flush when no connection can add a lane,
@@ -356,20 +356,26 @@ let test_bad_magic () =
   | Error Wire.Bad_magic -> ()
   | Ok _ | Error _ -> Alcotest.fail "bad magic not rejected as such"
 
-(* ----- Oracle.of_fn ~batch (no sockets) ----- *)
+(* ----- Oracle.of_packed ~batch (no sockets) ----- *)
 
-let test_fn_batch_dedup () =
-  let scalar_calls = ref 0 and batch_calls = ref 0 and batch_qs = ref [] in
-  let eval q = [ ("y", List.exists snd q) ] in
+(* A black box over inputs [a], [b] and the one output [y = a || b]. *)
+let any_set q = Bitpack.init 1 (fun _ -> Bitpack.get q 0 || Bitpack.get q 1)
+
+let or_box ?memo ?memo_cap ~batch fn =
+  Oracle.of_packed ?memo ?memo_cap ~name:"box" ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
+    ~batch fn
+
+let test_packed_batch_dedup () =
+  let scalar_calls = ref 0 and batch_calls = ref 0 and batch_qs = ref [||] in
   let o =
-    Oracle.of_fn
+    or_box
       ~batch:(fun qs ->
         incr batch_calls;
         batch_qs := qs;
-        List.map eval qs)
+        Array.map any_set qs)
       (fun q ->
         incr scalar_calls;
-        eval q)
+        any_set q)
   in
   let q1 = [ ("a", true); ("b", false) ] in
   let q2 = [ ("a", false); ("b", false) ] in
@@ -377,7 +383,7 @@ let test_fn_batch_dedup () =
   let rs = Oracle.query_batch o [ q1; q2; q1'; q1 ] in
   Alcotest.(check int) "one wire batch" 1 !batch_calls;
   Alcotest.(check int) "no scalar fallback" 0 !scalar_calls;
-  Alcotest.(check int) "misses deduplicated" 2 (List.length !batch_qs);
+  Alcotest.(check int) "misses deduplicated" 2 (Array.length !batch_qs);
   Alcotest.(check int) "charged distinct queries only" 2 (Oracle.queries o);
   Alcotest.(check (list (list (pair string bool))))
     "responses in request order"
@@ -388,42 +394,43 @@ let test_fn_batch_dedup () =
   Alcotest.(check int) "memo hit batch is free" 1 !batch_calls;
   Alcotest.(check int) "no extra charges" 2 (Oracle.queries o)
 
-let test_fn_batch_no_memo () =
+(* Without a memo a batch still dedups within the call: the repeated
+   query is evaluated and charged once. *)
+let test_packed_batch_no_memo () =
   let batch_calls = ref 0 and scalar_calls = ref 0 in
   let o =
-    Oracle.of_fn ~memo:false
+    or_box ~memo:false
       ~batch:(fun qs ->
         incr batch_calls;
-        List.map (fun _ -> [ ("y", true) ]) qs)
-      (fun _ ->
+        Array.map any_set qs)
+      (fun q ->
         incr scalar_calls;
-        [ ("y", true) ])
+        any_set q)
   in
   let q i = [ ("a", i land 1 = 1); ("b", i land 2 = 2) ] in
   let _ = Oracle.query_batch o [ q 0; q 0; q 1 ] in
   let _ = Oracle.query_batch o [ q 0 ] in
   Alcotest.(check int) "every batch hits the wire" 2 !batch_calls;
-  Alcotest.(check int) "all queries charged" 4 (Oracle.queries o);
+  Alcotest.(check int) "distinct queries of each call charged" 3 (Oracle.queries o);
   let _ = Oracle.query o (q 0) in
   let _ = Oracle.query o (q 0) in
   Alcotest.(check int) "every scalar query hits the wire" 2 !scalar_calls;
-  Alcotest.(check int) "and is charged" 6 (Oracle.queries o)
+  Alcotest.(check int) "and is charged" 5 (Oracle.queries o)
 
 (* Replies are reassembled from the evaluated batch, not re-read from
    the memo: three distinct misses under a one-entry memo take one
    [batch] call and no [fn] call, although writing them back evicts two
    of them at once. *)
-let test_fn_batch_capped_memo () =
+let test_packed_batch_capped_memo () =
   let scalar_calls = ref 0 and batch_calls = ref 0 in
-  let eval q = [ ("y", List.exists snd q) ] in
   let o =
-    Oracle.of_fn ~memo_cap:1
+    or_box ~memo_cap:1
       ~batch:(fun qs ->
         incr batch_calls;
-        List.map eval qs)
+        Array.map any_set qs)
       (fun q ->
         incr scalar_calls;
-        eval q)
+        any_set q)
   in
   let q i = [ ("a", i = 1); ("b", i = 2) ] in
   let rs = Oracle.query_batch o [ q 0; q 1; q 2 ] in
@@ -1295,10 +1302,10 @@ let suites =
       ] );
     ( "net-oracle",
       [
-        tc "of_fn batch dedups and memoizes" `Quick test_fn_batch_dedup;
-        tc "of_fn batch without memo" `Quick test_fn_batch_no_memo;
-        tc "of_fn batch under a one-entry memo" `Quick
-          test_fn_batch_capped_memo;
+        tc "of_packed batch dedups and memoizes" `Quick test_packed_batch_dedup;
+        tc "of_packed batch without memo" `Quick test_packed_batch_no_memo;
+        tc "of_packed batch under a one-entry memo" `Quick
+          test_packed_batch_capped_memo;
       ] );
     ( "net-daemon",
       [

@@ -255,6 +255,53 @@ let test_gate_verify_mismatches_exact () =
   Alcotest.(check bool) "one more s38417 mismatch fails" false
     (Perf_gate.compare_docs [ (`Attacks, base, moved) ]).Perf_gate.g_ok
 
+(* BENCH_attacks' attack rows: the verdict and the DIP, chip-query and
+   conflict counts are gated exactly, the wall time not at all. *)
+let attack_rows_doc rows =
+  doc_of_string
+    (Printf.sprintf {|{"schema":"gklock/bench_attacks/v2","oracle":[],"attacks":[%s]}|}
+       (String.concat ","
+          (List.map
+             (fun (attack, (iterations, queries, conflicts), elapsed) ->
+               Printf.sprintf
+                 {|{"bench":"s27","attack":"%s","verdict":"key_recovered","gave_up_reason":null,
+                    "iterations":%d,"queries":%d,"conflicts":%d,"elapsed_s":%f}|}
+                 attack iterations queries conflicts elapsed)
+             rows)))
+
+let test_gate_attack_counts_exact () =
+  let committed = [ ("sat", (4, 58, 33), 0.0005); ("tcf2", (2, 57, 38), 0.0008) ] in
+  let base = attack_rows_doc committed in
+  let ids r = List.map (fun c -> c.Perf_gate.c_id) r.Perf_gate.g_checks in
+  let slow = attack_rows_doc (List.map (fun (a, c, t) -> (a, c, t *. 1000.0)) committed) in
+  let same = Perf_gate.compare_docs ~inject_slowdown:1000.0 [ (`Attacks, base, slow) ] in
+  Alcotest.(check (list string)) "verdicts and counts gated, times not"
+    (List.concat_map
+       (fun (a, _, _) ->
+         List.map (Printf.sprintf "attacks.s27.%s.%s" a)
+           [ "verdict"; "iterations"; "queries"; "conflicts" ])
+       committed)
+    (ids same);
+  Alcotest.(check bool) "equal counts pass whatever the speed" true same.Perf_gate.g_ok;
+  List.iter
+    (fun (what, bump) ->
+      let moved =
+        attack_rows_doc
+          (List.map (fun (a, c, t) -> (a, (if a = "tcf2" then bump c else c), t)) committed)
+      in
+      let r = Perf_gate.compare_docs [ (`Attacks, base, moved) ] in
+      Alcotest.(check bool) ("one more tcf2 " ^ what ^ " fails") false r.Perf_gate.g_ok;
+      Alcotest.(check (list string)) ("only tcf2's " ^ what ^ " fails")
+        [ "attacks.s27.tcf2." ^ what ]
+        (List.filter_map
+           (fun c -> if c.Perf_gate.c_ok then None else Some c.Perf_gate.c_id)
+           r.Perf_gate.g_checks))
+    [
+      ("iterations", fun (i, q, c) -> (i + 1, q, c));
+      ("queries", fun (i, q, c) -> (i, q + 1, c));
+      ("conflicts", fun (i, q, c) -> (i, q, c + 1));
+    ]
+
 (* ----- real-binary TCP shutdown gating ----- *)
 
 let gklockd_exe = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/gklockd.exe"
@@ -327,6 +374,8 @@ let suites =
           test_gate_sim_events_exact;
         Alcotest.test_case "verify mismatch counts are exact" `Quick
           test_gate_verify_mismatches_exact;
+        Alcotest.test_case "attack counts are exact" `Quick
+          test_gate_attack_counts_exact;
       ] );
     ( "systest_daemon",
       [

@@ -358,17 +358,14 @@ let test_bad_magic () =
 
 (* ----- Oracle.of_packed ~batch (no sockets) ----- *)
 
-(* A black box over inputs [a], [b] and the one output [y = a || b]. *)
+(* The black boxes below have inputs [a], [b] and the one output
+   [y = a || b]. *)
 let any_set q = Bitpack.init 1 (fun _ -> Bitpack.get q 0 || Bitpack.get q 1)
-
-let or_box ?memo ?memo_cap ~batch fn =
-  Oracle.of_packed ?memo ?memo_cap ~name:"box" ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
-    ~batch fn
 
 let test_packed_batch_dedup () =
   let scalar_calls = ref 0 and batch_calls = ref 0 and batch_qs = ref [||] in
   let o =
-    or_box
+    Oracle.of_packed ~name:"box" ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
       ~batch:(fun qs ->
         incr batch_calls;
         batch_qs := qs;
@@ -399,7 +396,7 @@ let test_packed_batch_dedup () =
 let test_packed_batch_no_memo () =
   let batch_calls = ref 0 and scalar_calls = ref 0 in
   let o =
-    or_box ~memo:false
+    Oracle.of_packed ~memo:false ~name:"box" ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
       ~batch:(fun qs ->
         incr batch_calls;
         Array.map any_set qs)
@@ -424,7 +421,7 @@ let test_packed_batch_no_memo () =
 let test_packed_batch_capped_memo () =
   let scalar_calls = ref 0 and batch_calls = ref 0 in
   let o =
-    or_box ~memo_cap:1
+    Oracle.of_packed ~memo_cap:1 ~name:"box" ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
       ~batch:(fun qs ->
         incr batch_calls;
         Array.map any_set qs)

@@ -1,7 +1,9 @@
 (* Micro-benchmarks for the bit-parallel evaluation engine: one pattern
    ([Netlist.eval_comb]), one word and an 8-word block through
-   [Netlist.Engine.eval_block], on three seed benchmarks; and the
-   event-driven [Timing_sim] on GK-8 locked designs.  Prints a
+   [Netlist.Engine.eval_block], on three seed benchmarks; the
+   event-driven [Timing_sim] on GK-8 locked designs; and the netlist
+   layer every experiment starts with (generate, flip-flop grouping,
+   GK-8 locking, combinationalization) on all seven designs.  Prints a
    human-readable table and writes machine-readable results to
    BENCH_eval.json (or the path given as the last argument) so later PRs
    can track the perf trajectory:
@@ -206,6 +208,59 @@ let bench_timing_sim ~min_time bname =
     s_minor_words_per_event = words /. float_of_int events;
   }
 
+(* ----- netlist layer: generate, group, lock, combinationalize ----- *)
+
+type netlist_row = {
+  n_name : string;
+  n_nodes : int;  (* exact, gated like a verdict *)
+  n_ffs : int;  (* exact *)
+  n_generate_ms : float;
+  n_group_ms : float;
+  n_lock_ms : float;
+  n_comb_ms : float;
+  n_comb_md5 : string;  (* of the printed combinationalized design: exact *)
+}
+
+(* The median over [reps] samples of one call's time, in ms.  A sample
+   repeats the call for at least 5 ms and takes the mean, so a step
+   that runs in microseconds on a small design is not timer noise. *)
+let median_ms reps f =
+  let sample () =
+    let t0 = Unix.gettimeofday () in
+    let calls = ref 0 in
+    while
+      ignore (Sys.opaque_identity (f ()));
+      incr calls;
+      Unix.gettimeofday () -. t0 < 0.005
+    do
+      ()
+    done;
+    1000.0 *. (Unix.gettimeofday () -. t0) /. float_of_int !calls
+  in
+  let times = Array.init reps (fun _ -> sample ()) in
+  Array.sort compare times;
+  times.(reps / 2)
+
+(* Each step timed alone: generating the design, grouping its
+   flip-flops by output cone (Table I's FF grouping), a GK-8 lock at
+   seed 1 (which groups again, then places and inserts the GKs; the
+   clock is computed outside the timer), and combinationalizing the
+   unlocked design. *)
+let bench_netlist ~reps spec =
+  let net = Benchmarks.load spec in
+  let clock_ps = Sta.clock_for net ~margin:spec.Benchmarks.clk_margin in
+  let comb = fst (Combinationalize.run net) in
+  {
+    n_name = spec.Benchmarks.bname;
+    n_nodes = Netlist.num_nodes net;
+    n_ffs = List.length (Netlist.ffs net);
+    n_generate_ms = median_ms reps (fun () -> Benchmarks.load spec);
+    n_group_ms = median_ms reps (fun () -> Topo.group_ffs_by_cone net);
+    n_lock_ms = median_ms reps (fun () -> Insertion.lock ~seed:1 net ~clock_ps ~n_gks:8);
+    n_comb_ms = median_ms reps (fun () -> Combinationalize.run net);
+    n_comb_md5 = Digest.to_hex (Digest.string (Bench_format.print comb));
+  }
+
 (* ----- output ----- *)
 
 let json_of_row r =
@@ -216,6 +271,14 @@ let json_of_row r =
     r.r_name r.r_cells r.r_scalar_pps r.r_word_pps r.r_block_pps
     (r.r_block_pps /. r.r_word_pps)
     r.r_strash_reduction
+
+let json_of_netlist_row r =
+  Printf.sprintf
+    "    {\"name\": %S, \"nodes\": %d, \"ffs\": %d, \"generate_ms\": %.2f, \
+     \"group_ms\": %.2f, \"lock_ms\": %.2f, \"combinationalize_ms\": %.2f, \
+     \"comb_md5\": %S}"
+    r.n_name r.n_nodes r.n_ffs r.n_generate_ms r.n_group_ms r.n_lock_ms r.n_comb_ms
+    r.n_comb_md5
 
 let json_of_sim_row r =
   Printf.sprintf
@@ -267,6 +330,16 @@ let () =
       Printf.printf "%-8s %8d %13.0f %10.2f\n" r.s_name r.s_events r.s_events_per_sec
         r.s_minor_words_per_event)
     sim_rows;
+  let netlist_rows =
+    List.map (bench_netlist ~reps:(if smoke then 1 else 7)) Benchmarks.specs
+  in
+  Printf.printf "\n%-8s %6s %5s %9s %9s %9s %9s  %s   (netlist layer, ms)\n" "bench"
+    "nodes" "ffs" "generate" "group" "GK-8 lock" "comb" "comb md5";
+  List.iter
+    (fun r ->
+      Printf.printf "%-8s %6d %5d %9.2f %9.2f %9.2f %9.2f  %s\n" r.n_name r.n_nodes r.n_ffs
+        r.n_generate_ms r.n_group_ms r.n_lock_ms r.n_comb_ms r.n_comb_md5)
+    netlist_rows;
   let doc =
     Printf.sprintf
       "{\n\
@@ -279,11 +352,15 @@ let () =
       \  ],\n\
       \  \"timing_sim\": [\n\
        %s\n\
+      \  ],\n\
+      \  \"netlist\": [\n\
+       %s\n\
       \  ]\n\
        }\n"
       smoke Netlist.Engine.word_bits block_words
       (String.concat ",\n" (List.map json_of_row rows))
       (String.concat ",\n" (List.map json_of_sim_row sim_rows))
+      (String.concat ",\n" (List.map json_of_netlist_row netlist_rows))
   in
   (* round-trip the hand-rolled printer through the repo's JSON parser *)
   (match Cjson.of_string doc with

@@ -111,11 +111,24 @@ let serve_term =
   let run listen designs max_queries deadline flush_delay no_memo
       tcp_shutdown metrics_out metrics_interval =
     let addr = parse_listen listen in
+    (* one span per design, so a traced start-up shows where it went *)
     let designs =
       List.map
         (fun spec ->
           let name, path = split_design_spec spec in
-          (name, load_design path))
+          let sp = Obs.Trace.span_begin ~args:[ ("design", Cjson.Str name) ] "gklockd.load" in
+          match load_design path with
+          | net ->
+            Obs.Trace.span_end sp
+              ~args:
+                [
+                  ("nodes", Cjson.Int (Netlist.num_nodes net));
+                  ("ffs", Cjson.Int (List.length (Netlist.ffs net)));
+                ];
+            (name, net)
+          | exception e ->
+            Obs.Trace.span_end sp;
+            raise e)
         designs
     in
     let config =

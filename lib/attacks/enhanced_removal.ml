@@ -77,7 +77,7 @@ let remodel src located =
           Netlist.add_gate net ~name:(Printf.sprintf "erk%d_gate" i) Cell.Xor
             [| gk.x; k |]
         in
-        Netlist.replace_uses net ~old_id:gk.mux ~new_id:repl;
+        Netlist.replace_uses net [ (gk.mux, repl) ];
         Netlist.kill net gk.mux;
         (* The branches may be shared with nothing else; sweep what
            dangles. *)

@@ -31,7 +31,7 @@ let exec ?(samples = 128) ?(eps = 0.05) ?(max_candidates = 12) ?seed ~budget
       let attempt = Netlist.copy locked in
       let dominant = p >= 0.5 in
       let c = Netlist.add_const attempt dominant in
-      Netlist.replace_uses attempt ~old_id:id ~new_id:c;
+      Netlist.replace_uses attempt [ (id, c) ];
       Netlist.kill attempt id;
       let cleaned, _report = Synth.optimize attempt in
       if agrees_with_oracle ~samples ?seed cleaned ~oracle then
@@ -61,7 +61,7 @@ let strip_tdbs (tdk : Tdk.t) =
         if mux.Netlist.fanins.(1) = chain_last then mux.Netlist.fanins.(2)
         else mux.Netlist.fanins.(1)
       in
-      Netlist.replace_uses net ~old_id:site.Tdk.tdb_mux ~new_id:direct;
+      Netlist.replace_uses net [ (site.Tdk.tdb_mux, direct) ];
       Netlist.kill net site.Tdk.tdb_mux;
       List.iter (fun id -> Netlist.kill net id) site.Tdk.tdb_nodes;
       (* The delay key now feeds nothing. *)
@@ -106,7 +106,7 @@ let guess_gk ?(samples = 128) ?seed ~budget stripped ~gks ~oracle =
               Netlist.add_gate attempt Cell.Buf [| x |]
             else Netlist.add_gate attempt Cell.Not [| x |]
           in
-          Netlist.replace_uses attempt ~old_id:out ~new_id:repl)
+          Netlist.replace_uses attempt [ (out, repl) ])
         gks;
       let cleaned, _ = Synth.optimize attempt in
       if agrees_with_oracle ~samples ~seed:(seed + g) cleaned ~oracle then

@@ -132,7 +132,7 @@ let decrypt ~stripped_comb verdicts =
             | `Inverter -> Netlist.add_gate net Cell.Not [| gk.Enhanced_removal.x |]
             | `Unknown -> assert false
           in
-          Netlist.replace_uses net ~old_id:v.v_mux ~new_id:repl)
+          Netlist.replace_uses net [ (v.v_mux, repl) ])
       verdicts;
     let cleaned, _ = Synth.optimize net in
     Some cleaned

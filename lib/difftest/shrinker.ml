@@ -65,7 +65,7 @@ let const_out (c : Fuzz_case.t) id b =
   let net = Netlist.copy c.Fuzz_case.net in
   let cst = Netlist.add_const net b in
   if cst <> id then begin
-    Netlist.replace_uses net ~old_id:id ~new_id:cst;
+    Netlist.replace_uses net [ (id, cst) ];
     Netlist.kill net id
   end;
   Netlist.validate net;

@@ -44,7 +44,7 @@ let functional_view net chain =
   (match Netlist.find view chain.scan_enable with
   | Some se ->
     let c0 = Netlist.add_const view false in
-    Netlist.replace_uses view ~old_id:se ~new_id:c0
+    Netlist.replace_uses view [ (se, c0) ]
   | None -> invalid_arg "Scan.functional_view: no scan_enable");
   Netlist.remove_output view chain.scan_out;
   let cleaned, _ = Synth.optimize view in

@@ -88,17 +88,17 @@ let optimize ?(preserve = fun _ -> false) net =
           match fold_gate fn nd.Netlist.fanins const_of with
           | `Const v ->
             let c = Netlist.add_const net v in
-            Netlist.replace_uses net ~old_id:id ~new_id:c;
+            Netlist.replace_uses net [ (id, c) ];
             incr const_folded
           | `Wire w ->
-            Netlist.replace_uses net ~old_id:id ~new_id:w;
+            Netlist.replace_uses net [ (id, w) ];
             incr buffers_collapsed
           | `Keep fanins' ->
             let cell = Cell_lib.bind fn (Array.length fanins') in
             let g =
               Netlist.add_gate net ~cell fn fanins'
             in
-            Netlist.replace_uses net ~old_id:id ~new_id:g;
+            Netlist.replace_uses net [ (id, g) ];
             incr const_folded
           | `Unchanged -> ())
         | Netlist.Input | Netlist.Const _ | Netlist.Lut _ | Netlist.Ff

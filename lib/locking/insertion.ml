@@ -188,24 +188,24 @@ let intended_glitches design ff =
 
 let strip_keygens design =
   let net = Netlist.copy design.lnet in
-  let names =
+  let keys =
     List.mapi
       (fun i p ->
         let name = Printf.sprintf "gkkey%d" i in
-        let pi = Netlist.add_input net name in
-        Netlist.replace_uses net ~old_id:p.p_keygen.Keygen.key_out ~new_id:pi;
-        (* The KEYGEN (toggle FF, ADB chains, MUXes) and its selection
-           inputs are now unreferenced. *)
-        List.iter (fun id -> Netlist.kill net id) p.p_keygen.Keygen.nodes;
-        (match Netlist.find net p.p_k1_name with
-        | Some id -> Netlist.kill net id
-        | None -> ());
-        (match Netlist.find net p.p_k2_name with
-        | Some id -> Netlist.kill net id
-        | None -> ());
-        name)
+        (name, (p.p_keygen.Keygen.key_out, Netlist.add_input net name)))
       design.placements
   in
+  Netlist.replace_uses net (List.map snd keys);
+  (* The KEYGENs (toggle FF, ADB chains, MUXes) and their selection
+     inputs are now unreferenced. *)
+  List.iter
+    (fun p ->
+      List.iter (fun id -> Netlist.kill net id) p.p_keygen.Keygen.nodes;
+      List.iter
+        (fun k -> Option.iter (Netlist.kill net) (Netlist.find net k))
+        [ p.p_k1_name; p.p_k2_name ])
+    design.placements;
+  let names = List.map fst keys in
   let net, _ = Netlist.compact net in
   Netlist.validate net;
   (net, names)

@@ -15,15 +15,14 @@ let key_pi_ids t =
 
 let with_key_fixed t key =
   let net = Netlist.copy t.net in
-  List.iter
-    (fun name ->
-      match (Netlist.find net name, List.assoc_opt name key) with
-      | Some id, Some b ->
-        let c = Netlist.add_const net b in
-        Netlist.replace_uses net ~old_id:id ~new_id:c
-      | Some _, None -> invalid_arg ("Locked.with_key_fixed: key misses " ^ name)
-      | None, _ -> failwith ("Locked.with_key_fixed: missing key input " ^ name))
-    t.key_inputs;
+  Netlist.replace_uses net
+    (List.map
+       (fun name ->
+         match (Netlist.find net name, List.assoc_opt name key) with
+         | Some id, Some b -> (id, Netlist.add_const net b)
+         | Some _, None -> invalid_arg ("Locked.with_key_fixed: key misses " ^ name)
+         | None, _ -> failwith ("Locked.with_key_fixed: missing key input " ^ name))
+       t.key_inputs);
   net
 
 let splice_all_fanouts net ~target ~build =

@@ -77,6 +77,6 @@ let absorb net ~root ~interior =
       ~name:((Netlist.node net root).Netlist.name ^ "_lut")
       ~truth (Array.of_list leaves)
   in
-  Netlist.replace_uses net ~old_id:root ~new_id:lut;
+  Netlist.replace_uses net [ (root, lut) ];
   List.iter (fun id -> Netlist.kill net id) cone;
   { lut; lut_inputs = leaves; hidden_nodes = cone }

@@ -104,6 +104,15 @@ let combinational net =
 
 let mk_design cfg (name, net) =
   if name = "" then invalid_arg "Gkd_server.create: empty design name";
+  Obs.Trace.with_span
+    ~args:
+      [
+        ("design", Cjson.Str name);
+        ("nodes", Cjson.Int (Netlist.num_nodes net));
+        ("ffs", Cjson.Int (List.length (Netlist.ffs net)));
+      ]
+    "gklockd.prepare"
+  @@ fun () ->
   let comb = combinational net in
   let oracle =
     Oracle.of_netlist ~memo:cfg.oracle_memo ?memo_cap:cfg.oracle_memo_cap comb

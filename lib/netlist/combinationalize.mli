@@ -15,5 +15,10 @@ type mapping = {
 
 (** [run net] is the combinational netlist and the per-FF correspondence.
     The input is not modified.  The result has no flip-flops and is
-    validated. *)
+    validated.  Every flip-flop's consumers move to its pseudo-PI in one
+    {!Netlist.replace_uses} pass, so the cost is linear in the netlist's
+    size, not one whole-netlist pass per flip-flop.  Node ids, names and
+    output order are those the per-flip-flop construction gave: the
+    pseudo-PIs follow the original nodes in flip-flop order, then the
+    pseudo-POs follow the original outputs in the same order. *)
 val run : Netlist.t -> Netlist.t * mapping list

@@ -37,7 +37,10 @@ let generate cfg =
     invalid_arg "Generator.generate: need at least one input, gate and stage";
   let rng = Random.State.make [| cfg.seed; 0x6b67 |] in
   let net = Netlist.create cfg.gen_name in
-  let sources = Vec.create () in
+  (* by_stage.(0) = sources (inputs, then flip-flops); by_stage.(s) =
+     gates at stage s, in creation order *)
+  let by_stage = Array.init (cfg.depth + 1) (fun _ -> Vec.create ()) in
+  let sources = by_stage.(0) in
   for i = 0 to cfg.n_pi - 1 do
     Vec.push sources (Netlist.add_input net (Printf.sprintf "pi%d" i))
   done;
@@ -50,11 +53,14 @@ let generate cfg =
         Vec.push sources id;
         id)
   in
-  (* by_stage.(0) = sources; by_stage.(s) = gates at stage s *)
-  let by_stage = Array.make (cfg.depth + 1) [] in
-  by_stage.(0) <- Vec.to_list sources;
-  let stage_counts = Array.make (cfg.depth + 1) 0 in
-  stage_counts.(0) <- Vec.length sources;
+  let stage_count s = Vec.length by_stage.(s) in
+  (* Draws index the sources in declaration order and a gate stage from
+     its newest gate back: every random choice below, and so every
+     generated netlist, depends on this order. *)
+  let member s k =
+    let v = by_stage.(s) in
+    if s = 0 then Vec.get v k else Vec.get v (Vec.length v - 1 - k)
+  in
   let pick_from_below rng stage =
     (* Prefer the immediately shallower stage so the depth target is
        actually reached; fall back to any shallower node. *)
@@ -62,9 +68,8 @@ let generate cfg =
       if stage > 1 && Random.State.int rng 100 < 82 then stage - 1
       else Random.State.int rng stage
     in
-    let s = if stage_counts.(s) = 0 then 0 else s in
-    let bucket = by_stage.(s) in
-    List.nth bucket (Random.State.int rng (List.length bucket))
+    let s = if stage_count s = 0 then 0 else s in
+    member s (Random.State.int rng (stage_count s))
   in
   let unused_sources = Queue.create () in
   Vec.iter (fun id -> Queue.push id unused_sources) sources;
@@ -105,23 +110,21 @@ let generate cfg =
     in
     if arity > 1 then dedup 0;
     let id = Netlist.add_gate net ~name:(Printf.sprintf "g%d" g) fn fanins in
-    by_stage.(stage) <- id :: by_stage.(stage);
-    stage_counts.(stage) <- stage_counts.(stage) + 1
+    Vec.push by_stage.(stage) id
   done;
   (* Sample a node at a stage drawn from [lo..hi] (clamped to non-empty). *)
   let sample_at_depth frac =
     let target = int_of_float (frac *. float_of_int cfg.depth) in
     let target = max 1 (min cfg.depth target) in
     let rec find s step =
-      if s >= 1 && s <= cfg.depth && stage_counts.(s) > 0 then s
+      if s >= 1 && s <= cfg.depth && stage_count s > 0 then s
       else if step > cfg.depth then 0
       else
         let next = if step mod 2 = 0 then s + step else s - step in
         find next (step + 1)
     in
     let s = find target 1 in
-    let bucket = by_stage.(s) in
-    List.nth bucket (Random.State.int rng (List.length bucket))
+    member s (Random.State.int rng (stage_count s))
   in
   (* Patch flip-flop D pins: depth of the sampled driver controls the FF's
      arrival time, hence its GK feasibility. *)
@@ -152,39 +155,57 @@ let generate cfg =
   in
   let extra_pos = ref 0 in
   let fanout_count = Array.make (Netlist.num_nodes net) 0 in
-  let recount () =
-    Array.fill fanout_count 0 (Array.length fanout_count) 0;
-    Array.iteri
-      (fun id uses -> fanout_count.(id) <- List.length uses)
-      (Netlist.fanout_table net);
-    List.iter
-      (fun (_, d) -> fanout_count.(d) <- fanout_count.(d) + 1)
-      (Netlist.outputs net)
+  Array.iteri
+    (fun id uses -> fanout_count.(id) <- List.length uses)
+    (Netlist.fanout_table net);
+  List.iter
+    (fun (_, d) -> fanout_count.(d) <- fanout_count.(d) + 1)
+    (Netlist.outputs net);
+  (* A dead gate at stage [s] draws uniformly among the widenable gates
+     of stages [s+1 .. depth], listed stage by stage in [member] order.
+     Per-stage counts of widenable gates find the drawn stage without
+     listing the candidates; only widening can change a gate's
+     widenability, so the counts stay exact with one update per draw. *)
+  let widenable_count =
+    Array.init (cfg.depth + 1) (fun s ->
+        Vec.fold (fun acc id -> if widenable id then acc + 1 else acc) 0 by_stage.(s))
   in
-  recount ();
+  (* the [j]-th widenable member of stage [s] *)
+  let nth_widenable s j =
+    let rec go k j =
+      let id = member s k in
+      if not (widenable id) then go (k + 1) j else if j = 0 then id else go (k + 1) (j - 1)
+    in
+    go 0 j
+  in
   for s = cfg.depth downto 1 do
-    List.iter
-      (fun id ->
-        if fanout_count.(id) = 0 then begin
-          (* Only strictly deeper consumers are safe: two same-stage dead
-             gates could otherwise adopt each other and form a cycle.
-             Deep-end gates with no consumer left become extra POs. *)
-          let candidates =
-            List.concat_map
-              (fun s' -> List.filter widenable by_stage.(s'))
-              (List.init (cfg.depth - s) (fun k -> s + 1 + k))
+    for k = 0 to stage_count s - 1 do
+      let id = member s k in
+      if fanout_count.(id) = 0 then begin
+        (* Only strictly deeper consumers are safe: two same-stage dead
+           gates could otherwise adopt each other and form a cycle.
+           Deep-end gates with no consumer left become extra POs. *)
+        let candidates = ref 0 in
+        for s' = s + 1 to cfg.depth do
+          candidates := !candidates + widenable_count.(s')
+        done;
+        if !candidates = 0 then begin
+          incr extra_pos;
+          Netlist.add_output net (Printf.sprintf "pox%d" !extra_pos) id
+        end
+        else begin
+          let rec locate s' j =
+            if j < widenable_count.(s') then (s', nth_widenable s' j)
+            else locate (s' + 1) (j - widenable_count.(s'))
           in
-          match candidates with
-          | [] ->
-            incr extra_pos;
-            Netlist.add_output net (Printf.sprintf "pox%d" !extra_pos) id;
-            fanout_count.(id) <- 1
-          | cs ->
-            let c = List.nth cs (Random.State.int rng (List.length cs)) in
-            Netlist.widen_gate net ~node_id:c ~extra_driver:id;
-            fanout_count.(id) <- 1
-        end)
-      by_stage.(s)
+          let s', c = locate (s + 1) (Random.State.int rng !candidates) in
+          Netlist.widen_gate net ~node_id:c ~extra_driver:id;
+          if not (widenable c) then
+            widenable_count.(s') <- widenable_count.(s') - 1
+        end;
+        fanout_count.(id) <- 1
+      end
+    done
   done;
   Netlist.validate net;
   net

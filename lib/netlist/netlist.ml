@@ -74,6 +74,7 @@ type t = {
   net_name : string;
   nodes : node Vec.t;
   pos : po Vec.t;
+  po_index : (string, po) Hashtbl.t;  (* output name -> its entry in [pos] *)
   by_name : (string, int) Hashtbl.t;
   mutable const0 : int;
   mutable const1 : int;
@@ -86,6 +87,7 @@ let create net_name =
     net_name;
     nodes = Vec.create ();
     pos = Vec.create ();
+    po_index = Hashtbl.create 16;
     by_name = Hashtbl.create 64;
     const0 = -1;
     const1 = -1;
@@ -208,33 +210,39 @@ let add_ff t ?name d =
   check_fanins t [| d |];
   add_node t ?name Ff [| d |] (Some Cell_lib.dff)
 
+(* Append an output to [pos] and its name index; no duplicate check. *)
+let push_output t po_name driver =
+  let po = { po_name; driver } in
+  Vec.push t.pos po;
+  Hashtbl.replace t.po_index po_name po
+
 let add_output t n driver =
   check_fanins t [| driver |];
-  if Vec.exists (fun po -> po.po_name = n) t.pos then
+  if Hashtbl.mem t.po_index n then
     invalid_arg (Printf.sprintf "Netlist: duplicate output %S" n);
-  Vec.push t.pos { po_name = n; driver };
+  push_output t n driver;
   touch t
 
 let find t n = Hashtbl.find_opt t.by_name n
 
 let outputs t = Vec.fold (fun acc po -> (po.po_name, po.driver) :: acc) [] t.pos |> List.rev
 
+let output_entry t po_name =
+  match Hashtbl.find_opt t.po_index po_name with
+  | Some po -> po
+  | None -> invalid_arg (Printf.sprintf "Netlist: no output named %S" po_name)
+
 let set_output_driver t po_name driver =
   check_fanins t [| driver |];
-  let found = ref false in
-  Vec.iter
-    (fun po -> if po.po_name = po_name then begin po.driver <- driver; found := true end)
-    t.pos;
-  if not !found then
-    invalid_arg (Printf.sprintf "Netlist: no output named %S" po_name);
+  (output_entry t po_name).driver <- driver;
   touch t
 
 let remove_output t po_name =
-  if not (Vec.exists (fun po -> po.po_name = po_name) t.pos) then
-    invalid_arg (Printf.sprintf "Netlist: no output named %S" po_name);
-  let remaining = Vec.fold (fun acc po -> if po.po_name = po_name then acc else po :: acc) [] t.pos in
+  let gone = output_entry t po_name in
+  let remaining = Vec.fold (fun acc po -> if po == gone then acc else po :: acc) [] t.pos in
   Vec.clear t.pos;
   List.iter (Vec.push t.pos) (List.rev remaining);
+  Hashtbl.remove t.po_index po_name;
   touch t
 
 let collect t pred =
@@ -301,13 +309,21 @@ let kill t id =
   if t.const1 = id then t.const1 <- -1;
   touch t
 
-let replace_uses t ~old_id ~new_id =
-  check_fanins t [| old_id; new_id |];
+let replace_uses t redirects =
+  (* [target.(id)] is [id]'s new driver, or -1 when [id] stays *)
+  let target = Array.make (num_nodes t) (-1) in
+  List.iter
+    (fun (old_id, new_id) ->
+      check_fanins t [| old_id; new_id |];
+      if target.(old_id) >= 0 then
+        invalid_arg (Printf.sprintf "Netlist.replace_uses: node %d redirected twice" old_id);
+      target.(old_id) <- new_id)
+    redirects;
   Vec.iter
     (fun n ->
-      Array.iteri (fun pin f -> if f = old_id then n.fanins.(pin) <- new_id) n.fanins)
+      Array.iteri (fun pin f -> if target.(f) >= 0 then n.fanins.(pin) <- target.(f)) n.fanins)
     t.nodes;
-  Vec.iter (fun po -> if po.driver = old_id then po.driver <- new_id) t.pos;
+  Vec.iter (fun po -> if target.(po.driver) >= 0 then po.driver <- target.(po.driver)) t.pos;
   touch t
 
 let copy t =
@@ -334,7 +350,7 @@ let copy t =
   Vec.iter
     (fun n -> if n.kind = Dead then Hashtbl.remove t'.by_name n.name)
     t'.nodes;
-  Vec.iter (fun po -> Vec.push t'.pos { po_name = po.po_name; driver = po.driver }) t.pos;
+  Vec.iter (fun po -> push_output t' po.po_name po.driver) t.pos;
   t'
 
 let compact t =
@@ -377,7 +393,7 @@ let compact t =
         failwith
           (Printf.sprintf "Netlist.compact: output %s driven by dead node"
              po.po_name);
-      Vec.push t'.pos { po_name = po.po_name; driver = remap.(po.driver) })
+      push_output t' po.po_name remap.(po.driver))
     t.pos;
   (t', remap)
 

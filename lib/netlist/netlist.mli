@@ -58,7 +58,11 @@ val add_lut : t -> ?name:string -> truth:bool array -> int array -> int
 (** [add_ff t ?name d] adds a D flip-flop fed by node [d]. *)
 val add_ff : t -> ?name:string -> int -> int
 
-(** [add_output t n driver] declares primary output [n] driven by [driver]. *)
+(** [add_output t n driver] declares primary output [n] driven by [driver].
+    The duplicate check is one lookup in an output-name index, so adding
+    [k] outputs costs O(k), not O(k{^ 2}).  A name freed by
+    {!remove_output} can be added again.
+    @raise Invalid_argument if an output named [n] exists. *)
 val add_output : t -> string -> int -> unit
 
 (** {1 Access} *)
@@ -114,9 +118,18 @@ val rename : t -> int -> string -> unit
     reference first ({!fanout_table} helps). *)
 val kill : t -> int -> unit
 
-(** [replace_uses t ~old_id ~new_id] redirects every fanin pin and output
-    that referenced [old_id] to [new_id]. *)
-val replace_uses : t -> old_id:int -> new_id:int -> unit
+(** [replace_uses t [(old, new); ...]] redirects every fanin pin and
+    output that references an [old] id to its [new] id, for all pairs in
+    one pass over the netlist — O(nodes + pins + outputs + pairs) however
+    many pairs there are.  The substitution is simultaneous: a [new] id
+    that is also some pair's [old] id is not redirected again, so for
+    pairs whose [new] ids are not [old] ids the result equals one call per
+    pair in any order.  Callers that redirect many nodes at once
+    ({!Combinationalize.run}, KEYGEN stripping, key fixing) pass them all
+    in one call; a pass whose next redirect depends on the previous one
+    (constant folding) calls it once per redirect.
+    @raise Invalid_argument on an unknown id or an [old] id listed twice. *)
+val replace_uses : t -> (int * int) list -> unit
 
 (** {1 Whole-netlist operations} *)
 

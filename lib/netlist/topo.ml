@@ -10,10 +10,9 @@ let depth t =
     (fun acc ff -> max acc (at (Netlist.node t ff).fanins.(0)))
     from_pos (Netlist.ffs t)
 
-(* Generic forward reachability: which primary outputs does each node reach?
-   [cross_ff] decides whether a flip-flop propagates its D reachability to
-   its Q output. *)
-let reach_outputs t ~cross_ff start =
+(* Forward reachability across flip-flops: which primary outputs does
+   [start] reach? *)
+let output_cone t start =
   let n = Netlist.num_nodes t in
   let fanouts = Netlist.fanout_table t in
   let seen = Array.make n false in
@@ -24,14 +23,7 @@ let reach_outputs t ~cross_ff start =
     let id = Queue.pop queue in
     List.iter
       (fun (consumer, _pin) ->
-        let c = Netlist.node t consumer in
-        let propagate =
-          match c.Netlist.kind with
-          | Netlist.Ff -> cross_ff
-          | Netlist.Gate _ | Netlist.Lut _ -> true
-          | Netlist.Input | Netlist.Const _ | Netlist.Dead -> false
-        in
-        if propagate && not seen.(consumer) then begin
+        if not seen.(consumer) then begin
           seen.(consumer) <- true;
           Queue.push consumer queue
         end)
@@ -40,10 +32,6 @@ let reach_outputs t ~cross_ff start =
   List.filter_map
     (fun (po_name, driver) -> if seen.(driver) then Some po_name else None)
     (Netlist.outputs t)
-
-let output_cone t id = reach_outputs t ~cross_ff:true id
-
-let comb_output_cone t id = reach_outputs t ~cross_ff:false id
 
 let fanin_cone t id =
   let seen = Hashtbl.create 64 in
@@ -58,12 +46,45 @@ let fanin_cone t id =
   Hashtbl.fold (fun id () acc -> id :: acc) seen []
   |> List.sort compare
 
+(* Every node's combinational output cone at once, as a flat bitset
+   over output positions: node [id]'s cone is the [words] ints from
+   [id * words], output [i] at bit [i mod int_size] of word
+   [i / int_size].  One reverse-topological pass: a gate's cone is final
+   once every consumer has pushed into it (consumers come later in the
+   topological order), and it then pushes itself into its gate, LUT and
+   flip-flop fanins.  Flip-flops push nothing, so cones stop at D pins —
+   a flip-flop's cone is what its Q reaches within one clock cycle. *)
 let group_ffs_by_cone t =
+  let outputs = Array.of_list (Netlist.outputs t) in
+  let words = (Array.length outputs + Sys.int_size - 1) / Sys.int_size in
+  let word id i = (id * words) + (i / Sys.int_size) and bit i = 1 lsl (i mod Sys.int_size) in
+  let cones = Array.make (Netlist.num_nodes t * words) 0 in
+  Array.iteri (fun i (_, d) -> cones.(word d i) <- cones.(word d i) lor bit i) outputs;
+  let topo = Netlist.comb_topo_array t in
+  for k = Array.length topo - 1 downto 0 do
+    let g = topo.(k) in
+    Array.iter
+      (fun f ->
+        match (Netlist.node t f).Netlist.kind with
+        | Netlist.Gate _ | Netlist.Lut _ | Netlist.Ff ->
+          for w = 0 to words - 1 do
+            cones.((f * words) + w) <- cones.((f * words) + w) lor cones.((g * words) + w)
+          done
+        | Netlist.Input | Netlist.Const _ | Netlist.Dead -> ())
+      (Netlist.node t g).Netlist.fanins
+  done;
+  (* output positions in name order: a cone's set bits, read in this
+     order, are its names already sorted *)
+  let by_name = Array.init (Array.length outputs) Fun.id in
+  Array.sort (fun a b -> compare (fst outputs.(a)) (fst outputs.(b))) by_name;
   let buckets = Hashtbl.create 16 in
   List.iter
     (fun ff ->
       let signature =
-        String.concat "\x00" (List.sort compare (comb_output_cone t ff))
+        Array.fold_right
+          (fun i acc -> if cones.(word ff i) land bit i <> 0 then fst outputs.(i) :: acc else acc)
+          by_name []
+        |> String.concat "\x00"
       in
       let existing = Option.value (Hashtbl.find_opt buckets signature) ~default:[] in
       Hashtbl.replace buckets signature (ff :: existing))

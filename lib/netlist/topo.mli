@@ -21,14 +21,17 @@ val depth : Netlist.t -> int
     [4]. *)
 val output_cone : Netlist.t -> int -> string list
 
-(** [comb_output_cone t id] restricts {!output_cone} to combinational
-    reachability: propagation stops at flip-flop D pins. *)
-val comb_output_cone : Netlist.t -> int -> string list
-
 (** [fanin_cone t id] is the set of node ids in the transitive combinational
     fanin of [id], including [id] itself, stopping at sources. *)
 val fanin_cone : Netlist.t -> int -> int list
 
-(** [group_ffs_by_cone t] buckets flip-flop ids by their {!output_cone}
-    signature, largest bucket first — the FF grouping of [4]. *)
+(** [group_ffs_by_cone t] buckets flip-flop ids by the primary outputs
+    each one's Q reaches combinationally (propagation stops at flip-flop
+    D pins), largest bucket first — the FF grouping of [4].  Buckets of
+    equal size keep a fixed order, and each lists its flip-flops in
+    declaration order, so [Ff_select] sees the same
+    groups on every run.  All cones come from one reverse-topological
+    pass over a flat bitset (one bit per output per node), so the cost
+    is O(pins x outputs / 63), not one graph walk per flip-flop.
+    @raise Failure on a combinational cycle. *)
 val group_ffs_by_cone : Netlist.t -> int list list

@@ -61,6 +61,19 @@ let metrics_of ~file j =
                 `Verdict (string_of_int events) )
           | _ -> None)
         (rows_of j "timing_sim")
+    (* a design's size and its combinationalized bytes follow from the
+       generator's seed: exact; the netlist layer's times are not gated *)
+    @ List.concat_map
+        (fun row ->
+          match Cjson.mem_str "name" row with
+          | None -> []
+          | Some name ->
+            let exact field v = (Printf.sprintf "eval.netlist.%s.%s" name field, Verdict, `Verdict v) in
+            List.filter_map
+              (fun field -> Option.map (fun n -> exact field (string_of_int n)) (Cjson.mem_int field row))
+              [ "nodes"; "ffs" ]
+            @ Option.to_list (Option.map (exact "comb_md5") (Cjson.mem_str "comb_md5" row)))
+        (rows_of j "netlist")
   | `Attacks ->
     List.concat_map
       (fun row ->

@@ -21,7 +21,9 @@
       numbers are measured on different hardware than the baseline;
     - {b Verdict} (attack outcomes with their DIP, chip-query and
       conflict counts in BENCH_attacks' [attacks] rows, the events one
-      [Timing_sim] run pops in BENCH_eval's [timing_sim] rows, and the
+      [Timing_sim] run pops in BENCH_eval's [timing_sim] rows, each
+      design's node and flip-flop counts and combinationalized MD5 in
+      BENCH_eval's [netlist] rows (their times are not gated), and the
       mismatches one key verification counts in BENCH_attacks' [verify]
       rows): must match exactly — an attack whose verdict or count
       moves, or a simulator or key check whose count moves, is a

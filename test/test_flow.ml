@@ -118,7 +118,7 @@ let synth_preserves_function_law seed =
   let net = Netlist.copy net in
   let pi = List.hd (Netlist.inputs net) in
   let c = Netlist.add_const net (seed mod 2 = 0) in
-  Netlist.replace_uses net ~old_id:pi ~new_id:c;
+  Netlist.replace_uses net [ (pi, c) ];
   let opt, _ = Synth.optimize net in
   Equiv.check net opt = Equiv.Equivalent
 

@@ -171,7 +171,7 @@ let test_netlist_replace_uses () =
   let b = Netlist.add_input n "b" in
   let g = Netlist.add_gate n Cell.And [| a; a |] in
   Netlist.add_output n "y" a;
-  Netlist.replace_uses n ~old_id:a ~new_id:b;
+  Netlist.replace_uses n [ (a, b) ];
   Alcotest.(check int) "pin0" b (Netlist.node n g).Netlist.fanins.(0);
   Alcotest.(check int) "pin1" b (Netlist.node n g).Netlist.fanins.(1);
   Alcotest.(check (list (pair string int))) "po" [ ("y", b) ] (Netlist.outputs n)

@@ -75,6 +75,185 @@ let test_generated_pin () =
   in
   Alcotest.(check string) "30 generated netlists" generated_pin (md5 text)
 
+(* ----- differential: the one-pass code against per-item references ----- *)
+
+(* Reference copies of the per-flip-flop algorithms the one-pass code
+   replaced: one breadth-first walk per flip-flop for its combinational
+   output cone, and one whole-netlist redirect per flip-flop or key bit. *)
+module Per_item = struct
+  let comb_output_cone t start =
+    let fanouts = Netlist.fanout_table t in
+    let seen = Array.make (Netlist.num_nodes t) false in
+    let queue = Queue.create () in
+    Queue.push start queue;
+    seen.(start) <- true;
+    while not (Queue.is_empty queue) do
+      List.iter
+        (fun (consumer, _pin) ->
+          match (Netlist.node t consumer).Netlist.kind with
+          | (Netlist.Gate _ | Netlist.Lut _) when not seen.(consumer) ->
+            seen.(consumer) <- true;
+            Queue.push consumer queue
+          | _ -> ())
+        fanouts.(Queue.pop queue)
+    done;
+    List.filter_map
+      (fun (po_name, driver) -> if seen.(driver) then Some po_name else None)
+      (Netlist.outputs t)
+
+  let group_ffs_by_cone t =
+    let buckets = Hashtbl.create 16 in
+    List.iter
+      (fun ff ->
+        let signature = String.concat "\x00" (List.sort compare (comb_output_cone t ff)) in
+        let existing = Option.value (Hashtbl.find_opt buckets signature) ~default:[] in
+        Hashtbl.replace buckets signature (ff :: existing))
+      (Netlist.ffs t);
+    Hashtbl.fold (fun _ ffs acc -> List.rev ffs :: acc) buckets []
+    |> List.sort (fun a b -> compare (List.length b) (List.length a))
+
+  let combinationalize net =
+    let comb = Netlist.copy net in
+    let ffs = Netlist.ffs comb in
+    let with_ppis =
+      List.map
+        (fun ff ->
+          let ff_name = (Netlist.node comb ff).Netlist.name in
+          let ppi = "ppi_" ^ ff_name in
+          let pi = Netlist.add_input comb ppi in
+          Netlist.replace_uses comb [ (ff, pi) ];
+          (ff, ff_name, ppi))
+        ffs
+    in
+    let mappings =
+      List.map
+        (fun (ff, ff_name, ppi) ->
+          let d = (Netlist.node comb ff).Netlist.fanins.(0) in
+          let ppo = "ppo_" ^ ff_name in
+          Netlist.add_output comb ppo d;
+          { Combinationalize.ff_name; ppi; ppo })
+        with_ppis
+    in
+    List.iter (fun ff -> Netlist.kill comb ff) ffs;
+    let comb, _ = Netlist.compact comb in
+    Netlist.validate comb;
+    (comb, mappings)
+
+  let with_key_fixed (lk : Locked.t) key =
+    let net = Netlist.copy lk.Locked.net in
+    List.iter
+      (fun name ->
+        let id = Option.get (Netlist.find net name) in
+        let c = Netlist.add_const net (List.assoc name key) in
+        Netlist.replace_uses net [ (id, c) ])
+      lk.Locked.key_inputs;
+    net
+end
+
+(* Same ids, names, kinds, fanins, cells and outputs. *)
+let check_same what a b =
+  let nodes t = List.init (Netlist.num_nodes t) (Netlist.node t) in
+  Alcotest.(check int) (what ^ ": node count") (Netlist.num_nodes a) (Netlist.num_nodes b);
+  List.iter2
+    (fun x y ->
+      if x <> y then
+        Alcotest.failf "%s: node %a differs from %a" what Netlist.pp_node x Netlist.pp_node y)
+    (nodes a) (nodes b);
+  Alcotest.(check (list (pair string int))) (what ^ ": outputs") (Netlist.outputs a) (Netlist.outputs b)
+
+(* The [k]-th wide netlist: a generated one topped up with outputs on
+   random nodes to a total just below, at or just above one or two full
+   63-bit bitset words, so cones span several words and many outputs
+   share a driver. *)
+let wide k rng =
+  let totals = [| 62; 63; 64; 125; 126; 127; 128 |] in
+  let net = Netlist_gen.generated rng in
+  let n = Netlist.num_nodes net in
+  for i = List.length (Netlist.outputs net) to totals.(k mod Array.length totals) - 1 do
+    Netlist.add_output net (Printf.sprintf "w%d" i) (Random.State.int rng n)
+  done;
+  net
+
+(* Generated netlists (the benchmark generator's shapes), adversarial
+   ones (flip-flop self-loops, flip-flop to flip-flop paths, flip-flops
+   and inputs driving outputs directly, several outputs on one driver,
+   LUTs, repeated fanins) and wide ones (multi-word cones). *)
+let corpus =
+  lazy
+    (let rng = Random.State.make [| 0x1a7e |] in
+     List.concat_map
+       (fun (kind, gen) -> List.init 60 (fun i -> (Printf.sprintf "%s %d" kind i, gen i rng)))
+       [
+         ("generated", fun _ -> Netlist_gen.generated);
+         ("adversarial", fun _ -> Netlist_gen.adversarial);
+         ("wide", wide);
+       ])
+
+let test_groups_match_per_ff_walk () =
+  List.iter
+    (fun (what, net) ->
+      Alcotest.(check (list (list int))) what (Per_item.group_ffs_by_cone net)
+        (Topo.group_ffs_by_cone net))
+    (Lazy.force corpus)
+
+let test_combinationalize_matches_per_ff () =
+  List.iter
+    (fun (what, net) ->
+      let want, want_maps = Per_item.combinationalize net in
+      let got, got_maps = Combinationalize.run net in
+      check_same what want got;
+      if want_maps <> got_maps then Alcotest.failf "%s: mappings differ" what)
+    (Lazy.force corpus)
+
+let test_key_fixing_matches_per_bit () =
+  List.iteri
+    (fun i (what, net) ->
+      let lk = Xor_lock.lock ~seed:i net ~n_keys:(1 + (i mod 6)) in
+      let rng = Random.State.make [| i |] in
+      let key = List.map (fun k -> (k, Random.State.bool rng)) lk.Locked.key_inputs in
+      check_same what (Per_item.with_key_fixed lk key) (Locked.with_key_fixed lk key))
+    (List.filter (fun (what, _) -> String.starts_with ~prefix:"generated" what) (Lazy.force corpus))
+
+(* ----- the output-name index and the one-pass redirect ----- *)
+
+let test_output_index () =
+  let net = Netlist.create "outs" in
+  let a = Netlist.add_input net "a" and b = Netlist.add_input net "b" in
+  Netlist.add_output net "y" a;
+  Netlist.add_output net "z" a;
+  Alcotest.check_raises "duplicate output raises"
+    (Invalid_argument "Netlist: duplicate output \"y\"") (fun () -> Netlist.add_output net "y" b);
+  Netlist.remove_output net "y";
+  Alcotest.check_raises "removed output is gone"
+    (Invalid_argument "Netlist: no output named \"y\"") (fun () -> Netlist.set_output_driver net "y" b);
+  Netlist.add_output net "y" b;
+  Alcotest.(check (list (pair string int))) "re-added after the others" [ ("z", a); ("y", b) ]
+    (Netlist.outputs net);
+  Netlist.set_output_driver net "z" b;
+  let copy = Netlist.copy net in
+  Alcotest.check_raises "the copy keeps the index"
+    (Invalid_argument "Netlist: duplicate output \"z\"") (fun () -> Netlist.add_output copy "z" a);
+  let compacted, _ = Netlist.compact net in
+  Alcotest.check_raises "the compacted netlist keeps the index"
+    (Invalid_argument "Netlist: duplicate output \"y\"") (fun () -> Netlist.add_output compacted "y" a)
+
+let test_replace_uses_one_pass () =
+  let net = Netlist.create "redirect" in
+  let a = Netlist.add_input net "a" and b = Netlist.add_input net "b" in
+  let c = Netlist.add_input net "c" in
+  let g = Netlist.add_gate net Cell.And [| a; b; a |] in
+  Netlist.add_output net "ya" a;
+  Netlist.add_output net "yb" b;
+  (* simultaneous: a -> b and b -> c do not chain a -> c *)
+  Netlist.replace_uses net [ (a, b); (b, c) ];
+  Alcotest.(check (array int)) "pins" [| b; c; b |] (Netlist.node net g).Netlist.fanins;
+  Alcotest.(check (list (pair string int))) "outputs" [ ("ya", b); ("yb", c) ] (Netlist.outputs net);
+  Alcotest.check_raises "an old id listed twice"
+    (Invalid_argument (Printf.sprintf "Netlist.replace_uses: node %d redirected twice" b))
+    (fun () -> Netlist.replace_uses net [ (b, a); (b, c) ]);
+  Netlist.replace_uses net [];
+  Alcotest.(check (array int)) "no pairs, no change" [| b; c; b |] (Netlist.node net g).Netlist.fanins
+
 let suites =
   [
     ( "netlist.identity",
@@ -82,5 +261,14 @@ let suites =
         tc "seven designs, combinationalized, GK-8 locked, grouped" `Quick
           test_design_pins;
         tc "generated netlists" `Quick test_generated_pin;
+      ] );
+    ( "netlist.linear",
+      [
+        tc "cone groups = per-flip-flop walks" `Quick test_groups_match_per_ff_walk;
+        tc "combinationalize = per-flip-flop redirects" `Quick
+          test_combinationalize_matches_per_ff;
+        tc "with_key_fixed = per-bit redirects" `Quick test_key_fixing_matches_per_bit;
+        tc "output-name index" `Quick test_output_index;
+        tc "replace_uses: many pairs, one pass" `Quick test_replace_uses_one_pass;
       ] );
   ]

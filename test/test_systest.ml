@@ -302,6 +302,47 @@ let test_gate_attack_counts_exact () =
       ("conflicts", fun (i, q, c) -> (i, q, c + 1));
     ]
 
+(* BENCH_eval's netlist rows: sizes and the combinationalized MD5 are
+   gated exactly, the four times not at all. *)
+let netlist_doc rows =
+  doc_of_string
+    (Printf.sprintf {|{"schema":"gklock/bench_eval/v1","benchmarks":[],"timing_sim":[],"netlist":[%s]}|}
+       (String.concat ","
+          (List.map
+             (fun (name, ms, md5) ->
+               Printf.sprintf
+                 {|{"name":"%s","nodes":811,"ffs":163,"generate_ms":%f,"group_ms":%f,
+                    "lock_ms":%f,"combinationalize_ms":%f,"comb_md5":"%s"}|}
+                 name ms ms ms ms md5)
+             rows)))
+
+let test_gate_netlist_md5_exact () =
+  let committed =
+    [ ("s5378", 2.0, "33cddea221daed1d22ae0bc407d6672b"); ("s38417", 15.0, "55fee3c696a3697017651280afe61e6c") ]
+  in
+  let base = netlist_doc committed in
+  let ids r = List.map (fun c -> c.Perf_gate.c_id) r.Perf_gate.g_checks in
+  let slow = netlist_doc (List.map (fun (n, ms, m) -> (n, ms *. 1000.0, m)) committed) in
+  let same = Perf_gate.compare_docs ~inject_slowdown:1000.0 [ (`Eval, base, slow) ] in
+  Alcotest.(check (list string)) "sizes and MD5s gated, times not"
+    (List.concat_map
+       (fun (n, _, _) -> List.map (Printf.sprintf "eval.netlist.%s.%s" n) [ "nodes"; "ffs"; "comb_md5" ])
+       committed)
+    (ids same);
+  Alcotest.(check bool) "equal bytes pass whatever the speed" true same.Perf_gate.g_ok;
+  let changed =
+    netlist_doc
+      (List.map
+         (fun (n, ms, m) -> (n, ms, if n = "s38417" then "55fee3c696a3697017651280afe61e6d" else m))
+         committed)
+  in
+  let r = Perf_gate.compare_docs [ (`Eval, base, changed) ] in
+  Alcotest.(check bool) "a changed MD5 fails" false r.Perf_gate.g_ok;
+  Alcotest.(check (list string)) "only that MD5 fails" [ "eval.netlist.s38417.comb_md5" ]
+    (List.filter_map
+       (fun c -> if c.Perf_gate.c_ok then None else Some c.Perf_gate.c_id)
+       r.Perf_gate.g_checks)
+
 (* ----- real-binary TCP shutdown gating ----- *)
 
 let gklockd_exe = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/gklockd.exe"
@@ -345,6 +386,64 @@ let test_tcp_shutdown_allowed_e2e () =
         | Unix.WEXITED 0 -> ()
         | _ -> Alcotest.fail "daemon did not exit 0 on a permitted shutdown")
 
+(* A traced start-up: design loading and per-design preparation each
+   get a daemon-side span carrying the design's size, and the whole
+   trace passes the schema check. *)
+let test_traced_startup_e2e () =
+  if not (Sys.file_exists gklockd_exe) then
+    Alcotest.skip ()
+  else begin
+    let dir = tmp_dir "gklock_gklockd_trace" in
+    let trace = Filename.concat dir "gklockd.jsonl" in
+    let env =
+      Array.append
+        (Array.of_list
+           (List.filter
+              (fun kv -> not (String.starts_with ~prefix:"GKLOCK_" kv))
+              (Array.to_list (Unix.environment ()))))
+        [| "GKLOCK_TRACE=" ^ trace |]
+    in
+    let d =
+      Systest_proc.spawn ~env ~logs_dir:dir ~name:"gklockd" gklockd_exe
+        [ "s1238"; "--listen"; "tcp:127.0.0.1:0"; "--allow-tcp-shutdown" ]
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Systest_proc.kill d;
+        Systest.rm_rf dir)
+      (fun () ->
+        let r = Remote_oracle.connect ~client:"tier1" (Load_gen.bound_addr d) in
+        Remote_oracle.shutdown_server r;
+        Remote_oracle.close r;
+        (match Systest_proc.wait ~timeout_s:20.0 d with
+        | Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "daemon did not exit 0");
+        (match Obs.Trace.validate_file trace with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        let events =
+          In_channel.with_open_text trace In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (( <> ) "")
+          |> List.map (fun l -> match Cjson.of_string l with Ok j -> j | Error e -> Alcotest.fail e)
+        in
+        let sizes name ph =
+          List.filter_map
+            (fun j ->
+              if Cjson.mem_str "name" j = Some name && Cjson.mem_str "ph" j = Some ph then
+                Option.bind (Cjson.member "args" j) (fun a ->
+                    match (Cjson.mem_int "nodes" a, Cjson.mem_int "ffs" a) with
+                    | Some n, Some f -> Some (n, f)
+                    | _ -> None)
+              else None)
+            events
+        in
+        Alcotest.(check (list (pair int int))) "load span closes with the design's size"
+          [ (356, 18) ] (sizes "gklockd.load" "E");
+        Alcotest.(check (list (pair int int))) "prepare span opens with the design's size"
+          [ (356, 18) ] (sizes "gklockd.prepare" "B"))
+  end
+
 let suites =
   [
     ( "systest_proc",
@@ -376,6 +475,8 @@ let suites =
           test_gate_verify_mismatches_exact;
         Alcotest.test_case "attack counts are exact" `Quick
           test_gate_attack_counts_exact;
+        Alcotest.test_case "netlist sizes and MD5s are exact" `Quick
+          test_gate_netlist_md5_exact;
       ] );
     ( "systest_daemon",
       [
@@ -383,5 +484,7 @@ let suites =
           `Quick test_tcp_shutdown_refused_e2e;
         Alcotest.test_case "tcp shutdown honoured with flag (real binary)"
           `Quick test_tcp_shutdown_allowed_e2e;
+        Alcotest.test_case "traced start-up has load and prepare spans (real binary)"
+          `Quick test_traced_startup_e2e;
       ] );
   ]

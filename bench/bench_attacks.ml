@@ -1,9 +1,10 @@
 (* Attack-framework benchmarks: oracle query throughput (batched
    engine path vs. one query at a time, plus both remote paths through
    an in-process gklockd over a loopback unix socket), per-attack
-   wall time for every registry entry on two benchmarks, and the cost
+   wall time for every registry entry on two benchmarks, the cost
    and mismatch count of one key verification ([Sat_attack.verify_key])
-   on GK-8 s5378/s13207/s38417 and XOR-16 s5378.  Prints
+   on GK-8 s5378/s13207/s38417 and XOR-16 s5378, and where a
+   SARLock-6 s1238 SAT attack's DIP loop spends its time.  Prints
    human-readable tables and writes machine-readable results to
    BENCH_attacks.json (or the path given as the last argument):
 
@@ -272,6 +273,112 @@ let verify_rows ~min_time =
   in
   List.map gk8 [ "s5378"; "s13207"; "s38417" ] @ [ xor16 ]
 
+(* ----- the DIP loop ----- *)
+
+type dip_row = {
+  d_name : string;
+  d_seed : int;  (* SARLock lock seed *)
+  d_dips : int;
+  (* solver counts: after [Dip_miter.create], then after the attack *)
+  d_miter_vars : int;
+  d_miter_clauses : int;
+  d_vars : int;
+  d_clauses : int;
+  d_conflicts : int;  (* every solve's, the key read's too *)
+  d_propagations : int;
+  (* median ms per attack *)
+  d_create_ms : float;
+  d_solve_ms : float;
+  d_constrain_ms : float;
+  d_rest_ms : float;  (* DIP read-out, chip queries, key read *)
+  d_attack_ms : float;  (* one whole [Attack.run], key verification included *)
+}
+
+let now = Unix.gettimeofday
+
+(* [Sat_attack.exec]'s DIP loop, driven through [Dip_miter] with a clock
+   around each phase: the counts and the (create, solve, constrain,
+   rest) seconds of one attack. *)
+let dip_attack ~locked ~key_inputs ~chip =
+  let oracle = Oracle.of_netlist chip in
+  let t0 = now () in
+  let m = Dip_miter.create locked ~key_inputs in
+  let create = now () -. t0 in
+  let s = Dip_miter.solver m in
+  let miter = (Solver.num_vars s, Solver.num_clauses s) in
+  let solve = ref 0.0 and constrain = ref 0.0 in
+  let rec loop iter =
+    let t = now () in
+    let r = Dip_miter.solve m ~iter in
+    solve := !solve +. (now () -. t);
+    match r with
+    | Solver.Unsat ->
+      ignore (Dip_miter.key m);
+      iter
+    | Solver.Sat ->
+      let dip = Dip_miter.dip m in
+      let reply = Oracle.query oracle dip in
+      let t = now () in
+      Dip_miter.constrain m (Dip_miter.io m dip reply);
+      constrain := !constrain +. (now () -. t);
+      loop (iter + 1)
+  in
+  let dips = loop 0 in
+  let total = now () -. t0 in
+  let counts =
+    ( dips, miter, Solver.num_vars s, Solver.num_clauses s, Solver.conflicts s,
+      Solver.propagations s )
+  in
+  (counts, [| create; !solve; !constrain; total -. create -. !solve -. !constrain |])
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* SARLock-6 on combinationalized s1238 at lock seed [seed], the
+   dip_loop workload's attack: [reps] attacks, alternating a phase-timed
+   loop with a whole [Attack.run]; the counts must not move between
+   reps. *)
+let dip_row ~reps comb seed =
+  let lk = Sarlock.lock ~seed comb ~n_keys:6 in
+  let locked = lk.Locked.net and key_inputs = lk.Locked.key_inputs in
+  let counts = ref None in
+  let phases = Array.make_matrix 4 reps 0.0 and attack = Array.make reps 0.0 in
+  for r = 0 to reps - 1 do
+    let c, ph = dip_attack ~locked ~key_inputs ~chip:comb in
+    (match !counts with
+    | Some c0 when c0 <> c -> failwith "dip_loop: counts moved between reps"
+    | _ -> counts := Some c);
+    Array.iteri (fun i t -> phases.(i).(r) <- t) ph;
+    let o =
+      Attack.run ~seed:42 ~name:"sat" ~locked ~key_inputs ~oracle:(Oracle.of_netlist comb) ()
+    in
+    attack.(r) <- o.Attack.elapsed_s
+  done;
+  let dips, (mv, mc), vars, clauses, conflicts, props = Option.get !counts in
+  let ms a = 1000.0 *. median a in
+  {
+    d_name = Printf.sprintf "sarlock6-s1238-%d" seed;
+    d_seed = seed;
+    d_dips = dips;
+    d_miter_vars = mv;
+    d_miter_clauses = mc;
+    d_vars = vars;
+    d_clauses = clauses;
+    d_conflicts = conflicts;
+    d_propagations = props;
+    d_create_ms = ms phases.(0);
+    d_solve_ms = ms phases.(1);
+    d_constrain_ms = ms phases.(2);
+    d_rest_ms = ms phases.(3);
+    d_attack_ms = ms attack;
+  }
+
+let dip_rows ~reps =
+  let comb = fst (Combinationalize.run (Benchmarks.by_name "s1238")) in
+  List.map (dip_row ~reps comb) [ 1; 2; 3; 4 ]
+
 (* ----- output ----- *)
 
 let json_of_oracle r =
@@ -291,6 +398,16 @@ let json_of_verify r =
   Printf.sprintf
     "    {\"name\": %S, \"samples\": 64, \"ms_per_call\": %.3f, \"mismatches\": %d}"
     r.v_name r.v_ms r.v_mismatches
+
+let json_of_dip r =
+  Printf.sprintf
+    "    {\"name\": %S, \"lock_seed\": %d, \"dips\": %d, \"miter_vars\": %d, \
+     \"miter_clauses\": %d, \"vars\": %d, \"clauses\": %d, \"conflicts\": %d, \
+     \"propagations\": %d, \"create_ms\": %.3f, \"solve_ms\": %.3f, \
+     \"constrain_ms\": %.3f, \"rest_ms\": %.3f, \"attack_ms\": %.3f}"
+    r.d_name r.d_seed r.d_dips r.d_miter_vars r.d_miter_clauses r.d_vars r.d_clauses
+    r.d_conflicts r.d_propagations r.d_create_ms r.d_solve_ms r.d_constrain_ms r.d_rest_ms
+    r.d_attack_ms
 
 let json_of_attack r =
   (* %.6f matches the elapsed clamp in [Attack.run]: a bail-before-first-
@@ -383,6 +500,15 @@ let () =
   List.iter
     (fun r -> Printf.printf "%-18s %12.3f %10d\n" r.v_name r.v_ms r.v_mismatches)
     verify;
+  let dips = dip_rows ~reps:(if smoke then 3 else 21) in
+  Printf.printf "\n%-18s %5s %11s %11s %9s %12s %8s %8s %8s %8s %8s\n" "dip_loop" "dips"
+    "vars" "clauses" "conflicts" "propagations" "create" "solve" "constr" "rest" "attack";
+  List.iter
+    (fun r ->
+      Printf.printf "%-18s %5d %5d>%5d %5d>%5d %9d %12d %8.3f %8.3f %8.3f %8.3f %8.3f\n"
+        r.d_name r.d_dips r.d_miter_vars r.d_vars r.d_miter_clauses r.d_clauses r.d_conflicts
+        r.d_propagations r.d_create_ms r.d_solve_ms r.d_constrain_ms r.d_rest_ms r.d_attack_ms)
+    dips;
   let doc =
     Printf.sprintf
       "{\n\
@@ -397,12 +523,16 @@ let () =
       \  ],\n\
       \  \"verify\": [\n\
        %s\n\
+      \  ],\n\
+      \  \"dip_loop\": [\n\
+       %s\n\
       \  ]\n\
        }\n"
       smoke Netlist.Engine.word_bits
       (String.concat ",\n" (List.map json_of_oracle oracle_rows))
       (String.concat ",\n" (List.map json_of_attack attack_rows))
       (String.concat ",\n" (List.map json_of_verify verify))
+      (String.concat ",\n" (List.map json_of_dip dips))
   in
   (* the hand-rolled printer above is only trusted after a round-trip
      through the repo's own JSON parser *)

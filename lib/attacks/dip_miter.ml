@@ -3,18 +3,19 @@ type t = {
   key_inputs : string list;
   solver : Solver.t;
   guard : Lit.t;  (* the miter clause binds only under it *)
-  x_pis : int array;
   x_names : string list;
-  x_vars : int array;  (* aligned with [x_pis] *)
+  x_vars : int array;  (* aligned with [x_names] *)
   k1 : (string, int) Hashtbl.t;
   k2 : (string, int) Hashtbl.t;
+  cone : Tseitin.io_cone;  (* the X inputs pinned: the key cone *)
   outputs : (string * int) array;
   out_index : (string, int) Hashtbl.t;  (* output name -> position *)
   mutable dip_conflicts : int;  (* conflicts of the DIP searches *)
 }
 
-(* One I/O constraint: the X input pins [x] and the output pins [y]. *)
-type io = { x : (int * bool) array; y : (int * bool) array }
+(* One I/O constraint: the X values [x], aligned with [x_names], and the
+   output pins [y]. *)
+type io = { x : bool array; y : (int * bool) array }
 
 (* The variable [tbl] gives input [id]'s name, if any. *)
 let input_var locked tbl id =
@@ -88,18 +89,13 @@ let create locked ~key_inputs =
         | None -> input_var locked x_tbl id)
   in
   (* The key inputs' forward cone: the only nodes whose value can differ
-     between the copies.  The second copy takes every other node's
-     variable from the first, so it encodes the cone alone. *)
-  let cone =
-    Array.init (Netlist.num_nodes locked) (fun id -> input_var locked k1 id <> None)
-  in
-  Array.iter
-    (fun id ->
-      cone.(id) <- Array.exists (fun f -> cone.(f)) (Netlist.node locked id).Netlist.fanins)
-    (Netlist.comb_topo_array locked);
+     between the copies, and the only nodes a DIP leaves open.  The
+     second copy takes every other node's variable from the first, so it
+     encodes the cone alone. *)
+  let cone = Tseitin.io_cone locked ~pinned:(Array.of_list x_pis) in
   let vars2 =
     Tseitin.encode solver locked ~shared:(fun id ->
-        if cone.(id) then input_var locked k2 id else Some vars1.(id))
+        if Tseitin.in_cone cone id then input_var locked k2 id else Some vars1.(id))
   in
   let guard = Lit.pos (Solver.new_var solver) in
   Tseitin.miter ~guard solver
@@ -110,11 +106,11 @@ let create locked ~key_inputs =
     key_inputs;
     solver;
     guard;
-    x_pis = Array.of_list x_pis;
     x_names;
     x_vars = Array.of_list (List.map (Hashtbl.find x_tbl) x_names);
     k1;
     k2;
+    cone;
     outputs;
     out_index = out_index outputs;
     dip_conflicts = 0;
@@ -155,6 +151,8 @@ let dip t = List.mapi (fun i n -> (n, Solver.value t.solver t.x_vars.(i))) t.x_n
 
 let conflicts t = t.dip_conflicts
 
+let solver t = t.solver
+
 let key t =
   match Solver.solve ~assumptions:[ Lit.negate t.guard ] t.solver with
   | Solver.Sat ->
@@ -167,16 +165,14 @@ let key t =
 let io t dip reply =
   let vals = output_values t.outputs t.out_index reply in
   {
-    x = Array.of_list (List.mapi (fun i (_, v) -> (t.x_pis.(i), v)) dip);
+    x = Array.of_list (List.map snd dip);
     y = Array.mapi (fun i (_, d) -> (d, vals.(i))) t.outputs;
   }
 
 let constrain t io =
-  List.iter
-    (fun keys ->
-      Tseitin.assert_io t.solver t.locked ~shared:(input_var t.locked keys)
-        ~inputs:io.x ~outputs:io.y)
-    [ t.k1; t.k2 ]
+  Tseitin.assert_io t.solver t.cone
+    ~copies:[ input_var t.locked t.k1; input_var t.locked t.k2 ]
+    ~x:io.x ~outputs:io.y
 
 let iteration t ~args f =
   let s = t.solver in

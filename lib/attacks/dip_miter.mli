@@ -6,7 +6,9 @@
     distinguishing input pattern (DIP).  Each DIP and the chip's reply
     become one I/O constraint per key vector, encoded by
     {!Tseitin.assert_io} under the DIP's X values, so a constraint costs
-    only the key cone that the DIP leaves undecided.
+    only the key cone that the DIP leaves undecided.  The cone
+    ({!Tseitin.io_cone} with the X inputs pinned) is built once per
+    miter, and each DIP folds it once for both key vectors.
 
     Only the key inputs' forward cone can differ between the copies, so
     the second copy is that cone alone: every node outside it takes the
@@ -59,6 +61,11 @@ val dip : t -> (string * bool) list
 (** CDCL conflicts of the DIP searches ({!solve}) so far. *)
 val conflicts : t -> int
 
+(** The miter's solver, for its counters ({!Solver.num_vars},
+    {!Solver.propagations}, ...).  A clause added to it binds the
+    attack. *)
+val solver : t -> Solver.t
+
 (** [key t] solves the miter's solver under the guard's negation, so
     only the I/O constraints bind the keys, and returns the first key
     vector of the model, in [key_inputs] order: a key consistent with
@@ -75,7 +82,8 @@ type io
     @raise Invalid_argument if [reply] lacks one of those outputs. *)
 val io : t -> (string * bool) list -> (string * bool) list -> io
 
-(** [constrain t io] asserts [io] on both key vectors of the miter. *)
+(** [constrain t io] asserts [io] on both key vectors of the miter: one
+    {!Tseitin.assert_io} call with one copy per key vector. *)
 val constrain : t -> io -> unit
 
 (** [iteration t ~args f] runs [f ()], one DIP's work, in an

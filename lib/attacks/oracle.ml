@@ -34,7 +34,7 @@ type engine_chip = {
 
 (* What answers an oracle's misses: a query and its reply are
    packed bits ([Bitpack]), inputs in [in_names] order and outputs in
-   [out_t] order. *)
+   [out_pins] order. *)
 type chip =
   | Engine of engine_chip
   | Black_box of {
@@ -49,9 +49,9 @@ type pos = {
   idx_of_name : (string, int) Hashtbl.t;
   (* the only two possible entries per output of a named reply,
      preallocated and shared by every reply — replies are immutable, so
-     unpacking one allocates cons cells only *)
-  out_t : (string * bool) array;
-  out_f : (string * bool) array;
+     unpacking one allocates cons cells only: output [oi] at value [b]
+     is entry [2 * oi + b] *)
+  out_pins : (string * bool) array;
   chip : chip;
   memo : memo option;  (* packed inputs -> packed outputs *)
 }
@@ -100,8 +100,8 @@ let make ~partial ~what ~relax_with ~inputs ~outputs ~memo chip =
         relax_with;
         in_names = inputs;
         idx_of_name;
-        out_t = Array.map (fun n -> (n, true)) outputs;
-        out_f = Array.map (fun n -> (n, false)) outputs;
+        out_pins =
+          Array.init (2 * Array.length outputs) (fun i -> (outputs.(i / 2), i land 1 = 1));
         chip;
         memo;
       };
@@ -147,8 +147,10 @@ let queries t = t.stats.evals
 let memo_hits t = t.stats.hits
 let memo_evictions t = t.stats.evictions
 
+let n_outputs p = Array.length p.out_pins / 2
+
 let input_names t = Array.to_list t.pos.in_names
-let output_names t = Array.to_list (Array.map fst t.pos.out_t)
+let output_names t = List.init (n_outputs t.pos) (fun oi -> fst t.pos.out_pins.(2 * oi))
 
 (* ----- the named edge ----- *)
 
@@ -195,10 +197,12 @@ let resolve t p q =
       let i = position p !next name in
       if i >= 0 then begin
         next := i + 1;
+        (* the bit is cleared, then set from [v] with a mask: a random
+           pin value costs no mispredicted branch *)
         let byte = i lsr 3 and m = 1 lsl (i land 7) in
         let c = Char.code (Bytes.unsafe_get vals byte) in
         Bytes.unsafe_set vals byte
-          (Char.unsafe_chr (if v then c lor m else c land lnot m));
+          (Char.unsafe_chr (c land lnot m lor (-Bool.to_int v land m)));
         Bytes.unsafe_set seen i '\001'
       end
       else if not t.partial then unknown_input p name)
@@ -271,16 +275,13 @@ let packer t names =
       done;
       Bytes.unsafe_to_string vals
 
-(* A packed reply as a named one, in output order. *)
+(* A packed reply as a named one, in output order; each bit indexes
+   its output's entry rather than choosing one by a branch. *)
 let unpack p r =
   let l = ref [] in
-  for oi = Array.length p.out_t - 1 downto 0 do
-    let set =
-      Char.code (String.unsafe_get r (oi lsr 3)) land (1 lsl (oi land 7)) <> 0
-    in
-    l :=
-      (if set then Array.unsafe_get p.out_t oi else Array.unsafe_get p.out_f oi)
-      :: !l
+  for oi = n_outputs p - 1 downto 0 do
+    let bit = (Char.code (String.unsafe_get r (oi lsr 3)) lsr (oi land 7)) land 1 in
+    l := Array.unsafe_get p.out_pins ((2 * oi) + bit) :: !l
   done;
   !l
 
@@ -330,7 +331,8 @@ let memo_add t memo key r =
 
 (* Bit-transpose repack, lane-major: each packed key is read
    sequentially once, and bit j of word wi of source si accumulates at
-   buf.(si * nw + wi). *)
+   buf.(si * nw + wi), shifted in whatever its value (no branch on a
+   random bit). *)
 let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
   let w = Netlist.Engine.word_bits in
   for wi = 0 to nw - 1 do
@@ -338,15 +340,11 @@ let transpose_fill (misses : string array) ~b0 ~lanes ~nw ~n_src buf =
     let jn = min w (lanes - j0) in
     for j = 0 to jn - 1 do
       let key = misses.(b0 + j0 + j) in
-      let bit = 1 lsl j in
       for si = 0 to n_src - 1 do
-        if
-          Char.code (String.unsafe_get key (si lsr 3)) land (1 lsl (si land 7))
-          <> 0
-        then
-          Array.unsafe_set buf
-            ((si * nw) + wi)
-            (Array.unsafe_get buf ((si * nw) + wi) lor bit)
+        let b = (Char.code (String.unsafe_get key (si lsr 3)) lsr (si land 7)) land 1 in
+        Array.unsafe_set buf
+          ((si * nw) + wi)
+          (Array.unsafe_get buf ((si * nw) + wi) lor (b lsl j))
       done
     done
   done
@@ -482,7 +480,7 @@ let answer t memo keys eval =
    with [one] and everything else with [many]; its replies are checked,
    because the named edge unpacks them unchecked. *)
 let eval_packed p ~scalar keys miss =
-  let n_outs = Array.length p.out_t in
+  let n_outs = n_outputs p in
   match p.chip with
   | Engine e ->
     let misses = Array.map (Array.get keys) miss in

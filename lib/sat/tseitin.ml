@@ -160,11 +160,73 @@ let to_cnf net =
   let vars = encode_with sink net ~shared:(fun _ -> None) in
   (cnf, vars)
 
-(* ----- one I/O constraint, folded under its input values ----- *)
+(* ----- I/O constraints, folded under the pattern's values ----- *)
 
-(* Node values of the constant pass: 0 and 1 are known, [sym] depends on a
-   source with no value (a key bit). *)
+(* Node values of the fold: 0 and 1 are known, [sym] depends on an input
+   with no value (a key bit). *)
 let sym = 2
+
+type io_cone = {
+  net : Netlist.t;
+  eng : Netlist.Engine.engine;
+  scratch : Netlist.Engine.scratch;
+  slot : int array;  (* node id -> engine slot *)
+  pinned_src : int array;  (* engine source index of each pinned input *)
+  in_cone : bool array;
+  free : int array;  (* the inputs with no value, by id *)
+  cone : int array;  (* the cone's gates and LUTs, in topological order *)
+  boundary : int array;  (* fanins of cone nodes outside the cone *)
+  (* per node, written for the cone and its boundary only *)
+  cv : int array;  (* the fold: 0, 1 or [sym] *)
+  need : bool array;
+  lit : int array;
+}
+
+let io_cone net ~pinned =
+  reject_ffs net;
+  let n = Netlist.num_nodes net in
+  let is_pinned = Array.make n false in
+  Array.iter
+    (fun id ->
+      if (Netlist.node net id).Netlist.kind <> Netlist.Input then
+        invalid_arg "Tseitin.io_cone: a pinned node is not an input";
+      is_pinned.(id) <- true)
+    pinned;
+  let free = List.filter (fun id -> not is_pinned.(id)) (Netlist.inputs net) in
+  let in_cone = Array.make n false in
+  List.iter (fun id -> in_cone.(id) <- true) free;
+  let topo = Netlist.comb_topo_array net in
+  Array.iter
+    (fun id ->
+      in_cone.(id) <- Array.exists (Array.get in_cone) (Netlist.node net id).Netlist.fanins)
+    topo;
+  let cone = Array.of_list (List.filter (Array.get in_cone) (Array.to_list topo)) in
+  let on_boundary = Array.make n false in
+  Array.iter
+    (fun id ->
+      Array.iter
+        (fun f -> if not in_cone.(f) then on_boundary.(f) <- true)
+        (Netlist.node net id).Netlist.fanins)
+    cone;
+  let eng = Netlist.Engine.get net in
+  let src_of_id = Array.make n (-1) in
+  Array.iteri (fun i id -> src_of_id.(id) <- i) (Netlist.Engine.sources eng);
+  {
+    net;
+    eng;
+    scratch = Netlist.Engine.create_scratch eng;
+    slot = Netlist.Engine.slot_of_id eng;
+    pinned_src = Array.map (Array.get src_of_id) pinned;
+    in_cone;
+    free = Array.of_list (List.sort compare free);
+    cone;
+    boundary = Array.of_list (List.filter (Array.get on_boundary) (List.init n Fun.id));
+    cv = Array.make n sym;
+    need = Array.make n false;
+    lit = Array.make n (-1);
+  }
+
+let in_cone c id = c.in_cone.(id)
 
 (* The rows of [truth] selected by the known fanins: the cofactor over
    the [sym] fanins, which it returns in fanin order. *)
@@ -190,19 +252,27 @@ let lut_cofactor cv fanins truth =
 
 (* The value of gate [fn] over its fanins' values. *)
 let fold_gate cv fn fanins =
-  let has v = Array.exists (fun f -> cv.(f) = v) fanins in
   match fn with
   | Cell.Buf -> cv.(fanins.(0))
-  | Cell.Not -> if cv.(fanins.(0)) = sym then sym else 1 - cv.(fanins.(0))
+  | Cell.Not ->
+    let v = cv.(fanins.(0)) in
+    if v = sym then sym else 1 - v
   | Cell.And | Cell.Nand | Cell.Or | Cell.Nor ->
+    (* a controlling fanin decides; else an unknown one leaves it open *)
     let ctrl = if fn = Cell.And || fn = Cell.Nand then 0 else 1 in
-    let v = if has ctrl then ctrl else if has sym then sym else 1 - ctrl in
-    if v = sym || fn = Cell.And || fn = Cell.Or then v else 1 - v
+    let v = ref (1 - ctrl) in
+    for i = 0 to Array.length fanins - 1 do
+      let c = cv.(fanins.(i)) in
+      if c = ctrl then v := ctrl else if c = sym && !v <> ctrl then v := sym
+    done;
+    if !v = sym || fn = Cell.And || fn = Cell.Or then !v else 1 - !v
   | Cell.Xor | Cell.Xnor ->
-    if has sym then sym
-    else
-      Array.fold_left (fun p f -> p lxor cv.(f)) (if fn = Cell.Xor then 0 else 1)
-        fanins
+    let p = ref (if fn = Cell.Xor then 0 else 1) in
+    for i = 0 to Array.length fanins - 1 do
+      let c = cv.(fanins.(i)) in
+      if c = sym || !p = sym then p := sym else p := !p lxor c
+    done;
+    !p
   | Cell.Mux -> (
     let a = cv.(fanins.(1)) and b = cv.(fanins.(2)) in
     match cv.(fanins.(0)) with
@@ -214,40 +284,45 @@ let fold_lut cv fanins truth =
   let _, cof = lut_cofactor cv fanins truth in
   if Array.for_all (( = ) cof.(0)) cof then Bool.to_int cof.(0) else sym
 
-let assert_io solver net ~shared ~inputs ~outputs =
-  reject_ffs net;
-  let sink = solver_sink solver in
-  let n = Netlist.num_nodes net in
-  let topo = Netlist.comb_topo_array net in
-  let node id = Netlist.node net id in
-  (* 1. Constant pass: the pattern's values forward through the netlist. *)
-  let cv =
-    Array.init n (fun id ->
-        match (node id).Netlist.kind with
-        | Netlist.Const b -> Bool.to_int b
-        | Netlist.Input | Netlist.Gate _ | Netlist.Lut _ | Netlist.Ff
-        | Netlist.Dead ->
-          sym)
+(* The fold of one pattern: the engine's values on the boundary, [sym] on
+   the inputs with no value, then the cone in topological order.  Returns
+   the engine's block, whose lane 0 holds every node outside the cone. *)
+let fold c x =
+  let blk =
+    Netlist.Engine.eval_block ~scratch:c.scratch c.eng ~n_words:1 ~fill:(fun buf ->
+        Array.iteri (fun i src -> if x.(i) then buf.(src) <- 1) c.pinned_src)
   in
-  Array.iter (fun (id, b) -> cv.(id) <- Bool.to_int b) inputs;
+  let cv = c.cv in
+  Array.iter (fun id -> cv.(id) <- blk.(c.slot.(id)) land 1) c.boundary;
+  Array.iter (fun id -> cv.(id) <- sym) c.free;
   Array.iter
     (fun id ->
-      let nd = node id in
+      let nd = Netlist.node c.net id in
       cv.(id) <-
         (match nd.Netlist.kind with
         | Netlist.Gate fn -> fold_gate cv fn nd.Netlist.fanins
         | Netlist.Lut truth -> fold_lut cv nd.Netlist.fanins truth
         | Netlist.Input | Netlist.Const _ | Netlist.Ff | Netlist.Dead -> sym))
-    topo;
-  (* 2. Needed mark, in reverse: the [sym] fanins each [sym] output depends
-     on; a MUX with a known select depends on the selected data pin only. *)
-  let need = Array.make n false in
+    c.cone;
+  blk
+
+(* One copy of a folded constraint: mark the [sym] nodes the [sym]
+   outputs depend on, encode them over [shared] key bits, pin the
+   outputs. *)
+let encode_io sink c blk ~shared outputs =
+  let cv = c.cv and need = c.need and lit = c.lit in
+  let value d = if c.in_cone.(d) then cv.(d) else blk.(c.slot.(d)) land 1 in
+  (* 1. Needed mark, in reverse: the [sym] fanins each [sym] output
+     depends on; a MUX with a known select depends on the selected data
+     pin only. *)
+  Array.iter (fun id -> need.(id) <- false) c.free;
+  Array.iter (fun id -> need.(id) <- false) c.cone;
   let mark f = if cv.(f) = sym then need.(f) <- true in
-  Array.iter (fun (d, _) -> mark d) outputs;
-  for i = Array.length topo - 1 downto 0 do
-    let id = topo.(i) in
+  Array.iter (fun (d, _) -> if value d = sym then need.(d) <- true) outputs;
+  for i = Array.length c.cone - 1 downto 0 do
+    let id = c.cone.(i) in
     if need.(id) then begin
-      let nd = node id in
+      let nd = Netlist.node c.net id in
       let fanins = nd.Netlist.fanins in
       match nd.Netlist.kind with
       | Netlist.Gate Cell.Mux when cv.(fanins.(0)) <> sym ->
@@ -257,22 +332,26 @@ let assert_io solver net ~shared ~inputs ~outputs =
         Array.iter mark fanins
     end
   done;
-  (* 3. Forward encode of the needed nodes.  A node whose value is one
-     [sym] fanin's, up to a sign, reuses that fanin's literal; the rest get
-     a fresh variable and the gate's clauses over their [sym] fanins. *)
-  let lit = Array.make n (-1) in
+  (* 2. Forward encode of the needed nodes.  A node whose value is one
+     [sym] fanin's, up to a sign, reuses that fanin's literal; the rest
+     get a fresh variable and the gate's clauses over their [sym]
+     fanins. *)
   let syms fanins =
-    Array.of_list
-      (List.filter_map
-         (fun f -> if cv.(f) = sym then Some lit.(f) else None)
-         (Array.to_list fanins))
+    let k = ref 0 in
+    Array.iter (fun f -> if cv.(f) = sym then incr k) fanins;
+    let ins = Array.make !k 0 in
+    k := 0;
+    Array.iter
+      (fun f ->
+        if cv.(f) = sym then begin
+          ins.(!k) <- lit.(f);
+          incr k
+        end)
+      fanins;
+    ins
   in
   let signed l keep = if keep then l else Lit.negate l in
-  let gate emit =
-    let o = Lit.pos (sink.fresh ()) in
-    emit o;
-    o
-  in
+  let fresh () = Lit.pos (sink.fresh ()) in
   let encode_gate fn fanins =
     let l i = lit.(fanins.(i)) and c i = cv.(fanins.(i)) in
     match fn with
@@ -283,46 +362,55 @@ let assert_io solver net ~shared ~inputs ~outputs =
       let positive = fn = Cell.And || fn = Cell.Or in
       match syms fanins with
       | [| a |] -> signed a positive
-      | ins when fn = Cell.And || fn = Cell.Nand ->
-        gate (fun o -> and_clauses sink o ins positive)
-      | ins -> gate (fun o -> or_clauses sink o ins positive))
+      | ins ->
+        let o = fresh () in
+        if fn = Cell.And || fn = Cell.Nand then and_clauses sink o ins positive
+        else or_clauses sink o ins positive;
+        o)
     | Cell.Xor | Cell.Xnor -> (
-      let positive =
-        Array.fold_left
-          (fun p f -> if cv.(f) = 1 then not p else p)
-          (fn = Cell.Xor) fanins
-      in
+      let positive = ref (fn = Cell.Xor) in
+      Array.iter (fun f -> if cv.(f) = 1 then positive := not !positive) fanins;
       match syms fanins with
-      | [| a |] -> signed a positive
-      | ins -> gate (fun o -> parity_clauses sink o ins positive))
+      | [| a |] -> signed a !positive
+      | ins ->
+        let o = fresh () in
+        parity_clauses sink o ins !positive;
+        o)
     | Cell.Mux -> (
       match (c 0, c 1, c 2) with
       | 0, _, _ -> l 1
       | 1, _, _ -> l 2
       | _, 0, 1 -> l 0
       | _, 1, 0 -> Lit.negate (l 0)
-      | _, 0, _ -> gate (fun o -> and_clauses sink o [| l 0; l 2 |] true)
-      | _, 1, _ -> gate (fun o -> or_clauses sink o [| Lit.negate (l 0); l 2 |] true)
-      | _, _, 0 -> gate (fun o -> and_clauses sink o [| Lit.negate (l 0); l 1 |] true)
-      | _, _, 1 -> gate (fun o -> or_clauses sink o [| l 0; l 1 |] true)
-      | _ -> gate (fun o -> mux_clauses sink o (l 0) (l 1) (l 2)))
+      | sel, a, b ->
+        let o = fresh () in
+        (match (sel, a, b) with
+        | _, 0, _ -> and_clauses sink o [| l 0; l 2 |] true
+        | _, 1, _ -> or_clauses sink o [| Lit.negate (l 0); l 2 |] true
+        | _, _, 0 -> and_clauses sink o [| Lit.negate (l 0); l 1 |] true
+        | _, _, 1 -> or_clauses sink o [| l 0; l 1 |] true
+        | _ -> mux_clauses sink o (l 0) (l 1) (l 2));
+        o)
   in
   let encode_lut fanins truth =
     let free, cof = lut_cofactor cv fanins truth in
     let ins = Array.map (fun i -> lit.(fanins.(i))) free in
     match ins with
     | [| a |] -> signed a cof.(1)
-    | _ -> gate (fun o -> lut_clauses sink o ins cof)
+    | _ ->
+      let o = fresh () in
+      lut_clauses sink o ins cof;
+      o
   in
-  for id = 0 to n - 1 do
-    if need.(id) && (node id).Netlist.kind = Netlist.Input then
-      lit.(id) <-
-        Lit.pos (match shared id with Some v -> v | None -> sink.fresh ())
-  done;
+  Array.iter
+    (fun id ->
+      if need.(id) then
+        lit.(id) <- Lit.pos (match shared id with Some v -> v | None -> sink.fresh ()))
+    c.free;
   Array.iter
     (fun id ->
       if need.(id) then begin
-        let nd = node id in
+        let nd = Netlist.node c.net id in
         lit.(id) <-
           (match nd.Netlist.kind with
           | Netlist.Gate fn -> encode_gate fn nd.Netlist.fanins
@@ -330,11 +418,19 @@ let assert_io solver net ~shared ~inputs ~outputs =
           | Netlist.Input | Netlist.Const _ | Netlist.Ff | Netlist.Dead ->
             assert false)
       end)
-    topo;
-  (* 4. One unit per [sym] output; a known output that disagrees makes
+    c.cone;
+  (* 3. One unit per [sym] output; a known output that disagrees makes
      the formula UNSAT. *)
   Array.iter
     (fun (d, y) ->
-      if cv.(d) = sym then sink.clause [ signed lit.(d) y ]
-      else if cv.(d) <> Bool.to_int y then sink.clause [])
+      let v = value d in
+      if v = sym then sink.clause [ signed lit.(d) y ]
+      else if v <> Bool.to_int y then sink.clause [])
     outputs
+
+let assert_io solver c ~copies ~x ~outputs =
+  if Array.length x <> Array.length c.pinned_src then
+    invalid_arg "Tseitin.assert_io: one value per pinned input";
+  let blk = fold c x in
+  let sink = solver_sink solver in
+  List.iter (fun shared -> encode_io sink c blk ~shared outputs) copies

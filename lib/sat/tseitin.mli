@@ -37,31 +37,53 @@ val miter : ?guard:Lit.t -> Solver.t -> (int * int) list -> unit
 (** [encode_simple solver net] is {!encode} with no sharing. *)
 val encode_simple : Solver.t -> Netlist.t -> int array
 
-(** [assert_io solver net ~shared ~inputs ~outputs] asserts one I/O
-    constraint [net(x, K) = y]: [inputs] pairs input node ids with their
-    values in the pattern [x], and [outputs] pairs output driver ids with
-    their required values [y].  An input outside [inputs] is symbolic:
-    [shared id] may bind it to an existing variable (a key bit), and
+(** The fixed part of a run of I/O constraints on one netlist: which
+    inputs a pattern assigns, the forward cone of every other input (the
+    only nodes whose value a pattern can leave open), and the scratch
+    arrays a constraint folds into.  Built once per attack; not safe to
+    share between domains. *)
+type io_cone
+
+(** [io_cone net ~pinned] prepares I/O constraints on the combinational
+    [net] whose patterns assign the inputs [pinned], in that order.
+    Every other input is symbolic.  The cone is the symbolic inputs and
+    every gate or LUT over one of its nodes.
+    @raise Invalid_argument if [net] still contains flip-flops or a
+    [pinned] node is not an input. *)
+val io_cone : Netlist.t -> pinned:int array -> io_cone
+
+(** Whether node [id] is in the cone: the forward cone of the inputs
+    with no value. *)
+val in_cone : io_cone -> int -> bool
+
+(** [assert_io solver c ~copies ~x ~outputs] asserts the I/O constraint
+    [net(x, K) = y] once per element of [copies]: [x.(i)] is the value of
+    the [i]th pinned input of [c], and [outputs] pairs output driver ids
+    with their required values [y].  In copy [shared], [shared id] may
+    bind a symbolic input to an existing variable (a key bit), and
     otherwise it gets a fresh one.
 
-    The pattern's values are folded in before anything is encoded.  A
-    forward pass propagates them as constants, a reverse pass marks the
-    fan-in cone of the outputs that still depend on a symbolic input,
-    and a forward pass encodes only the non-constant nodes of that cone:
-    a node equal to one symbolic fanin up to a sign ([Buf], [Not], a gate
-    whose other fanins are all known) reuses that fanin's literal, and
-    every other node gets one fresh variable and the {!encode} clauses
-    over its symbolic fanins.  Each symbolic output then gets one unit
-    clause; a known output that disagrees with [y] makes [solver] UNSAT.
-    For every assignment of the symbolic inputs the result is satisfiable
-    exactly when {!encode} plus unit pins on [x] and [y] is.
+    The pattern's values are folded in once, before anything is
+    encoded.  One {!Netlist.Engine} evaluation gives every node outside
+    the cone its value, and a forward pass over the cone propagates them
+    as constants.  Then, per copy, a reverse pass marks the fan-in cone
+    of the outputs that still depend on a symbolic input, and a forward
+    pass encodes only the non-constant nodes of that cone: a node equal
+    to one symbolic fanin up to a sign ([Buf], [Not], a gate whose other
+    fanins are all known) reuses that fanin's literal, and every other
+    node gets one fresh variable and the {!encode} clauses over its
+    symbolic fanins.  Each symbolic output then gets one unit clause; a
+    known output that disagrees with [y] makes [solver] UNSAT.  For every
+    assignment of the symbolic inputs each copy is satisfiable exactly
+    when {!encode} plus unit pins on [x] and [y] is.  The copies are
+    encoded one after the other, each exactly as it would be alone.
 
-    @raise Invalid_argument if [net] still contains flip-flops. *)
+    @raise Invalid_argument if [x] has not one value per pinned input. *)
 val assert_io :
   Solver.t ->
-  Netlist.t ->
-  shared:(int -> int option) ->
-  inputs:(int * bool) array ->
+  io_cone ->
+  copies:(int -> int option) list ->
+  x:bool array ->
   outputs:(int * bool) array ->
   unit
 

@@ -37,6 +37,10 @@ let keyed prefix row name_field fields ratios =
       (List.map (fun f -> (f, Throughput)) fields
       @ List.map (fun f -> (f, Ratio)) ratios)
 
+(* The exact fields of a BENCH_attacks [dip_loop] row. *)
+let dip_loop_counts =
+  [ "dips"; "miter_vars"; "miter_clauses"; "vars"; "clauses"; "conflicts"; "propagations" ]
+
 let metrics_of ~file j =
   match file with
   | `Eval ->
@@ -116,6 +120,23 @@ let metrics_of ~file j =
                 `Verdict (string_of_int n) )
           | _ -> None)
         (rows_of j "verify")
+    (* a DIP loop's DIPs and solver counts follow from the design, the
+       lock and the search: exact; its phase times are not gated *)
+    @ List.concat_map
+        (fun row ->
+          match Cjson.mem_str "name" row with
+          | None -> []
+          | Some name ->
+            List.filter_map
+              (fun field ->
+                Option.map
+                  (fun n ->
+                    ( Printf.sprintf "attacks.dip_loop.%s.%s" name field,
+                      Verdict,
+                      `Verdict (string_of_int n) ))
+                  (Cjson.mem_int field row))
+              dip_loop_counts)
+        (rows_of j "dip_loop")
   | `Load ->
     List.concat_map
       (fun row ->

@@ -25,7 +25,9 @@
       design's node and flip-flop counts and combinationalized MD5 in
       BENCH_eval's [netlist] rows (their times are not gated), and the
       mismatches one key verification counts in BENCH_attacks' [verify]
-      rows): must match exactly — an attack whose verdict or count
+      rows, and the DIPs and solver counts of a SARLock-6 DIP loop in
+      its [dip_loop] rows, whose phase times are not gated): must match
+      exactly — an attack whose verdict or count
       moves, or a simulator or key check whose count moves, is a
       correctness regression wearing a perf benchmark's clothes.
 

@@ -55,6 +55,21 @@ let test_oracle () =
     [ ("y", false) ]
     (permissive [ ("a", true); ("stray", true) ])
 
+(* A pin listed twice reads its last value, whichever way it flips:
+   the named edge clears a bit before setting it from the value. *)
+let test_oracle_last_pin_wins () =
+  let net = Netlist.create "o" in
+  let a = Netlist.add_input net "a" and b = Netlist.add_input net "b" in
+  Netlist.add_output net "y" (Netlist.add_gate net Cell.And [| a; b |]);
+  let o = Oracle.of_netlist ~memo:false net in
+  let y q = List.assoc "y" (Oracle.query o q) in
+  Alcotest.(check bool) "true, then false" false (y [ ("a", true); ("b", true); ("a", false) ]);
+  Alcotest.(check bool) "false, then true" true (y [ ("a", false); ("b", true); ("a", true) ]);
+  Alcotest.(check bool) "in a batch too" true
+    (Oracle.query_batch o [ [ ("b", true); ("a", true); ("b", false) ]; [ ("b", false); ("a", true); ("b", true) ] ]
+    |> List.map (List.assoc "y")
+    = [ false; true ])
+
 (* ----- SAT attack ----- *)
 
 let sat_recovers_xor_law seed =
@@ -629,7 +644,8 @@ let test_opt_verdict_parity () =
 
 let suites =
   [
-    ("attacks.oracle", [ tc "basics" `Quick test_oracle ]);
+    ( "attacks.oracle",
+      [ tc "basics" `Quick test_oracle; tc "a repeated pin reads its last value" `Quick test_oracle_last_pin_wins ] );
     ( "attacks.sat",
       [
         tc "budget" `Quick test_sat_attack_budget;

@@ -699,7 +699,9 @@ let folded_disagreements locked ~keys ~x ~y =
   in
   let folded = Solver.create () in
   let kf, shared = with_keys folded in
-  Tseitin.assert_io folded locked ~shared ~inputs:x ~outputs:y;
+  Tseitin.assert_io folded
+    (Tseitin.io_cone locked ~pinned:(Array.map fst x))
+    ~copies:[ shared ] ~x:(Array.map snd x) ~outputs:y;
   let full = Solver.create () in
   let kfull, shared = with_keys full in
   let vars = Tseitin.encode full locked ~shared in
@@ -881,9 +883,10 @@ let test_assert_io_constant_output () =
   let run want_g =
     let s = Solver.create () in
     let kv = Solver.new_var s in
-    Tseitin.assert_io s net
-      ~shared:(fun id -> if id = k then Some kv else None)
-      ~inputs:[| (x, false) |]
+    Tseitin.assert_io s
+      (Tseitin.io_cone net ~pinned:[| x |])
+      ~copies:[ (fun id -> if id = k then Some kv else None) ]
+      ~x:[| false |]
       ~outputs:[| (g, want_g); (h, true) |];
     (Solver.num_vars s, Solver.solve s)
   in

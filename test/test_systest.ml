@@ -302,6 +302,60 @@ let test_gate_attack_counts_exact () =
       ("conflicts", fun (i, q, c) -> (i, q, c + 1));
     ]
 
+(* BENCH_attacks' dip_loop rows: the DIPs and solver counts are gated
+   exactly, the phase times not at all. *)
+let dip_loop_doc rows =
+  doc_of_string
+    (Printf.sprintf {|{"schema":"gklock/bench_attacks/v2","oracle":[],"attacks":[],"dip_loop":[%s]}|}
+       (String.concat ","
+          (List.map
+             (fun (name, counts, ms) ->
+               Printf.sprintf
+                 {|{"name":"%s","lock_seed":1,%s,"create_ms":%f,"solve_ms":%f,
+                    "constrain_ms":%f,"rest_ms":%f,"attack_ms":%f}|}
+                 name
+                 (String.concat "," (List.map (fun (f, n) -> Printf.sprintf {|"%s":%d|} f n) counts))
+                 ms ms ms ms ms)
+             rows)))
+
+let test_gate_dip_loop_counts_exact () =
+  let counts =
+    [ ("dips", 63); ("miter_vars", 426); ("miter_clauses", 1223); ("vars", 1812);
+      ("clauses", 5490); ("conflicts", 130); ("propagations", 87879) ]
+  in
+  let committed = [ ("sarlock6-s1238-1", counts, 10.0); ("sarlock6-s1238-2", counts, 12.0) ] in
+  let base = dip_loop_doc committed in
+  let ids r = List.map (fun c -> c.Perf_gate.c_id) r.Perf_gate.g_checks in
+  let slow = dip_loop_doc (List.map (fun (n, c, ms) -> (n, c, ms *. 1000.0)) committed) in
+  let same = Perf_gate.compare_docs ~inject_slowdown:1000.0 [ (`Attacks, base, slow) ] in
+  Alcotest.(check (list string)) "counts gated, times not"
+    (List.concat_map
+       (fun (n, c, _) -> List.map (fun (f, _) -> Printf.sprintf "attacks.dip_loop.%s.%s" n f) c)
+       committed)
+    (ids same);
+  Alcotest.(check bool) "equal counts pass whatever the speed" true same.Perf_gate.g_ok;
+  List.iter
+    (fun (field, _) ->
+      let moved =
+        dip_loop_doc
+          (List.map
+             (fun (n, c, ms) ->
+               ( n,
+                 (if n = "sarlock6-s1238-2" then
+                    List.map (fun (f, v) -> (f, if f = field then v + 1 else v)) c
+                  else c),
+                 ms ))
+             committed)
+      in
+      let r = Perf_gate.compare_docs [ (`Attacks, base, moved) ] in
+      Alcotest.(check (list string)) ("one more " ^ field ^ " fails alone")
+        [ "attacks.dip_loop.sarlock6-s1238-2." ^ field ]
+        (List.filter_map
+           (fun c -> if c.Perf_gate.c_ok then None else Some c.Perf_gate.c_id)
+           r.Perf_gate.g_checks);
+      Alcotest.(check bool) ("one more " ^ field ^ " fails the gate") false r.Perf_gate.g_ok)
+    counts
+
 (* BENCH_eval's netlist rows: sizes and the combinationalized MD5 are
    gated exactly, the four times not at all. *)
 let netlist_doc rows =
@@ -477,6 +531,8 @@ let suites =
           test_gate_attack_counts_exact;
         Alcotest.test_case "netlist sizes and MD5s are exact" `Quick
           test_gate_netlist_md5_exact;
+        Alcotest.test_case "dip_loop counts are exact" `Quick
+          test_gate_dip_loop_counts_exact;
       ] );
     ( "systest_daemon",
       [

@@ -15,7 +15,13 @@
     conflict as a ref rather than an exception.  Values are kept per
     literal (-1 unassigned, 0 false, 1 true); the trail, the decision
     level starts and the conflict-analysis buffer are owned int arrays.
-    The hot loops allocate nothing and call nothing outside this module.
+    The hot loops allocate nothing and call nothing outside this module:
+    [propagate] and [backtrack] read the solver's arrays once per call
+    (none is reallocated while they run), the activity heap sifts in a
+    loop over the activity array, and [add_clause] sorts, deduplicates
+    and filters a clause in an owned scratch array, allocating only the
+    stored clause.  The model of a [Sat] answer is copied into a reused
+    array.
 
     The search is the original one of this solver, decision for
     decision: the watch-visit order, watch-list order, learnt-literal
@@ -45,7 +51,8 @@ val add_clause : t -> Lit.t list -> bool
 val solve : ?assumptions:Lit.t list -> t -> result
 
 (** [value s v] is variable [v]'s value in the model of the last [Sat]
-    answer.  @raise Invalid_argument if the last call was not [Sat]. *)
+    answer.  @raise Invalid_argument if the last call was not [Sat], or
+    if [v] was made after it. *)
 val value : t -> int -> bool
 
 (** Number of conflicts encountered so far (for reporting). *)

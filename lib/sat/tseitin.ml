@@ -252,27 +252,19 @@ let lut_cofactor cv fanins truth =
 
 (* The value of gate [fn] over its fanins' values. *)
 let fold_gate cv fn fanins =
+  let has v = Array.exists (fun f -> cv.(f) = v) fanins in
   match fn with
   | Cell.Buf -> cv.(fanins.(0))
-  | Cell.Not ->
-    let v = cv.(fanins.(0)) in
-    if v = sym then sym else 1 - v
+  | Cell.Not -> if cv.(fanins.(0)) = sym then sym else 1 - cv.(fanins.(0))
   | Cell.And | Cell.Nand | Cell.Or | Cell.Nor ->
-    (* a controlling fanin decides; else an unknown one leaves it open *)
     let ctrl = if fn = Cell.And || fn = Cell.Nand then 0 else 1 in
-    let v = ref (1 - ctrl) in
-    for i = 0 to Array.length fanins - 1 do
-      let c = cv.(fanins.(i)) in
-      if c = ctrl then v := ctrl else if c = sym && !v <> ctrl then v := sym
-    done;
-    if !v = sym || fn = Cell.And || fn = Cell.Or then !v else 1 - !v
+    let v = if has ctrl then ctrl else if has sym then sym else 1 - ctrl in
+    if v = sym || fn = Cell.And || fn = Cell.Or then v else 1 - v
   | Cell.Xor | Cell.Xnor ->
-    let p = ref (if fn = Cell.Xor then 0 else 1) in
-    for i = 0 to Array.length fanins - 1 do
-      let c = cv.(fanins.(i)) in
-      if c = sym || !p = sym then p := sym else p := !p lxor c
-    done;
-    !p
+    if has sym then sym
+    else
+      Array.fold_left (fun p f -> p lxor cv.(f)) (if fn = Cell.Xor then 0 else 1)
+        fanins
   | Cell.Mux -> (
     let a = cv.(fanins.(1)) and b = cv.(fanins.(2)) in
     match cv.(fanins.(0)) with
@@ -337,21 +329,17 @@ let encode_io sink c blk ~shared outputs =
      get a fresh variable and the gate's clauses over their [sym]
      fanins. *)
   let syms fanins =
-    let k = ref 0 in
-    Array.iter (fun f -> if cv.(f) = sym then incr k) fanins;
-    let ins = Array.make !k 0 in
-    k := 0;
-    Array.iter
-      (fun f ->
-        if cv.(f) = sym then begin
-          ins.(!k) <- lit.(f);
-          incr k
-        end)
-      fanins;
-    ins
+    Array.of_list
+      (List.filter_map
+         (fun f -> if cv.(f) = sym then Some lit.(f) else None)
+         (Array.to_list fanins))
   in
   let signed l keep = if keep then l else Lit.negate l in
-  let fresh () = Lit.pos (sink.fresh ()) in
+  let gate emit =
+    let o = Lit.pos (sink.fresh ()) in
+    emit o;
+    o
+  in
   let encode_gate fn fanins =
     let l i = lit.(fanins.(i)) and c i = cv.(fanins.(i)) in
     match fn with
@@ -362,45 +350,36 @@ let encode_io sink c blk ~shared outputs =
       let positive = fn = Cell.And || fn = Cell.Or in
       match syms fanins with
       | [| a |] -> signed a positive
-      | ins ->
-        let o = fresh () in
-        if fn = Cell.And || fn = Cell.Nand then and_clauses sink o ins positive
-        else or_clauses sink o ins positive;
-        o)
+      | ins when fn = Cell.And || fn = Cell.Nand ->
+        gate (fun o -> and_clauses sink o ins positive)
+      | ins -> gate (fun o -> or_clauses sink o ins positive))
     | Cell.Xor | Cell.Xnor -> (
-      let positive = ref (fn = Cell.Xor) in
-      Array.iter (fun f -> if cv.(f) = 1 then positive := not !positive) fanins;
+      let positive =
+        Array.fold_left
+          (fun p f -> if cv.(f) = 1 then not p else p)
+          (fn = Cell.Xor) fanins
+      in
       match syms fanins with
-      | [| a |] -> signed a !positive
-      | ins ->
-        let o = fresh () in
-        parity_clauses sink o ins !positive;
-        o)
+      | [| a |] -> signed a positive
+      | ins -> gate (fun o -> parity_clauses sink o ins positive))
     | Cell.Mux -> (
       match (c 0, c 1, c 2) with
       | 0, _, _ -> l 1
       | 1, _, _ -> l 2
       | _, 0, 1 -> l 0
       | _, 1, 0 -> Lit.negate (l 0)
-      | sel, a, b ->
-        let o = fresh () in
-        (match (sel, a, b) with
-        | _, 0, _ -> and_clauses sink o [| l 0; l 2 |] true
-        | _, 1, _ -> or_clauses sink o [| Lit.negate (l 0); l 2 |] true
-        | _, _, 0 -> and_clauses sink o [| Lit.negate (l 0); l 1 |] true
-        | _, _, 1 -> or_clauses sink o [| l 0; l 1 |] true
-        | _ -> mux_clauses sink o (l 0) (l 1) (l 2));
-        o)
+      | _, 0, _ -> gate (fun o -> and_clauses sink o [| l 0; l 2 |] true)
+      | _, 1, _ -> gate (fun o -> or_clauses sink o [| Lit.negate (l 0); l 2 |] true)
+      | _, _, 0 -> gate (fun o -> and_clauses sink o [| Lit.negate (l 0); l 1 |] true)
+      | _, _, 1 -> gate (fun o -> or_clauses sink o [| l 0; l 1 |] true)
+      | _ -> gate (fun o -> mux_clauses sink o (l 0) (l 1) (l 2)))
   in
   let encode_lut fanins truth =
     let free, cof = lut_cofactor cv fanins truth in
     let ins = Array.map (fun i -> lit.(fanins.(i))) free in
     match ins with
     | [| a |] -> signed a cof.(1)
-    | _ ->
-      let o = fresh () in
-      lut_clauses sink o ins cof;
-      o
+    | _ -> gate (fun o -> lut_clauses sink o ins cof)
   in
   Array.iter
     (fun id ->
